@@ -34,34 +34,19 @@ from .etale import (
     EtaleMorphism,
     ReducedCover,
     compose_covers,
-    compose_etale,
+    fresh_label,
     identity_cover,
-    iso_etale,
     validate_reduced_cover,
 )
-from .graph_core import (
-    JKGraph,
-    ValidationReport,
-    embed_image,
-    find_isomorphisms,
-    validate_graph,
-)
+from .graph_core import JKGraph, ValidationReport
 from .kleisli import (
     Refinement,
     FlaggedSubgraphRef,
     compose_refinements,
     identity_refinement,
     pushout_gen_rc,
-    transport_refinement,
     validate_refinement,
 )
-
-
-def _tail_copy(t: str, taken: set[str]) -> str:
-    c = t + "^"
-    while c in taken:
-        c += "^"
-    return c
 
 
 def tail_companions(g: BMGraph) -> dict[str, str]:
@@ -69,7 +54,7 @@ def tail_companions(g: BMGraph) -> dict[str, str]:
     taken = set(g.flags)
     out = {}
     for t in sorted(bm_tails(g)):
-        c = _tail_copy(t, taken)
+        c = fresh_label(t, taken)
         taken.add(c)
         out[t] = c
     return out
@@ -228,17 +213,51 @@ def compose_cospan(c1: GraphCospan, c2: GraphCospan) -> GraphCospan:
     return GraphCospan(left, right)
 
 
+def cospan_key(c: GraphCospan) -> tuple:
+    """A hashable normal form of a cospan up to apex isomorphism.
+
+    The left leg is a reduced cover, bijective on vertices and flags and
+    onto the apex arcs, so it fixes the only isomorphism of apexes that
+    can commute with it.  Renaming every apex vertex and flag after its
+    unique preimage, and every apex arc after its least preimage, makes
+    that isomorphism the identity.  The key lists, after the renaming,
+    which arcs the cover glues and the right leg's three maps (each flag
+    by its chosen flag).  Raises ValueError if the left leg is not
+    bijective on vertices and flags or not onto the apex arcs."""
+    left, apex = c.left, c.apex
+    vertex_name = {w: v for v, w in left.vertex_map.items()}
+    flag_name = {k: h for h, k in left.flag_map.items()}
+    if len(vertex_name) != len(left.vertex_map) or set(vertex_name) != apex.vertices:
+        raise ValueError("cospan_key: the left leg is not bijective on vertices")
+    if len(flag_name) != len(left.flag_map) or set(flag_name) != apex.flags:
+        raise ValueError("cospan_key: the left leg is not bijective on flags")
+    arc_name: dict[str, str] = {}
+    for a, b in sorted(left.arc_map.items()):
+        arc_name.setdefault(b, a)
+    if set(arc_name) != apex.arcs:
+        raise ValueError("cospan_key: the left leg is not onto the apex arcs")
+    right = c.right
+    return (
+        tuple(sorted((a, arc_name[b]) for a, b in left.arc_map.items())),
+        tuple(sorted((a, arc_name[b]) for a, b in right.arc_map.items())),
+        tuple(
+            sorted(
+                (x, tuple(sorted(vertex_name[w] for w in ws)))
+                for x, ws in right.vertex_map.items()
+            )
+        ),
+        tuple(sorted((g, flag_name[ref.flag]) for g, ref in right.flag_map.items())),
+    )
+
+
 def cospan_equal(c1: GraphCospan, c2: GraphCospan) -> bool:
-    """Same feet, and an isomorphism of apexes commuting with both legs."""
+    """Same feet, and an isomorphism of apexes commuting with both legs.
+
+    The left legs force that isomorphism, so equality is equality of the
+    normal forms given by cospan_key."""
     if c1.source != c2.source or c1.target != c2.target:
         return False
-    for iso in find_isomorphisms(c1.apex, c2.apex):
-        mid = iso_etale(c1.apex, c2.apex, iso)
-        if compose_etale(c1.left.morphism, mid) != c2.left.morphism:
-            continue
-        if transport_refinement(c1.right, iso, c2.apex) == c2.right:
-            return True
-    return False
+    return cospan_key(c1) == cospan_key(c2)
 
 
 def cospan_factorise(c: GraphCospan) -> tuple[GraphCospan, GraphCospan]:

@@ -285,7 +285,8 @@ def replay_gluings(g: JKGraph, steps: list[tuple[str, str]]) -> tuple[JKGraph, R
     return current, cover
 
 
-def _fresh(label: str, used: set[str]) -> str:
+def fresh_label(label: str, used: set[str]) -> str:
+    """label with the fewest trailing carets that is not in used."""
     candidate = label + "^"
     while candidate in used:
         candidate += "^"
@@ -305,9 +306,9 @@ def cut_edges(g: JKGraph, cut: set[frozenset[str]]) -> tuple[JKGraph, ReducedCov
     arc_map = {x: x for x in g.arcs}
     for e in sorted(cut, key=lambda e: tuple(sorted(e))):
         a1, a2 = sorted(e)
-        c1 = _fresh(a1, used)
+        c1 = fresh_label(a1, used)
         used.add(c1)
-        c2 = _fresh(a2, used)
+        c2 = fresh_label(a2, used)
         used.add(c2)
         arcs |= {c1, c2}
         involution[a1] = c1

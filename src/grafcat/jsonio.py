@@ -288,6 +288,8 @@ def species_from_json(doc) -> GraphicalSpecies:
     operations = {}
     for entry in doc["operations"]:
         _check_keys(entry, {"name", "arity", "profile"}, "species.operations[]")
+        if not isinstance(entry["name"], str):
+            raise JsonFormatError("species.operations[].name: expected a string")
         profile = tuple(_str_list(entry["profile"], "species.operations[].profile"))
         if entry["arity"] != len(profile):
             raise JsonFormatError(
@@ -301,6 +303,8 @@ def species_from_json(doc) -> GraphicalSpecies:
         action = {}
         for entry in doc["action"]:
             _check_keys(entry, {"operation", "permutation", "result"}, "species.action[]")
+            if not isinstance(entry["operation"], str) or not isinstance(entry["result"], str):
+                raise JsonFormatError("species.action[]: operation and result must be strings")
             perm = entry["permutation"]
             if not isinstance(perm, list) or not all(isinstance(i, int) for i in perm):
                 raise JsonFormatError("species.action[].permutation: expected integers")
@@ -332,7 +336,7 @@ def parse_document(doc, base_dir: str | None = None) -> tuple[str, object]:
     if not isinstance(doc, dict):
         raise JsonFormatError("document: expected an object")
     kind = doc.get("kind")
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise JsonFormatError(f"document: unknown kind {kind!r}")
     return kind, _PARSERS[kind](doc, base_dir)
 

@@ -1,13 +1,16 @@
 """Exhaustive small-scale enumeration and the equivalence check.
 
-Everything here works by brute force from first principles: graphs are
-generated from raw combinatorial data (valence lists and involutions),
-morphisms by filtering all candidate triples through the validator, and
-cospans by combining all port matchings with all refinements.  The main
-entry point check_equivalence compares, for every ordered pair of graphs
-within bounds, the morphisms of the vertex/flag encoding against the
-cover/refinement cospans of the arc encoding, and verifies that the
-translation phi is a bijection between the two."""
+Graphs are generated from raw combinatorial data (valence lists and
+involutions), morphisms by filtering all candidate triples through the
+validator, and cospans by combining all port matchings with all
+refinements.  Cospans are compared through their normal form
+(cospan_key): the cover leg forces the apex isomorphism, so equal
+cospans have equal keys and deduplication and the bijection checks are
+set operations.  The main entry point check_equivalence compares, for
+every ordered pair of graphs within bounds, the morphisms of the
+vertex/flag encoding against the cover/refinement cospans of the arc
+encoding, and verifies that the translation phi is a bijection between
+the two."""
 
 from __future__ import annotations
 
@@ -22,13 +25,14 @@ from .bm import (
 )
 from .cospan_equiv import (
     GraphCospan,
-    cospan_equal,
+    cospan_key,
     phi,
+    phi1_graph,
     phi_inv,
     validate_cospan,
 )
-from .etale import ReducedCover, replay_gluings, validate_reduced_cover
-from .graph_core import JKGraph, ports, validate_graph
+from .etale import ReducedCover, replay_gluings
+from .graph_core import JKGraph, ports
 from .kleisli import FlaggedSubgraphRef, Refinement, validate_refinement
 
 
@@ -243,17 +247,17 @@ def enumerate_cospans(
 ) -> list[GraphCospan]:
     """All cover/refinement cospans from t to r whose apex has at most
     apex_bound vertices (every apex reachable from t has exactly t's
-    vertex count, so any bound at least that is exhaustive)."""
-    out = []
+    vertex count, so any bound at least that is exhaustive), one per
+    equality class: the first cospan found with each cospan_key."""
+    found: dict[tuple, GraphCospan] = {}
     for cover in covers_from(t):
         apex = cover.target
         if apex_bound is not None and len(apex.vertices) > apex_bound:
             continue
         for ref in enumerate_refinements(r, apex):
             c = GraphCospan(cover, ref)
-            if not any(cospan_equal(c, prev) for prev in out):
-                out.append(c)
-    return out
+            found.setdefault(cospan_key(c), c)
+    return list(found.values())
 
 
 @dataclass(frozen=True)
@@ -300,25 +304,23 @@ class EquivalenceReport:
 def check_pair(
     tau: BMGraph, rho: BMGraph, ti: int, ri: int, apex_bound: int | None
 ) -> PairResult:
-    from .cospan_equiv import phi1_graph
-
+    """Count both hom-sets and check that phi is a bijection between
+    them.  An image that is not a valid cospan fails the roundtrip and
+    gets no key, so the pair also fails injectivity."""
     homs = enumerate_bm_morphisms(tau, rho)
     cospans = enumerate_cospans(phi1_graph(tau), phi1_graph(rho), apex_bound)
-    images = []
+    keys = set()
     roundtrip = True
     for h in homs:
         c = phi(h)
-        if not validate_cospan(c).ok or phi_inv(c) != h:
+        if not validate_cospan(c).ok:
             roundtrip = False
-        images.append(c)
-    injective = all(
-        not cospan_equal(images[i], images[j])
-        for i in range(len(images))
-        for j in range(i + 1, len(images))
-    )
-    surjective = all(
-        any(cospan_equal(c, img) for img in images) for c in cospans
-    )
+            continue
+        if phi_inv(c) != h:
+            roundtrip = False
+        keys.add(cospan_key(c))
+    injective = len(keys) == len(homs)
+    surjective = all(cospan_key(c) in keys for c in cospans)
     return PairResult(
         ti, ri, len(homs), len(cospans), injective, surjective, roundtrip
     )

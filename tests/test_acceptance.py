@@ -64,6 +64,7 @@ from grafcat.kleisli import (
     refinement_to_cover,
 )
 from grafcat.oracle import (
+    check_equivalence,
     covers_from,
     enumerate_bm_graphs,
     enumerate_bm_morphisms,
@@ -154,6 +155,23 @@ def test_encodings_agree_end_to_end():
         f"PASS encoding equivalence: {len(header['graphs'])} graphs, "
         f"{len(rows)} ordered pairs, {total} morphisms matched both ways "
         f"in {elapsed:.1f}s"
+    )
+
+
+def test_encodings_agree_on_the_two_five_window():
+    # the next window up: every graph with at most 2 vertices and 5 flags
+    t0 = time.monotonic()
+    report = check_equivalence(2, 5)
+    elapsed = time.monotonic() - t0
+    assert report.ok
+    assert len(report.graphs) == 51
+    assert len(report.pairs) == 2601
+    assert report.total_bm == 4449
+    assert report.total_cospans == 4449
+    print(
+        f"PASS encoding equivalence (2,5): {len(report.graphs)} graphs, "
+        f"{len(report.pairs)} ordered pairs, {report.total_bm} morphisms matched "
+        f"both ways in {elapsed:.1f}s"
     )
 
 

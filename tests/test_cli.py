@@ -64,6 +64,47 @@ def test_parse_errors_exit_two(tmp_path):
     assert run("validate", str(tmp_path / "absent.json"), expect=2).returncode == 2
 
 
+def species_doc():
+    return {
+        "kind": "species",
+        "colours": ["c"],
+        "colour_involution": {"c": "c"},
+        "operations": [{"name": "m", "arity": 2, "profile": ["c", "c"]}],
+        "action": [
+            {"operation": "m", "permutation": [1, 2], "result": "m"},
+            {"operation": "m", "permutation": [2, 1], "result": "m"},
+        ],
+    }
+
+
+def test_species_document_validates(save):
+    assert json.loads(run("validate", save("sp.json", species_doc())).stdout)["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        ("kind", ["bm-graph"]),
+        ("name", ["m"]),
+        ("name", 7),
+        ("operation", ["m"]),
+        ("operation", 7),
+        ("result", {"m": 1}),
+        ("result", 7),
+    ],
+)
+def test_non_string_names_exit_two(save, where, value):
+    doc = species_doc()
+    if where == "kind":
+        doc["kind"] = value
+    elif where == "name":
+        doc["operations"][0]["name"] = value
+    else:
+        doc["action"][1][where] = value
+    proc = run("validate", save("bad.json", doc), expect=2)
+    assert "Traceback" not in proc.stderr
+
+
 def test_validate_classifies_morphisms(save, LOOP):
     proc = run("validate", save("m.json", jsonio.bm_morphism_to_json(make_contract(LOOP))))
     cls = json.loads(proc.stdout)["classification"]

@@ -1,6 +1,11 @@
+import functools
+
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bm_graphs
+from grafcat import oracle
 from grafcat.bm import (
     BMGraph,
     BMMorphism,
@@ -15,6 +20,7 @@ from grafcat.cospan_equiv import (
     GraphCospan,
     compose_cospan,
     cospan_equal,
+    cospan_key,
     cospan_factorise,
     identity_cospan,
     phi,
@@ -27,16 +33,33 @@ from grafcat.cospan_equiv import (
     phi_inv,
     validate_cospan,
 )
-from grafcat.etale import validate_reduced_cover
+from grafcat.etale import (
+    EtaleMorphism,
+    ReducedCover,
+    compose_etale,
+    identity_cover,
+    iso_etale,
+    validate_reduced_cover,
+)
 from grafcat.graph_core import (
+    GraphIso,
+    JKGraph,
     edges,
+    find_isomorphisms,
     inner_edges,
     is_isomorphic,
     ports,
+    relabel,
     validate_graph,
 )
-from grafcat.kleisli import validate_refinement
-from grafcat.oracle import enumerate_bm_morphisms
+from grafcat.kleisli import identity_refinement, transport_refinement, validate_refinement
+from grafcat.oracle import (
+    check_pair,
+    covers_from,
+    enumerate_bm_graphs,
+    enumerate_bm_morphisms,
+    enumerate_refinements,
+)
 
 
 def make_graft(LOOP):
@@ -155,3 +178,114 @@ def test_phi_roundtrip_random(g):
             c = phi(m)
             assert validate_cospan(c).ok
             assert phi_inv(c) == m
+
+
+# -- equality by normal form ---------------------------------------------------------
+
+def search_equal(c1, c2):
+    """Cospan equality by listing every apex isomorphism and keeping one
+    that commutes with both legs: the reference for cospan_key."""
+    if c1.source != c2.source or c1.target != c2.target:
+        return False
+    for iso in find_isomorphisms(c1.apex, c2.apex):
+        mid = iso_etale(c1.apex, c2.apex, iso)
+        if compose_etale(c1.left.morphism, mid) != c2.left.morphism:
+            continue
+        if transport_refinement(c1.right, iso, c2.apex) == c2.right:
+            return True
+    return False
+
+
+def test_key_equality_matches_the_isomorphism_search():
+    # every raw cospan of the (2,4) window at apex bound 3, before any
+    # deduplication, together with the phi image of every morphism
+    graphs = enumerate_bm_graphs(2, 4)
+    compared = agreed_true = 0
+    for tau in graphs:
+        covers = [rc for rc in covers_from(phi1_graph(tau)) if len(rc.target.vertices) <= 3]
+        for rho in graphs:
+            raw = [
+                GraphCospan(rc, ref)
+                for rc in covers
+                for ref in enumerate_refinements(phi1_graph(rho), rc.target)
+            ]
+            raw += [phi(h) for h in enumerate_bm_morphisms(tau, rho)]
+            keys = [cospan_key(c) for c in raw]
+            for i in range(len(raw)):
+                for j in range(i, len(raw)):
+                    expected = search_equal(raw[i], raw[j])
+                    assert (keys[i] == keys[j]) == expected, (tau, rho, i, j)
+                    compared += 1
+                    agreed_true += expected
+    assert (compared, agreed_true) == (26263, 2979)
+
+
+@functools.cache
+def window_morphisms():
+    graphs = enumerate_bm_graphs(2, 4)
+    return [h for tau in graphs for rho in graphs for h in enumerate_bm_morphisms(tau, rho)]
+
+
+def relabelled(c, arc_perm, flag_perm, vertex_perm):
+    """c with its apex renamed by the given permutations of the apex's
+    own labels, both legs transported along the renaming."""
+    apex = c.apex
+    iso = GraphIso(
+        dict(zip(sorted(apex.arcs), arc_perm)),
+        dict(zip(sorted(apex.flags), flag_perm)),
+        dict(zip(sorted(apex.vertices), vertex_perm)),
+    )
+    new_apex = relabel(apex, iso.arc_map, iso.flag_map, iso.vertex_map)
+    left = ReducedCover(compose_etale(c.left.morphism, iso_etale(apex, new_apex, iso)))
+    return GraphCospan(left, transport_refinement(c.right, iso, new_apex))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_key_is_invariant_under_apex_relabelling(data):
+    c = phi(data.draw(st.sampled_from(window_morphisms())))
+    apex = c.apex
+    moved = relabelled(
+        c,
+        data.draw(st.permutations(sorted(apex.arcs))),
+        data.draw(st.permutations(sorted(apex.flags))),
+        data.draw(st.permutations(sorted(apex.vertices))),
+    )
+    assert validate_cospan(moved).ok
+    assert cospan_key(moved) == cospan_key(c)
+    assert cospan_equal(moved, c) and cospan_equal(c, moved)
+
+
+def not_onto_apex(level):
+    """The identity cospan of a 1-corolla, with an extra vertex or an
+    extra edge in the apex that the left leg misses."""
+    g = phi1_graph(bm_corolla(1))
+    if level == "vertices":
+        apex = JKGraph(g.arcs, g.flags, g.vertices | {"w"}, g.involution, g.embed, g.incidence)
+    else:
+        apex = JKGraph(
+            g.arcs | {"x", "y"},
+            g.flags | {"hx", "hy"},
+            g.vertices,
+            {**g.involution, "x": "y", "y": "x"},
+            {**g.embed, "hx": "x", "hy": "y"},
+            {**g.incidence, "hx": "v", "hy": "v"},
+        )
+    m = identity_cover(g).morphism
+    left = EtaleMorphism(g, apex, m.arc_map, m.flag_map, m.vertex_map)
+    return GraphCospan(ReducedCover(left), identity_refinement(apex))
+
+
+@pytest.mark.parametrize("level", ["vertices", "arcs"])
+def test_key_rejects_a_left_leg_not_onto_the_apex(level):
+    with pytest.raises(ValueError):
+        cospan_key(not_onto_apex(level))
+
+
+def test_check_pair_fails_an_invalid_image(monkeypatch):
+    c1 = bm_corolla(1)
+    assert check_pair(c1, c1, 0, 0, None).ok
+    monkeypatch.setattr(oracle, "phi", lambda h: not_onto_apex("arcs"))
+    res = check_pair(c1, c1, 0, 0, None)
+    assert not res.ok
+    assert not res.roundtrip_exact and not res.translation_injective
