@@ -29,19 +29,19 @@ homs = enumerate_bm_morphisms(star, star)
 print("endomorphisms of the 2-corolla:", len(homs))
 
 # the cospan side counts the same
-cospans = enumerate_cospans(phi1_graph(star), phi1_graph(star), apex_bound=2)
+cospans = enumerate_cospans(phi1_graph(star), phi1_graph(star))
 print("cospans from the 2-corolla to itself:", len(cospans))
 
 # one ordered pair, fully compared: counts, injectivity, surjectivity,
 # and exactness of the roundtrip
-res = check_pair(star, star, 0, 0, apex_bound=2)
+res = check_pair(star, star, 0, 0)
 print("\npair comparison:", res)
 print("pair verdict:", "pass" if res.ok else "FAIL")
 
 # the whole window at once; the full acceptance run uses 2 vertices and
 # 4 flags (also available from the command line as
-# `grafcat check-equivalence --max-vertices 2 --max-flags 4 --apex-bound 3`)
-report = check_equivalence(1, 2, apex_bound=2)
+# `grafcat check-equivalence --max-vertices 2 --max-flags 4`)
+report = check_equivalence(1, 2)
 print(
     f"\nwindow report: {len(report.graphs)} graphs, {len(report.pairs)} pairs, "
     f"{report.total_bm} morphisms vs {report.total_cospans} cospans ->",

@@ -47,9 +47,6 @@ class BMGraph:
         return sorted(f for f in self.flags if self.boundary[f] == v)
 
 
-EMPTY_BM = BMGraph(frozenset(), frozenset(), {}, {})
-
-
 def validate_bm_graph(g: BMGraph) -> ValidationReport:
     problems = []
     if set(g.boundary) != set(g.flags):
@@ -271,11 +268,6 @@ def _edges_onto(m: BMMorphism) -> bool:
             return False  # a target edge made of source tails
         hit.add(frozenset((f, t)))
     return hit == bm_edges(src)
-
-
-def is_bm_isomorphism(m: BMMorphism) -> bool:
-    c = classify_bm(m)
-    return c.is_isomorphism
 
 
 def ghost_graph(m: BMMorphism) -> BMGraph:

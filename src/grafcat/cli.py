@@ -3,14 +3,12 @@
 Subcommands validate documents, compose and factorise morphisms,
 translate between the two encodings, compute pushouts, enumerate graphs,
 count and compare hom-sets, and export DOT drawings.  Every run is
-deterministic; the GRAFCAT_SEED environment variable is read and
-ignored because nothing here is randomised.  Exit status: 0 success,
-1 validation failure (report on stderr), 2 parse or usage error."""
+deterministic.  Exit status: 0 success, 1 validation failure (report
+on stderr), 2 parse or usage error."""
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import jsonio
@@ -153,10 +151,22 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _check_bound(args, n_vertices: int):
+    """Every apex has its source's vertex count, so a bound below a
+    source's count would drop all its cospans and report false failures;
+    any other bound changes nothing."""
+    if args.bound is not None and args.bound < n_vertices:
+        args.error(
+            f"--apex-bound {args.bound} is below {n_vertices}, "
+            "the vertex count of a source graph"
+        )
+
+
 def _cmd_hom_count(args) -> int:
     _, tau = _load_checked(args.source, {"bm-graph"})
     _, rho = _load_checked(args.target, {"bm-graph"})
-    res = check_pair(tau, rho, 0, 1, args.apex_bound)
+    _check_bound(args, len(tau.vertices))
+    res = check_pair(tau, rho, 0, 1)
     doc = {
         "source": args.source,
         "target": args.target,
@@ -169,6 +179,7 @@ def _cmd_hom_count(args) -> int:
 
 
 def _cmd_check_equivalence(args) -> int:
+    _check_bound(args, args.max_vertices)
     lines = []
     table = []
 
@@ -183,9 +194,7 @@ def _cmd_check_equivalence(args) -> int:
         lines.append(jsonio.dumps_line(row))
         table.append(res)
 
-    report = check_equivalence(
-        args.max_vertices, args.max_flags, args.apex_bound, progress=progress
-    )
+    report = check_equivalence(args.max_vertices, args.max_flags, progress=progress)
     header = {"graphs": [jsonio.bm_graph_to_json(g) for g in report.graphs]}
     _write("\n".join([jsonio.dumps_line(header)] + lines) + "\n", args.output)
 
@@ -250,6 +259,9 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+_BOUND_HELP = "must be at least every source graph's vertex count; has no other effect"
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grafcat",
@@ -261,7 +273,7 @@ def _parser() -> argparse.ArgumentParser:
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("-o", "--output", default=None, help="write to this file instead of stdout")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, error=p.error)
         return p
 
     p = add("validate", _cmd_validate, "check a document against its kind's laws")
@@ -288,7 +300,7 @@ def _parser() -> argparse.ArgumentParser:
     p = add("hom-count", _cmd_hom_count, "count morphisms and cospans between two graphs")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--apex-bound", type=int, default=None)
+    p.add_argument("--apex-bound", dest="bound", type=int, default=None, help=_BOUND_HELP)
 
     p = add(
         "check-equivalence",
@@ -297,7 +309,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-vertices", type=int, required=True)
     p.add_argument("--max-flags", type=int, required=True)
-    p.add_argument("--apex-bound", type=int, default=None)
+    p.add_argument("--apex-bound", dest="bound", type=int, default=None, help=_BOUND_HELP)
 
     p = add("export-dot", _cmd_export_dot, "draw a graph in DOT format")
     p.add_argument("file")
@@ -306,7 +318,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    os.environ.get("GRAFCAT_SEED")  # accepted and ignored: nothing is randomised
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -20,7 +20,6 @@ from .graph_core import (
     embed_image,
     inner_edges,
     isolated_edges,
-    ports,
     validate_graph,
 )
 
@@ -197,14 +196,6 @@ def validate_reduced_cover(rc: ReducedCover) -> ValidationReport:
 
 def is_reduced_cover(m: EtaleMorphism) -> bool:
     return validate_reduced_cover(ReducedCover(m)).ok
-
-
-def reduced_cover(m: EtaleMorphism) -> ReducedCover:
-    rc = ReducedCover(m)
-    rep = validate_reduced_cover(rc)
-    if not rep.ok:
-        raise ValueError("not a reduced cover: " + "; ".join(rep.problems))
-    return rc
 
 
 def identity_cover(g: JKGraph) -> ReducedCover:

@@ -234,11 +234,6 @@ def corolla(n: int | Iterable[str]) -> JKGraph:
     )
 
 
-def is_elementary(g: JKGraph) -> bool:
-    """Connected with no inner edges: a unit graph or a corolla."""
-    return is_connected(g) and not inner_edges(g)
-
-
 def relabel(
     g: JKGraph,
     arc_map: dict[str, str] | None = None,
@@ -280,15 +275,46 @@ def disjoint_union(g1: JKGraph, g2: JKGraph) -> tuple[JKGraph, LevelMaps, LevelM
     """
     left, lm = prefix_graph(g1, "L.")
     right, rm = prefix_graph(g2, "R.")
-    total = JKGraph(
-        left.arcs | right.arcs,
-        left.flags | right.flags,
-        left.vertices | right.vertices,
-        {**left.involution, **right.involution},
-        {**left.embed, **right.embed},
-        {**left.incidence, **right.incidence},
-    )
-    return total, lm, rm
+    return graph_sum([left, right]), lm, rm
+
+
+def graph_sum(parts: Iterable[JKGraph]) -> JKGraph:
+    """The union of graphs with pairwise disjoint labels; ValueError if
+    two parts share an arc, flag or vertex label."""
+    arcs: set[str] = set()
+    flags: set[str] = set()
+    vertices: set[str] = set()
+    involution: dict[str, str] = {}
+    embed: dict[str, str] = {}
+    incidence: dict[str, str] = {}
+    for g in parts:
+        if arcs & g.arcs or flags & g.flags or vertices & g.vertices:
+            raise ValueError("summed graphs share a label")
+        arcs |= g.arcs
+        flags |= g.flags
+        vertices |= g.vertices
+        involution.update(g.involution)
+        embed.update(g.embed)
+        incidence.update(g.incidence)
+    return JKGraph(arcs, flags, vertices, involution, embed, incidence)
+
+
+def involutions(items: list[str], fixpoints: bool = True) -> Iterator[dict[str, str]]:
+    """Every involution of items as a dict, only the fixpoint-free ones
+    (perfect matchings) unless fixpoints.  The order is fixed: items[0]
+    is first left fixed, then paired with each later item in turn."""
+    if not fixpoints and len(items) % 2:
+        return
+    if not items:
+        yield {}
+        return
+    first, rest = items[0], items[1:]
+    if fixpoints:
+        for sub in involutions(rest):
+            yield {first: first, **sub}
+    for k, partner in enumerate(rest):
+        for sub in involutions(rest[:k] + rest[k + 1 :], fixpoints):
+            yield {first: partner, partner: first, **sub}
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,6 @@ from .etale import (
     compose_etale,
     cut_edges,
     decompose_reduced_cover,
-    glue_ports,
-    identity_cover,
     identity_etale,
     iso_etale,
     open_subgraph,
@@ -47,8 +45,10 @@ from .graph_core import (
     GraphIso,
     JKGraph,
     ValidationReport,
+    components,
     corolla,
     find_isomorphisms,
+    graph_sum,
     inner_edges,
     isolated_edges,
     local_interface,
@@ -209,27 +209,14 @@ def _disjoint_pieces(
 ) -> tuple[JKGraph, dict[str, dict[str, str]]]:
     """Sum the pieces with per-vertex prefixes; returns the sum and, for
     each x, the prefixed copy of its port interface."""
-    arcs: set[str] = set()
-    flags: set[str] = set()
-    vertices: set[str] = set()
-    involution: dict[str, str] = {}
-    embed: dict[str, str] = {}
-    incidence: dict[str, str] = {}
+    copies = []
     interfaces: dict[str, dict[str, str]] = {}
     for x in sorted(assignment):
         piece, bij = assignment[x]
         copy, maps = prefix_graph(piece, x + ".")
-        if arcs & copy.arcs or flags & copy.flags or vertices & copy.vertices:
-            raise ValueError(f"piece labels collide after prefixing with {x + '.'!r}")
-        arcs |= copy.arcs
-        flags |= copy.flags
-        vertices |= copy.vertices
-        involution.update(copy.involution)
-        embed.update(copy.embed)
-        incidence.update(copy.incidence)
+        copies.append(copy)
         interfaces[x] = {maps.arc_map[q]: a for q, a in bij.items()}
-    total = JKGraph(arcs, flags, vertices, involution, embed, incidence)
-    return total, interfaces
+    return graph_sum(copies), interfaces
 
 
 def refine(r: JKGraph, assignment: dict[str, tuple[JKGraph, dict[str, str]]]) -> Refinement:
@@ -273,14 +260,11 @@ def _refine_with_cover(
         for q, a in iface.items():
             slot[a] = q
 
-    glued = total
-    cover = identity_cover(total)
-    for e in sorted(inner_edges(r), key=lambda e: tuple(sorted(e))):
-        a1, a2 = sorted(e)
-        q1 = slot[r.involution[a1]]
-        q2 = slot[r.involution[a2]]
-        glued, step = glue_ports(glued, cover.arc_map[q1], cover.arc_map[q2])
-        cover = ReducedCover(compose_etale(cover.morphism, step.morphism))
+    steps = [
+        (slot[r.involution[a1]], slot[r.involution[a2]])
+        for a1, a2 in sorted(tuple(sorted(e)) for e in inner_edges(r))
+    ]
+    glued, cover = replay_gluings(total, steps)
 
     vertex_map = {}
     flag_map = {}
@@ -366,40 +350,18 @@ def cover_to_refinement(rc: ReducedCover) -> Refinement:
     cover's source, with one corolla-shaped vertex per component (named
     after the component's least vertex, with the component's own port
     labels)."""
-    from .graph_core import components
-
     src, tgt = rc.source, rc.target
-    comps = components(src)
-    arcs: set[str] = set()
-    flags: set[str] = set()
-    vertices: set[str] = set()
-    involution: dict[str, str] = {}
-    embed: dict[str, str] = {}
-    incidence: dict[str, str] = {}
     comp_vertex = {}
-    for comp in comps:
+    corollas = []
+    for comp in components(src):
         if not comp.vertices:
             raise ValueError("cover source has an isolated edge component")
         name = min(comp.vertices)
         comp_vertex[name] = comp
-        cor = relabel(corolla(sorted(ports(comp))), vertex_map={"v": name})
-        if arcs & set(cor.arcs) or flags & set(cor.flags) or name in vertices:
-            raise ValueError("component port labels collide across components")
-        arcs |= set(cor.arcs)
-        flags |= set(cor.flags)
-        vertices |= set(cor.vertices)
-        involution.update(cor.involution)
-        embed.update(cor.embed)
-        incidence.update(cor.incidence)
-    summed = JKGraph(arcs, flags, vertices, involution, embed, incidence)
+        corollas.append(relabel(corolla(sorted(ports(comp))), vertex_map={"v": name}))
 
     # ports of the source glued pairwise onto inner edges of the target
-    glue_steps = decompose_reduced_cover(rc)
-    coarse = summed
-    cover = identity_cover(summed)
-    for p, q in glue_steps:
-        coarse, step = glue_ports(coarse, cover.arc_map[p], cover.arc_map[q])
-        cover = ReducedCover(compose_etale(cover.morphism, step.morphism))
+    coarse, cover = replay_gluings(graph_sum(corollas), decompose_reduced_cover(rc))
 
     vertex_map = {
         name: frozenset(rc.vertex_map[u] for u in comp.vertices)
@@ -457,16 +419,6 @@ class KleisliMorphism:
     @property
     def target(self) -> JKGraph:
         return self.free.target
-
-
-def kleisli_morphism(generic: Refinement, free: EtaleMorphism) -> KleisliMorphism:
-    if generic.target != free.source:
-        raise ValueError("generic and free parts do not meet in the middle")
-    return KleisliMorphism(generic, free)
-
-
-def generic_free_parts(k: KleisliMorphism) -> tuple[Refinement, EtaleMorphism]:
-    return k.generic, k.free
 
 
 def generic_kleisli(r: Refinement) -> KleisliMorphism:

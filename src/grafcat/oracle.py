@@ -3,14 +3,15 @@
 Graphs are generated from raw combinatorial data (valence lists and
 involutions), morphisms by filtering all candidate triples through the
 validator, and cospans by combining all port matchings with all
-refinements.  Cospans are compared through their normal form
-(cospan_key): the cover leg forces the apex isomorphism, so equal
-cospans have equal keys and deduplication and the bijection checks are
-set operations.  The main entry point check_equivalence compares, for
-every ordered pair of graphs within bounds, the morphisms of the
-vertex/flag encoding against the cover/refinement cospans of the arc
-encoding, and verifies that the translation phi is a bijection between
-the two."""
+refinements.  No apex bound is needed: a reduced cover is bijective on
+vertices, so every apex has its source's vertex count.  Cospans are
+compared through their normal form (cospan_key): the cover leg forces
+the apex isomorphism, so equal cospans have equal keys and deduplication
+and the bijection checks are set operations.  The main entry point
+check_equivalence compares, for every ordered pair of graphs within
+bounds, the morphisms of the vertex/flag encoding against the
+cover/refinement cospans of the arc encoding, and verifies that the
+translation phi is a bijection between the two."""
 
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .cospan_equiv import (
     validate_cospan,
 )
 from .etale import ReducedCover, replay_gluings
-from .graph_core import JKGraph, ports
+from .graph_core import JKGraph, involutions, ports
 from .kleisli import FlaggedSubgraphRef, Refinement, validate_refinement
 
 
@@ -40,21 +41,6 @@ from .kleisli import FlaggedSubgraphRef, Refinement, validate_refinement
 class EnumBounds:
     max_vertices: int
     max_flags: int
-    apex_bound: int | None = None
-
-
-def _involutions(items: list[str]):
-    """All involutions of items, as dicts (fixpoints allowed)."""
-    if not items:
-        yield {}
-        return
-    first, rest = items[0], items[1:]
-    for sub in _involutions(rest):
-        yield {first: first, **sub}
-    for k, partner in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1 :]
-        for sub in _involutions(remaining):
-            yield {first: partner, partner: first, **sub}
 
 
 def _valence_lists(n_vertices: int, max_flags: int):
@@ -90,7 +76,7 @@ def enumerate_bm_graphs(max_vertices: int, max_flags: int) -> list[BMGraph]:
                     f = f"f{k}"
                     flags.append(f)
                     boundary[f] = v
-            for involution in _involutions(flags):
+            for involution in involutions(flags):
                 g = BMGraph(set(vertices), set(flags), boundary, involution)
                 if not any(is_bm_isomorphic(g, h) for h in found):
                     found.append(g)
@@ -107,20 +93,6 @@ def _surjections(domain: list[str], codomain: list[str]):
             yield dict(zip(domain, values))
 
 
-def _perfect_matchings(items: list[str]):
-    """Fixpoint-free involutions of items, as dicts."""
-    if not items:
-        yield {}
-        return
-    if len(items) % 2:
-        return
-    first, rest = items[0], items[1:]
-    for k, partner in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1 :]
-        for sub in _perfect_matchings(remaining):
-            yield {first: partner, partner: first, **sub}
-
-
 def enumerate_bm_morphisms(tau: BMGraph, rho: BMGraph) -> list[BMMorphism]:
     """All morphisms tau -> rho, by filtering every candidate triple."""
     out = []
@@ -132,33 +104,19 @@ def enumerate_bm_morphisms(tau: BMGraph, rho: BMGraph) -> list[BMMorphism]:
         flag_map = dict(zip(rho_flags, image))
         complement = sorted(set(tau_flags) - set(image))
         for vertex_map in _surjections(sorted(tau.vertices), sorted(rho.vertices)):
-            for virtual in _perfect_matchings(complement):
+            for virtual in involutions(complement, fixpoints=False):
                 m = BMMorphism(tau, rho, flag_map, vertex_map, virtual)
                 if validate_bm_morphism(m).ok:
                     out.append(m)
     return out
 
 
-def _partial_matchings(items: list[str]):
-    """All sets of disjoint unordered pairs drawn from items."""
-    if len(items) < 2:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _partial_matchings(rest):
-        yield sub
-    for k, partner in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1 :]
-        for sub in _partial_matchings(remaining):
-            yield [(first, partner)] + sub
-
-
 def covers_from(t: JKGraph) -> list[ReducedCover]:
-    """All reduced covers with source t: one per partial matching of its
-    ports (the matched pairs are glued)."""
+    """All reduced covers with source t: one per involution of its ports
+    (each swapped pair is glued)."""
     out = []
-    for matching in _partial_matchings(sorted(ports(t))):
-        steps = [tuple(sorted(pair)) for pair in sorted(matching)]
+    for matching in involutions(sorted(ports(t))):
+        steps = [(p, q) for p, q in sorted(matching.items()) if p < q]
         _, cover = replay_gluings(t, steps)
         out.append(cover)
     return out
@@ -242,19 +200,13 @@ def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
     return out
 
 
-def enumerate_cospans(
-    t: JKGraph, r: JKGraph, apex_bound: int | None = None
-) -> list[GraphCospan]:
-    """All cover/refinement cospans from t to r whose apex has at most
-    apex_bound vertices (every apex reachable from t has exactly t's
-    vertex count, so any bound at least that is exhaustive), one per
-    equality class: the first cospan found with each cospan_key."""
+def enumerate_cospans(t: JKGraph, r: JKGraph) -> list[GraphCospan]:
+    """All cover/refinement cospans from t to r, one per equality class:
+    the first cospan found with each cospan_key.  Every apex is the
+    target of a reduced cover of t, so it has t's vertex count."""
     found: dict[tuple, GraphCospan] = {}
     for cover in covers_from(t):
-        apex = cover.target
-        if apex_bound is not None and len(apex.vertices) > apex_bound:
-            continue
-        for ref in enumerate_refinements(r, apex):
+        for ref in enumerate_refinements(r, cover.target):
             c = GraphCospan(cover, ref)
             found.setdefault(cospan_key(c), c)
     return list(found.values())
@@ -301,14 +253,12 @@ class EquivalenceReport:
         return sum(p.cospan_count for p in self.pairs)
 
 
-def check_pair(
-    tau: BMGraph, rho: BMGraph, ti: int, ri: int, apex_bound: int | None
-) -> PairResult:
+def check_pair(tau: BMGraph, rho: BMGraph, ti: int, ri: int) -> PairResult:
     """Count both hom-sets and check that phi is a bijection between
     them.  An image that is not a valid cospan fails the roundtrip and
     gets no key, so the pair also fails injectivity."""
     homs = enumerate_bm_morphisms(tau, rho)
-    cospans = enumerate_cospans(phi1_graph(tau), phi1_graph(rho), apex_bound)
+    cospans = enumerate_cospans(phi1_graph(tau), phi1_graph(rho))
     keys = set()
     roundtrip = True
     for h in homs:
@@ -326,21 +276,16 @@ def check_pair(
     )
 
 
-def check_equivalence(
-    max_vertices: int,
-    max_flags: int,
-    apex_bound: int | None = None,
-    progress=None,
-) -> EquivalenceReport:
+def check_equivalence(max_vertices: int, max_flags: int, progress=None) -> EquivalenceReport:
     """Compare the two encodings over every ordered pair of graphs in
     bounds.  progress, if given, is called with each PairResult as it is
     produced."""
-    bounds = EnumBounds(max_vertices, max_flags, apex_bound)
+    bounds = EnumBounds(max_vertices, max_flags)
     graphs = enumerate_bm_graphs(max_vertices, max_flags)
     results = []
     for ti, tau in enumerate(graphs):
         for ri, rho in enumerate(graphs):
-            res = check_pair(tau, rho, ti, ri, apex_bound)
+            res = check_pair(tau, rho, ti, ri)
             results.append(res)
             if progress is not None:
                 progress(res)

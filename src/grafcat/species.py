@@ -33,6 +33,7 @@ from .graph_core import (
     corolla,
     edges,
     find_isomorphisms,
+    involutions,
     is_connected,
     local_interface,
     ports,
@@ -324,22 +325,10 @@ def _stub_graphs(allowed_valences: list[int], n_ports: int, n_vertices: int):
                 f = f"v{i}.{j}"
                 flags.append(f)
                 incidence[f] = f"v{i}"
-        stub_arcs = [f + "*" for f in flags]
-        items = stub_arcs + port_names
-
-        def matchings(rest: list[str]):
-            if not rest:
-                yield {}
-                return
-            first, tail = rest[0], rest[1:]
-            for k, partner in enumerate(tail):
-                if first in port_names and partner in port_names:
-                    continue  # a port-port edge would be isolated
-                remaining = tail[:k] + tail[k + 1 :]
-                for sub in matchings(remaining):
-                    yield {first: partner, partner: first, **sub}
-
-        for involution in matchings(items):
+        items = [f + "*" for f in flags] + port_names
+        for involution in involutions(items, fixpoints=False):
+            if any(involution[p] in port_names for p in port_names):
+                continue  # a port-port edge would be isolated
             g = JKGraph(
                 set(items),
                 set(flags),

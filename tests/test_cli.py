@@ -180,6 +180,18 @@ def test_hom_count(save):
     assert doc["bijection_verified"]
 
 
+def test_hom_count_rejects_an_apex_bound_below_the_source(save):
+    c2 = save("c2.json", jsonio.bm_graph_to_json(bm_corolla(2)))
+    assert "--apex-bound" in run("hom-count", c2, c2, "--apex-bound", "0", expect=2).stderr
+    assert json.loads(run("hom-count", c2, c2, "--apex-bound", "1").stdout)["bijection_verified"]
+
+
+def test_check_equivalence_rejects_an_apex_bound_below_max_vertices():
+    argv = ("check-equivalence", "--max-vertices", "1", "--max-flags", "2")
+    assert "--apex-bound" in run(*argv, "--apex-bound", "0", expect=2).stderr
+    assert "all pairs pass" in run(*argv, "--apex-bound", "1").stderr
+
+
 def test_check_equivalence_output():
     proc = run("check-equivalence", "--max-vertices", "1", "--max-flags", "2")
     rows = proc.stdout.strip().split("\n")

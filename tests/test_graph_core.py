@@ -13,7 +13,9 @@ from grafcat.graph_core import (
     edges,
     elements,
     find_isomorphisms,
+    graph_sum,
     inner_edges,
+    involutions,
     is_connected,
     is_effective,
     is_isomorphic,
@@ -125,6 +127,11 @@ def test_components_of_disjoint_union(L, CY):
     assert sorted(len(c.vertices) for c in comps) == [1, 2]
     assert any(is_isomorphic(c, L) for c in comps)
     assert any(is_isomorphic(c, CY) for c in comps)
+
+
+def test_graph_sum_rejects_a_shared_label(L):
+    with pytest.raises(ValueError):
+        graph_sum([L, prefix_graph(L, "x.")[0], L])
 
 
 def test_unit_graph_is_one_component():
@@ -252,3 +259,21 @@ def test_recompose_random(g):
     back = recompose_elements(elements(g))
     assert validate_graph(back).ok
     assert is_isomorphic(back, g)
+
+
+# -- involutions ------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "fixpoints, counts",
+    [(True, [1, 1, 2, 4, 10, 26, 76]), (False, [1, 0, 1, 0, 3, 0, 15])],
+)
+def test_involutions_are_counted_and_distinct(fixpoints, counts):
+    for n, expected in enumerate(counts):
+        items = [f"x{i}" for i in range(n)]
+        found = list(involutions(items, fixpoints))
+        assert len(found) == expected
+        assert len({tuple(sorted(inv.items())) for inv in found}) == expected
+        for inv in found:
+            assert set(inv) == set(items)
+            assert all(inv[inv[x]] == x for x in items)
+            assert fixpoints or all(inv[x] != x for x in items)

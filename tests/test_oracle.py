@@ -72,13 +72,13 @@ def test_check_pair_spot_checks(LOOP, E2, CC):
         (pp, P), (LOOP, LOOP), (CC, E2),
     ]
     for tau, rho in pairs:
-        res = check_pair(tau, rho, 0, 0, None)
+        res = check_pair(tau, rho, 0, 0)
         assert res.ok, (res.bm_count, res.cospan_count)
 
 
 def test_cospans_match_homs_on_an_interesting_pair(LOOP):
     homs = enumerate_bm_morphisms(LOOP, P)
-    cospans = enumerate_cospans(phi1_graph(LOOP), phi1_graph(P), None)
+    cospans = enumerate_cospans(phi1_graph(LOOP), phi1_graph(P))
     assert len(homs) == len(cospans) == 1
 
 
