@@ -20,6 +20,7 @@ from .graph_core import (
     embed_image,
     inner_edges,
     isolated_edges,
+    spanned_subgraph,
     validate_graph,
 )
 
@@ -118,22 +119,9 @@ def open_subgraph(g: JKGraph, vertex_set) -> tuple[JKGraph, EtaleMorphism]:
         raise ValueError("empty vertex set spans no effective subgraph")
     if not W <= set(g.vertices):
         raise ValueError(f"not a vertex subset: {sorted(W - set(g.vertices))}")
-    flags = {h for h in g.flags if g.incidence[h] in W}
-    arcs = set()
-    for h in flags:
-        a = g.embed[h]
-        arcs.add(a)
-        arcs.add(g.involution[a])
-    sub = JKGraph(
-        arcs,
-        flags,
-        W,
-        {a: g.involution[a] for a in arcs},
-        {h: g.embed[h] for h in flags},
-        {h: g.incidence[h] for h in flags},
-    )
+    sub = spanned_subgraph(g, W)
     incl = EtaleMorphism(
-        sub, g, {a: a for a in arcs}, {h: h for h in flags}, {v: v for v in W}
+        sub, g, {a: a for a in sub.arcs}, {h: h for h in sub.flags}, {v: v for v in W}
     )
     return sub, incl
 

@@ -169,39 +169,55 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
+def spanned_subgraph(g: JKGraph, vertices: Iterable[str]) -> JKGraph:
+    """The subgraph on the given vertices, their flags, and both arcs of
+    the edge at each of those flags."""
+    vs = set(vertices)
+    flags = {h for h in g.flags if g.incidence[h] in vs}
+    arcs = {g.embed[h] for h in flags}
+    arcs |= {g.involution[a] for a in arcs}
+    return JKGraph(
+        arcs,
+        flags,
+        vs,
+        {a: g.involution[a] for a in arcs},
+        {h: g.embed[h] for h in flags},
+        {h: g.incidence[h] for h in flags},
+    )
+
+
+def _linked(g: JKGraph) -> _UnionFind:
+    """Arcs and vertices, tagged so that equal labels stay apart, joined
+    along the involution and along every flag."""
+    uf = _UnionFind([("a", a) for a in g.arcs] + [("v", v) for v in g.vertices])
+    for a in g.arcs:
+        uf.union(("a", a), ("a", g.involution[a]))
+    for h in g.flags:
+        uf.union(("a", g.embed[h]), ("v", g.incidence[h]))
+    return uf
+
+
 def components(g: JKGraph) -> list[JKGraph]:
     """Connected components, sorted by their least vertex or arc label."""
-    edge_keys = {e: tuple(sorted(e)) for e in edges(g)}
-    nodes = [("v", v) for v in g.vertices] + [("e", k) for k in edge_keys.values()]
-    uf = _UnionFind(nodes)
-    arc_edge = {a: edge_keys[frozenset((a, g.involution[a]))] for a in g.arcs}
-    for h in g.flags:
-        uf.union(("v", g.incidence[h]), ("e", arc_edge[g.embed[h]]))
+    uf = _linked(g)
     groups: dict[tuple, list] = {}
-    for node in nodes:
+    for node in uf.parent:
         groups.setdefault(uf.find(node), []).append(node)
     comps = []
     for group in groups.values():
         vs = {x for kind, x in group if kind == "v"}
-        eks = [x for kind, x in group if kind == "e"]
-        arcs = {a for k in eks for a in k}
-        flags = {h for h in g.flags if g.incidence[h] in vs}
-        comps.append(
-            JKGraph(
-                arcs,
-                flags,
-                vs,
-                {a: g.involution[a] for a in arcs},
-                {h: g.embed[h] for h in flags},
-                {h: g.incidence[h] for h in flags},
-            )
-        )
+        if vs:
+            comps.append(spanned_subgraph(g, vs))
+        else:  # an isolated edge
+            a, b = (x for _, x in group)
+            comps.append(JKGraph({a, b}, set(), set(), {a: b, b: a}, {}, {}))
     comps.sort(key=lambda c: min(itertools.chain(sorted(c.vertices), sorted(c.arcs)), default=""))
     return comps
 
 
 def is_connected(g: JKGraph) -> bool:
-    return (bool(g.arcs) or bool(g.vertices)) and len(components(g)) == 1
+    uf = _linked(g)
+    return len({uf.find(node) for node in uf.parent}) == 1
 
 
 def unit_graph() -> JKGraph:
@@ -334,22 +350,7 @@ class GluingRecipe:
 
 def elements(g: JKGraph) -> GluingRecipe:
     """Decompose g into its vertex and edge elements."""
-    vertex_elements = {}
-    for v in sorted(g.vertices):
-        flags = {h for h in g.flags if g.incidence[h] == v}
-        arcs = set()
-        for h in flags:
-            a = g.embed[h]
-            arcs.add(a)
-            arcs.add(g.involution[a])
-        vertex_elements[v] = JKGraph(
-            arcs,
-            flags,
-            {v},
-            {a: g.involution[a] for a in arcs},
-            {h: g.embed[h] for h in flags},
-            {h: v for h in flags},
-        )
+    vertex_elements = {v: spanned_subgraph(g, {v}) for v in sorted(g.vertices)}
     edge_elements = {}
     for e in edges(g):
         key = tuple(sorted(e))
@@ -535,3 +536,78 @@ def find_isomorphisms(g1: JKGraph, g2: JKGraph) -> list[GraphIso]:
 
 def is_isomorphic(g1: JKGraph, g2: JKGraph) -> bool:
     return next(_iso_gen(g1, g2), None) is not None
+
+
+def canonical_key(g: JKGraph, fixed: Iterable[str] = frozenset()) -> tuple:
+    """A hashable key such that two graphs get equal keys iff some
+    isomorphism between them maps every arc in fixed to the arc of the
+    same name.
+
+    Arcs are numbered in traversal order: first the sorted fixed arcs,
+    then, for each numbered arc in turn, its partner and, on reaching a
+    new vertex, that vertex's other flag arcs in every possible order; a
+    fresh start arc is chosen in every possible way when arcs are left
+    unnumbered.  An arc is encoded by its partner's number and its
+    vertex's number (-1 for a port); the key holds the least encoding.
+    ValueError if a fixed label is not an arc of g."""
+    anchors = sorted(fixed)
+    if not set(anchors) <= g.arcs:
+        raise ValueError(f"fixed labels are not arcs: {sorted(set(anchors) - g.arcs)}")
+    vertex_of = {g.embed[h]: g.incidence[h] for h in g.flags}
+    arcs_at: dict[str, list[str]] = {}
+    for a, v in vertex_of.items():
+        arcs_at.setdefault(v, []).append(a)
+    number = {a: k for k, a in enumerate(anchors)}
+    order = list(anchors)
+    vertex_number: dict[str, int] = {}
+    code: list[tuple[int, int]] = []
+    best: list[tuple[int, int]] | None = None
+
+    def extend(i: int) -> None:
+        # order[:i] is processed and code[:i] holds its final encoding,
+        # which is no greater than the same prefix of best
+        nonlocal best
+        if i == len(order):
+            if len(order) == len(g.arcs):
+                best = list(code)
+                return
+            for a in g.arcs - number.keys():
+                number[a] = i
+                order.append(a)
+                extend(i)
+                order.pop()
+                del number[a]
+            return
+        a = order[i]
+        partner = g.involution[a]
+        new_partner = partner not in number
+        if new_partner:
+            number[partner] = len(order)
+            order.append(partner)
+        v = vertex_of.get(a)
+        new_vertex = v is not None and v not in vertex_number
+        if new_vertex:
+            vertex_number[v] = len(vertex_number)
+        code.append((number[partner], -1 if v is None else vertex_number[v]))
+        if best is None or code <= best[: i + 1]:
+            if new_vertex:
+                rest = [b for b in arcs_at[v] if b not in number]
+                for perm in itertools.permutations(rest):
+                    for k, b in enumerate(perm, start=len(order)):
+                        number[b] = k
+                    order.extend(perm)
+                    extend(i + 1)
+                    del order[len(order) - len(perm) :]
+                    for b in perm:
+                        del number[b]
+            else:
+                extend(i + 1)
+        code.pop()
+        if new_vertex:
+            del vertex_number[v]
+        if new_partner:
+            order.pop()
+            del number[partner]
+
+    extend(0)
+    return tuple(anchors), len(g.vertices), tuple(best)

@@ -45,9 +45,9 @@ from .graph_core import (
     GraphIso,
     JKGraph,
     ValidationReport,
+    _iso_gen,
     components,
     corolla,
-    find_isomorphisms,
     graph_sum,
     inner_edges,
     isolated_edges,
@@ -482,7 +482,7 @@ def kleisli_equal(k1: KleisliMorphism, k2: KleisliMorphism) -> bool:
     isomorphism of middles commuting with both parts."""
     if k1.source != k2.source or k1.target != k2.target:
         return False
-    for iso in find_isomorphisms(k1.generic.target, k2.generic.target):
+    for iso in _iso_gen(k1.generic.target, k2.generic.target):
         if transport_refinement(k1.generic, iso, k2.generic.target) != k2.generic:
             continue
         mid_iso = iso_etale(k1.generic.target, k2.generic.target, iso)

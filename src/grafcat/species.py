@@ -30,9 +30,10 @@ from .graph_core import (
     GraphIso,
     JKGraph,
     ValidationReport,
+    _iso_gen,
+    canonical_key,
     corolla,
     edges,
-    find_isomorphisms,
     involutions,
     is_connected,
     local_interface,
@@ -289,7 +290,7 @@ def decorated_isomorphic(
 ) -> bool:
     """Some isomorphism g1 -> g2 carries dec1 to dec2 (optionally fixing
     every port by name)."""
-    for iso in find_isomorphisms(g1, g2):
+    for iso in _iso_gen(g1, g2):
         if fix_ports and any(iso.arc_map[p] != p for p in ports(g1)):
             continue
         if transport_decoration(sp, dec1, iso) == dec2:
@@ -341,26 +342,22 @@ def _stub_graphs(allowed_valences: list[int], n_ports: int, n_vertices: int):
                 yield g
 
 
-def _port_fixing_isomorphic(g1: JKGraph, g2: JKGraph) -> bool:
-    return any(
-        all(iso.arc_map[p] == p for p in ports(g1)) for iso in find_isomorphisms(g1, g2)
-    )
-
-
 def graphs_with_ports(
     allowed_valences: list[int], n_ports: int, max_vertices: int
 ) -> list[JKGraph]:
     """Connected graphs with ports 1..n and at most max_vertices
-    vertices of allowed valences, one per port-fixing isomorphism class.
-    For two ports this includes the vertexless unit graph."""
-    out = []
+    vertices of allowed valences, one per port-fixing isomorphism class:
+    the first raw graph of each class, keyed by its canonical_key with
+    the ports fixed, in the order the raw graphs are generated.  For two
+    ports this includes the vertexless unit graph, which comes first."""
+    out: dict[tuple, JKGraph] = {}
     if n_ports == 2:
-        out.append(JKGraph({"1", "2"}, set(), set(), {"1": "2", "2": "1"}, {}, {}))
+        unit = JKGraph({"1", "2"}, set(), set(), {"1": "2", "2": "1"}, {}, {})
+        out[canonical_key(unit, ports(unit))] = unit
     for n_v in range(1, max_vertices + 1):
         for g in _stub_graphs(allowed_valences, n_ports, n_v):
-            if not any(_port_fixing_isomorphic(g, h) for h in out):
-                out.append(g)
-    return out
+            out.setdefault(canonical_key(g, ports(g)), g)
+    return list(out.values())
 
 
 def truncated_free(

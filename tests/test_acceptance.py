@@ -41,7 +41,6 @@ from grafcat.cospan_equiv import (
 from grafcat.etale import reduced_covers_of
 from grafcat.graph_core import (
     corolla,
-    edges,
     find_isomorphisms,
     inner_edges,
     is_connected,
@@ -74,6 +73,7 @@ from grafcat.species import (
     Decoration,
     GraphicalSpecies,
     VertexLabel,
+    _edge_colourings,
     canonical_label,
     decorated_isomorphic,
     evaluate_species,
@@ -452,20 +452,6 @@ def right_unit_holds(sp, R, dec_R) -> bool:
     return decorated_isomorphic(sp, ref.target, dec_back, R, dec_R)
 
 
-def edge_colourings(sp, g):
-    """Every colouring of g's arcs constant on flags and swapped across
-    edges, enumerated by choosing one colour per edge."""
-    eds = sorted(tuple(sorted(e)) for e in edges(g))
-    outs = []
-    for combo in itertools.product(sorted(sp.colours), repeat=len(eds)):
-        col = {}
-        for (a, b), c in zip(eds, combo):
-            col[a] = c
-            col[b] = sp.colour_involution[c]
-        outs.append(col)
-    return outs
-
-
 def raw_decoration_count(sp, n_ports, max_v) -> int:
     """Independent recount of the truncated free monad: enumerate arc
     colourings and slot orders directly, keep the valid decorations, and
@@ -594,7 +580,7 @@ def test_monad_laws_hold_at_small_scale(ref_matrix):
         opts = []
         for mid in pool[k]:
             mid_ports = sorted(ports(mid))
-            for mcol in edge_colourings(SP2, mid):
+            for mcol in _edge_colourings(SP2, mid):
                 if all(mcol[mid_ports[i]] == iface_cols[i] for i in range(k)):
                     opts.append((mid, mcol))
         return opts
@@ -611,7 +597,7 @@ def test_monad_laws_hold_at_small_scale(ref_matrix):
     for outer in outers:
         vs = sorted(outer.vertices)
         ifaces = {x: sorted(local_interface(outer, x)) for x in vs}
-        for col in edge_colourings(SP2, outer):
+        for col in _edge_colourings(SP2, outer):
             per_vertex = [
                 middle_options(len(ifaces[x]), tuple(col[a] for a in ifaces[x]))
                 for x in vs

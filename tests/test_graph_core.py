@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import jk_graphs, make_cycle, make_loop, make_path_piece
 from grafcat.graph_core import (
     EMPTY_GRAPH,
     JKGraph,
+    canonical_key,
     components,
     corolla,
     disjoint_union,
@@ -25,6 +27,7 @@ from grafcat.graph_core import (
     prefix_graph,
     recompose_elements,
     relabel,
+    spanned_subgraph,
     unit_graph,
     validate_graph,
 )
@@ -137,6 +140,25 @@ def test_graph_sum_rejects_a_shared_label(L):
 def test_unit_graph_is_one_component():
     assert len(components(unit_graph())) == 1
     assert is_connected(unit_graph())
+
+
+def test_connectivity_of_small_graphs():
+    assert not is_connected(EMPTY_GRAPH)
+    assert is_connected(unit_graph())
+    two, _, _ = disjoint_union(corolla(1), corolla(1))
+    assert not is_connected(two)
+    # vertex "x" and arc "x" belong to different components
+    shared = JKGraph({"x", "y"}, set(), {"x"}, {"x": "y", "y": "x"}, {}, {})
+    assert not is_connected(shared)
+    assert len(components(shared)) == 2
+
+
+def test_spanned_subgraph_of_one_vertex(CY):
+    sub = spanned_subgraph(CY, {"u"})
+    assert validate_graph(sub).ok
+    assert sub.vertices == {"u"} and sub.flags == {"u1", "u2"}
+    assert sub.arcs == CY.arcs
+    assert spanned_subgraph(CY, CY.vertices) == CY
 
 
 def test_prefix_graph_is_isomorphic(CY):
@@ -259,6 +281,48 @@ def test_recompose_random(g):
     back = recompose_elements(elements(g))
     assert validate_graph(back).ok
     assert is_isomorphic(back, g)
+
+
+# -- canonical key -------------------------------------------------------------------
+
+def test_canonical_key_fixes_named_arcs():
+    # corolla(2) has an automorphism swapping its ports, which fixing
+    # one port forbids
+    swapped = relabel(corolla(2), {"1": "2", "2": "1", "1*": "2*", "2*": "1*"})
+    assert canonical_key(swapped) == canonical_key(corolla(2))
+    assert canonical_key(swapped, {"1"}) == canonical_key(corolla(2), {"1"})
+    assert canonical_key(corolla(2), {"1"}) != canonical_key(corolla(2), {"2"})
+    assert canonical_key(make_loop()) != canonical_key(corolla(2))
+    assert canonical_key(EMPTY_GRAPH) != canonical_key(corolla(0))
+    with pytest.raises(ValueError):
+        canonical_key(corolla(2), {"nope"})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_canonical_key_ignores_names_of_unfixed_labels(data):
+    g = data.draw(jk_graphs())
+    arcs = sorted(g.arcs)
+    fixed = set(data.draw(st.lists(st.sampled_from(arcs), unique=True))) if arcs else set()
+    free = [a for a in arcs if a not in fixed]
+    flags, vertices = sorted(g.flags), sorted(g.vertices)
+    moved = relabel(
+        g,
+        dict(zip(free, data.draw(st.permutations(free)))),
+        dict(zip(flags, data.draw(st.permutations(flags)))),
+        dict(zip(vertices, data.draw(st.permutations(vertices)))),
+    )
+    assert validate_graph(moved).ok
+    assert canonical_key(moved, fixed) == canonical_key(g, fixed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    jk_graphs(max_vertices=2, max_valence=2, max_ports=2),
+    jk_graphs(max_vertices=2, max_valence=2, max_ports=2),
+)
+def test_canonical_key_agrees_with_the_isomorphism_search(g, h):
+    assert (canonical_key(g) == canonical_key(h)) == is_isomorphic(g, h)
 
 
 # -- involutions ------------------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from grafcat.graph_core import (
+    canonical_key,
     corolla,
     find_isomorphisms,
     local_interface,
@@ -14,6 +15,7 @@ from grafcat.kleisli import _refine_with_cover
 from grafcat.species import (
     Decoration,
     GraphicalSpecies,
+    _stub_graphs,
     act,
     canonical_label,
     decorated_isomorphic,
@@ -181,6 +183,32 @@ def test_graphs_with_ports_shapes():
 def test_unit_graph_appears_at_two_ports():
     gs = graphs_with_ports([3], 2, 1)
     assert any(not g.vertices for g in gs)
+
+
+def port_fixing_isomorphic(g1, g2) -> bool:
+    """Reference: list every isomorphism, then look for one that fixes
+    each port by name."""
+    return any(
+        all(iso.arc_map[p] == p for p in ports(g1)) for iso in find_isomorphisms(g1, g2)
+    )
+
+
+def test_port_fixing_key_matches_the_isomorphism_search():
+    classes = {p: graphs_with_ports([2, 3], p, 3) for p in range(4)}
+    assert [len(classes[p]) for p in range(4)] == [8, 9, 13, 17]
+    comparisons = matches = 0
+    for p, reps in classes.items():
+        rep_keys = [canonical_key(h, ports(h)) for h in reps]
+        for n_v in range(1, 4):
+            for g in _stub_graphs([2, 3], p, n_v):
+                key = canonical_key(g, ports(g))
+                for h, h_key in zip(reps, rep_keys):
+                    same = port_fixing_isomorphic(g, h)
+                    assert (key == h_key) == same
+                    comparisons += 1
+                    matches += same
+    # every raw graph lies in exactly one class
+    assert (comparisons, matches) == (140141, 9333)
 
 
 def flat_decorated_count(sp, n_ports, max_v) -> int:
