@@ -22,10 +22,9 @@ morphism.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .graph_core import ValidationReport, _UnionFind
+from .graph_core import ValidationReport, _UnionFind, flag_isomorphisms, flags_by_vertex
 
 
 @dataclass(frozen=True)
@@ -42,9 +41,6 @@ class BMGraph:
         object.__setattr__(self, "flags", frozenset(self.flags))
         object.__setattr__(self, "boundary", dict(self.boundary))
         object.__setattr__(self, "involution", dict(self.involution))
-
-    def flags_at(self, v: str) -> list[str]:
-        return sorted(f for f in self.flags if self.boundary[f] == v)
 
 
 def validate_bm_graph(g: BMGraph) -> ValidationReport:
@@ -102,10 +98,6 @@ class BMMorphism:
         object.__setattr__(self, "flag_map", dict(self.flag_map))
         object.__setattr__(self, "vertex_map", dict(self.vertex_map))
         object.__setattr__(self, "virtual_involution", dict(self.virtual_involution))
-
-    def contracted_flags(self) -> set[str]:
-        """Source flags missed by the flag map."""
-        return set(self.source.flags) - set(self.flag_map.values())
 
 
 def contracted_pairs(m: BMMorphism) -> set[frozenset[str]]:
@@ -310,38 +302,20 @@ def commute_bm(m1: BMMorphism, m2: BMMorphism) -> tuple[BMGraph, BMMorphism, BMM
     return factorise_bm(compose_bm(m1, m2))
 
 
-def _bm_vertex_signature(g: BMGraph, v: str) -> tuple[int, int, int]:
-    flags = g.flags_at(v)
-    tails = sum(1 for f in flags if g.involution[f] == f)
-    loops = sum(1 for f in flags if g.involution[f] != f and g.boundary[g.involution[f]] == v)
-    return (len(flags), tails, loops)
-
-
 def find_bm_isomorphisms(g1: BMGraph, g2: BMGraph) -> list[BMMorphism]:
-    """All isomorphisms g1 -> g2, as morphism triples."""
+    """All isomorphisms g1 -> g2, as morphism triples: the involution is
+    the partner map, with tails as their own partners."""
     if len(g1.vertices) != len(g2.vertices) or len(g1.flags) != len(g2.flags):
         return []
-    sig1 = {v: _bm_vertex_signature(g1, v) for v in g1.vertices}
-    sig2 = {v: _bm_vertex_signature(g2, v) for v in g2.vertices}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return []
-    vs1 = sorted(g1.vertices)
-    found = []
-    for ws in itertools.permutations(sorted(g2.vertices)):
-        if any(sig1[v] != sig2[w] for v, w in zip(vs1, ws)):
-            continue
-        vmap = dict(zip(vs1, ws))
-        per_vertex = []
-        for v in vs1:
-            fs1 = g1.flags_at(v)
-            fs2 = g2.flags_at(vmap[v])
-            per_vertex.append([list(zip(fs1, perm)) for perm in itertools.permutations(fs2)])
-        for choice in itertools.product(*per_vertex):
-            fmap = {f: x for pairs in choice for f, x in pairs}
-            if all(fmap[g1.involution[f]] == g2.involution[fmap[f]] for f in fmap):
-                inverse = {x: f for f, x in fmap.items()}
-                found.append(BMMorphism(g1, g2, inverse, vmap, {}))
-    return found
+    return [
+        BMMorphism(g1, g2, {x: f for f, x in fmap.items()}, vmap, {})
+        for vmap, fmap in flag_isomorphisms(
+            flags_by_vertex(g1.vertices, g1.boundary),
+            g1.involution,
+            flags_by_vertex(g2.vertices, g2.boundary),
+            g2.involution,
+        )
+    ]
 
 
 def is_bm_isomorphic(g1: BMGraph, g2: BMGraph) -> bool:

@@ -144,7 +144,15 @@ def _cmd_pushout(args) -> int:
     return 0
 
 
+def _check_window(args):
+    """A negative bound would silently make the window empty."""
+    for flag, value in (("--max-vertices", args.max_vertices), ("--max-flags", args.max_flags)):
+        if value < 0:
+            args.error(f"{flag} {value} is negative")
+
+
 def _cmd_enumerate(args) -> int:
+    _check_window(args)
     graphs = enumerate_bm_graphs(args.max_vertices, args.max_flags)
     doc = [jsonio.bm_graph_to_json(g) for g in graphs]
     _write(jsonio.dumps(doc), args.output)
@@ -179,6 +187,7 @@ def _cmd_hom_count(args) -> int:
 
 
 def _cmd_check_equivalence(args) -> int:
+    _check_window(args)
     _check_bound(args, args.max_vertices)
     lines = []
     table = []

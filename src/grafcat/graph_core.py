@@ -71,9 +71,6 @@ class JKGraph:
     def flags_at(self, v: str) -> list[str]:
         return sorted(h for h in self.flags if self.incidence[h] == v)
 
-    def valence(self, v: str) -> int:
-        return sum(1 for h in self.flags if self.incidence[h] == v)
-
 
 EMPTY_GRAPH = JKGraph(frozenset(), frozenset(), frozenset(), {}, {}, {})
 
@@ -408,125 +405,107 @@ class GraphIso:
     vertex_map: dict[str, str]
 
 
-def _vertex_signature(g: JKGraph, v: str, im: set[str]) -> tuple:
-    n_port = 0
-    n_loop = 0
-    n_inner = 0
-    for h in g.flags_at(v):
-        partner = g.involution[g.embed[h]]
-        if partner not in im:
-            n_port += 1
-        else:
-            n_inner += 1
-            h2 = next(k for k, a in g.embed.items() if a == partner)
-            if g.incidence[h2] == v:
-                n_loop += 1
-    return (g.valence(v), n_port, n_inner, n_loop)
+def flags_by_vertex(vertices: Iterable[str], incidence: dict[str, str]) -> dict[str, list[str]]:
+    """Each vertex's flags, sorted; incidence maps every flag to its vertex."""
+    at: dict[str, list[str]] = {v: [] for v in vertices}
+    for h in sorted(incidence):
+        at[incidence[h]].append(h)
+    return at
+
+
+def flag_isomorphisms(
+    at1: dict[str, list[str]],
+    partner1: dict[str, str],
+    at2: dict[str, list[str]],
+    partner2: dict[str, str],
+) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
+    """Every pair (vertex_map, flag_map) of bijections that sends the
+    flags at each vertex onto the flags at its image and commutes with
+    partner, in a deterministic order.
+
+    at maps each vertex to its sorted flags; partner maps each flag to
+    the flag across its edge, and an open end is its own partner.
+    Vertices are placed in sorted order, each onto an unused vertex of
+    the same (valence, open ends) signature with each order of its
+    flags; partner is checked against the flags placed so far, so a
+    pair of flags is checked when its later flag is placed."""
+
+    def signature(at, partner, v):
+        return len(at[v]), sum(1 for h in at[v] if partner[h] == h)
+
+    sig1 = {v: signature(at1, partner1, v) for v in at1}
+    sig2 = {w: signature(at2, partner2, w) for w in at2}
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return iter(())
+    vs1 = sorted(at1)
+    vs2 = sorted(at2)
+    # the partner checks due when each vertex is placed: its flags whose
+    # partner is placed by then, at an earlier vertex or at this one;
+    # entries that later vertices left in vmap and fmap are never read
+    placed: set[str] = set()
+    checks = []
+    for v in vs1:
+        placed.update(at1[v])
+        checks.append([(h, partner1[h]) for h in at1[v] if partner1[h] in placed])
+    vmap: dict[str, str] = {}
+    fmap: dict[str, str] = {}
+
+    def place(i: int):
+        v = vs1[i]
+        hs = at1[v]
+        used = {vmap[u] for u in vs1[:i]}
+        for w in vs2:
+            if w in used or sig2[w] != sig1[v]:
+                continue
+            vmap[v] = w
+            for image in itertools.permutations(at2[w]):
+                fmap.update(zip(hs, image))
+                for h, p in checks[i]:
+                    if fmap[p] != partner2[fmap[h]]:
+                        break
+                else:
+                    if i + 1 == len(vs1):
+                        yield dict(vmap), dict(fmap)
+                    else:
+                        yield from place(i + 1)
+
+    return place(0) if vs1 else iter([({}, {})])
+
+
+def _isolated_maps(iso1: list[tuple[str, str]], iso2: list[tuple[str, str]]):
+    """Every arc map sending the isolated edges iso1 onto iso2."""
+    for targets in itertools.permutations(iso2):
+        for ends in itertools.product(*[(e, e[::-1]) for e in targets]):
+            yield {a: b for e1, e2 in zip(iso1, ends) for a, b in zip(e1, e2)}
+
+
+def _flag_view(g: JKGraph) -> tuple[dict[str, list[str]], dict[str, str]]:
+    """The flags at each vertex and each flag's partner across its edge."""
+    flag_of_arc = {a: h for h, a in g.embed.items()}
+    partner = {h: flag_of_arc.get(g.involution[a], h) for h, a in g.embed.items()}
+    return flags_by_vertex(g.vertices, g.incidence), partner
 
 
 def _iso_gen(g1: JKGraph, g2: JKGraph) -> Iterator[GraphIso]:
+    """The flag-level isomorphisms, each with the arc map they force,
+    combined with every pairing of the isolated edges."""
     if (
         len(g1.arcs) != len(g2.arcs)
         or len(g1.flags) != len(g2.flags)
         or len(g1.vertices) != len(g2.vertices)
     ):
         return
-    im1, im2 = embed_image(g1), embed_image(g2)
     iso1 = sorted(tuple(sorted(e)) for e in isolated_edges(g1))
     iso2 = sorted(tuple(sorted(e)) for e in isolated_edges(g2))
-    if len(iso1) != len(iso2) or len(ports(g1)) != len(ports(g2)):
-        return
-    sig1 = {v: _vertex_signature(g1, v, im1) for v in g1.vertices}
-    sig2 = {v: _vertex_signature(g2, v, im2) for v in g2.vertices}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return
-    vs1 = sorted(g1.vertices)
-    flag_of_arc1 = {a: h for h, a in g1.embed.items()}
-    flag_of_arc2 = {a: h for h, a in g2.embed.items()}
-
-    def extend_vertices(idx: int, vmap: dict[str, str], used: set[str]):
-        if idx == len(vs1):
-            yield from extend_flags(0, vmap, {}, {})
-            return
-        v = vs1[idx]
-        for w in sorted(g2.vertices - used):
-            if sig1[v] == sig2[w]:
-                vmap[v] = w
-                used.add(w)
-                yield from extend_vertices(idx + 1, vmap, used)
-                used.discard(w)
-                del vmap[v]
-
-    def undo(changes, fmap, amap):
-        for kind, key in changes:
-            if kind == "f":
-                del fmap[key]
-            else:
-                del amap[key]
-
-    def assign_flag(h: str, h2: str, vmap, fmap, amap) -> list[tuple] | None:
-        """Try fmap[h] = h2, recording changes; None on inconsistency."""
-        changes = [("f", h)]
-        fmap[h] = h2
-
-        def fail():
-            undo(changes, fmap, amap)
-            return None
-
-        a, a2 = g1.embed[h], g2.embed[h2]
-        for x, y in ((a, a2), (g1.involution[a], g2.involution[a2])):
-            if x in amap:
-                if amap[x] != y:
-                    return fail()
-            else:
-                if y in amap.values():
-                    return fail()
-                amap[x] = y
-                changes.append(("a", x))
-        pa, pa2 = g1.involution[a], g2.involution[a2]
-        if (pa in im1) != (pa2 in im2):
-            return fail()
-        if pa in im1:
-            k1, k2 = flag_of_arc1[pa], flag_of_arc2[pa2]
-            if k1 in fmap and fmap[k1] != k2:
-                return fail()
-            if vmap[g1.incidence[k1]] != g2.incidence[k2]:
-                return fail()
-        return changes
-
-    hs1 = sorted(g1.flags, key=lambda h: (g1.incidence[h], h))
-
-    def extend_flags(idx: int, vmap, fmap, amap):
-        if idx == len(hs1):
-            yield from extend_isolated(0, vmap, fmap, dict(amap))
-            return
-        h = hs1[idx]
-        if h in fmap:
-            yield from extend_flags(idx + 1, vmap, fmap, amap)
-            return
-        target_v = vmap[g1.incidence[h]]
-        for h2 in g2.flags_at(target_v):
-            if h2 in fmap.values():
-                continue
-            changes = assign_flag(h, h2, vmap, fmap, amap)
-            if changes is not None:
-                yield from extend_flags(idx + 1, vmap, fmap, amap)
-                undo(changes, fmap, amap)
-
-    def extend_isolated(idx: int, vmap, fmap, amap):
-        if idx == len(iso1):
-            yield GraphIso(dict(amap), dict(fmap), dict(vmap))
-            return
-        x, y = iso1[idx]
-        for e2 in iso2:
-            if e2[0] in amap.values():
-                continue
-            for x2, y2 in (e2, (e2[1], e2[0])):
-                amap[x], amap[y] = x2, y2
-                yield from extend_isolated(idx + 1, vmap, fmap, amap)
-                del amap[x], amap[y]
-
-    yield from extend_vertices(0, {}, set())
+    isolated = list(_isolated_maps(iso1, iso2))
+    for vmap, fmap in flag_isomorphisms(*_flag_view(g1), *_flag_view(g2)):
+        amap = {}
+        for h, k in fmap.items():
+            a, b = g1.embed[h], g2.embed[k]
+            amap[a] = b
+            amap[g1.involution[a]] = g2.involution[b]
+        for extra in isolated:
+            yield GraphIso({**amap, **extra}, dict(fmap), dict(vmap))
 
 
 def find_isomorphisms(g1: JKGraph, g2: JKGraph) -> list[GraphIso]:

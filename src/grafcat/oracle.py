@@ -18,12 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .bm import (
-    BMGraph,
-    BMMorphism,
-    is_bm_isomorphic,
-    validate_bm_morphism,
-)
+from .bm import BMGraph, BMMorphism, validate_bm_morphism
 from .cospan_equiv import (
     GraphCospan,
     cospan_key,
@@ -33,7 +28,7 @@ from .cospan_equiv import (
     validate_cospan,
 )
 from .etale import ReducedCover, replay_gluings
-from .graph_core import JKGraph, involutions, ports
+from .graph_core import JKGraph, canonical_key, involutions, ports
 from .kleisli import FlaggedSubgraphRef, Refinement, validate_refinement
 
 
@@ -59,13 +54,11 @@ def _valence_lists(n_vertices: int, max_flags: int):
 
 def enumerate_bm_graphs(max_vertices: int, max_flags: int) -> list[BMGraph]:
     """All vertex/flag graphs within the bounds, one per isomorphism
-    class, in a deterministic order."""
-    found: list[BMGraph] = []
+    class: the first raw graph with each canonical key of its arc
+    picture, in a deterministic order."""
+    found: dict[tuple, BMGraph] = {}
     for n_v in range(max_vertices + 1):
         vertices = [f"v{i}" for i in range(1, n_v + 1)]
-        if n_v == 0:
-            found.append(BMGraph(set(), set(), {}, {}))
-            continue
         for valences in _valence_lists(n_v, max_flags):
             flags = []
             boundary = {}
@@ -78,9 +71,8 @@ def enumerate_bm_graphs(max_vertices: int, max_flags: int) -> list[BMGraph]:
                     boundary[f] = v
             for involution in involutions(flags):
                 g = BMGraph(set(vertices), set(flags), boundary, involution)
-                if not any(is_bm_isomorphic(g, h) for h in found):
-                    found.append(g)
-    return found
+                found.setdefault(canonical_key(phi1_graph(g)), g)
+    return list(found.values())
 
 
 def _surjections(domain: list[str], codomain: list[str]):

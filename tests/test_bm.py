@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -21,7 +23,7 @@ from grafcat.bm import (
     validate_bm_graph,
     validate_bm_morphism,
 )
-from grafcat.oracle import enumerate_bm_morphisms
+from grafcat.oracle import enumerate_bm_graphs, enumerate_bm_morphisms
 
 
 # -- graphs --------------------------------------------------------------------
@@ -197,6 +199,74 @@ def test_automorphism_counts(LOOP, E2):
     assert len(find_bm_isomorphisms(bm_point(), bm_point())) == 1
     assert find_bm_isomorphisms(bm_corolla(2), LOOP) == []
     assert not is_bm_isomorphic(bm_corolla(2), LOOP)
+
+
+def product_isomorphisms(g1: BMGraph, g2: BMGraph) -> set:
+    """Reference search: every vertex bijection with matching
+    (valence, tails, loops) signatures, times every product of per-vertex
+    flag permutations, filtered by the involution.  Returns the set of
+    (flag_map, vertex_map) pairs, flag maps from g2 to g1."""
+    if len(g1.vertices) != len(g2.vertices) or len(g1.flags) != len(g2.flags):
+        return set()
+
+    def flags_at(g, v):
+        return sorted(f for f in g.flags if g.boundary[f] == v)
+
+    def signature(g, v):
+        fs = flags_at(g, v)
+        tails = sum(1 for f in fs if g.involution[f] == f)
+        loops = sum(1 for f in fs if g.involution[f] != f and g.boundary[g.involution[f]] == v)
+        return (len(fs), tails, loops)
+
+    sig1 = {v: signature(g1, v) for v in g1.vertices}
+    sig2 = {v: signature(g2, v) for v in g2.vertices}
+    vs1 = sorted(g1.vertices)
+    found = set()
+    for ws in itertools.permutations(sorted(g2.vertices)):
+        if any(sig1[v] != sig2[w] for v, w in zip(vs1, ws)):
+            continue
+        vmap = dict(zip(vs1, ws))
+        per_vertex = [
+            [list(zip(flags_at(g1, v), perm)) for perm in itertools.permutations(flags_at(g2, vmap[v]))]
+            for v in vs1
+        ]
+        for choice in itertools.product(*per_vertex):
+            fmap = {f: x for pairs in choice for f, x in pairs}
+            if all(fmap[g1.involution[f]] == g2.involution[fmap[f]] for f in fmap):
+                found.add((frozenset((x, f) for f, x in fmap.items()), frozenset(vmap.items())))
+    return found
+
+
+def iso_set(g1: BMGraph, g2: BMGraph) -> set:
+    found = find_bm_isomorphisms(g1, g2)
+    keys = {(frozenset(m.flag_map.items()), frozenset(m.vertex_map.items())) for m in found}
+    assert len(keys) == len(found)
+    return keys
+
+
+def test_flag_search_matches_the_product_search_on_a_window():
+    graphs = enumerate_bm_graphs(2, 5)
+    total = 0
+    for g1 in graphs:
+        for g2 in graphs:
+            found = iso_set(g1, g2)
+            assert found == product_isomorphisms(g1, g2)
+            total += len(found)
+    assert (len(graphs) ** 2, total) == (2601, 511)
+
+
+def test_flag_search_matches_the_product_search_on_renamed_copies():
+    for g in enumerate_bm_graphs(2, 5):
+        fr = {f: "F" + f for f in g.flags}
+        vr = {v: "V" + v for v in g.vertices}
+        h = BMGraph(
+            set(vr.values()),
+            set(fr.values()),
+            {fr[f]: vr[v] for f, v in g.boundary.items()},
+            {fr[f]: fr[t] for f, t in g.involution.items()},
+        )
+        found = iso_set(g, h)
+        assert found and found == product_isomorphisms(g, h)
 
 
 def test_isomorphisms_validate(E2):

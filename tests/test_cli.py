@@ -171,6 +171,13 @@ def test_enumerate_deterministic():
     assert proc.stdout == again.stdout
 
 
+def test_enumerate_rejects_a_negative_bound():
+    argv = ("enumerate", "--max-vertices", "-1", "--max-flags", "2")
+    assert "--max-vertices" in run(*argv, expect=2).stderr
+    argv = ("enumerate", "--max-vertices", "1", "--max-flags", "-1")
+    assert "--max-flags" in run(*argv, expect=2).stderr
+
+
 def test_hom_count(save):
     c2 = save("c2.json", jsonio.bm_graph_to_json(bm_corolla(2)))
     proc = run("hom-count", c2, c2)
@@ -190,6 +197,13 @@ def test_check_equivalence_rejects_an_apex_bound_below_max_vertices():
     argv = ("check-equivalence", "--max-vertices", "1", "--max-flags", "2")
     assert "--apex-bound" in run(*argv, "--apex-bound", "0", expect=2).stderr
     assert "all pairs pass" in run(*argv, "--apex-bound", "1").stderr
+
+
+def test_check_equivalence_rejects_a_negative_bound():
+    argv = ("check-equivalence", "--max-vertices", "-1", "--max-flags", "2")
+    assert "--max-vertices" in run(*argv, expect=2).stderr
+    argv = ("check-equivalence", "--max-vertices", "1", "--max-flags", "-1")
+    assert "--max-flags" in run(*argv, expect=2).stderr
 
 
 def test_check_equivalence_output():

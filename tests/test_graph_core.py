@@ -250,9 +250,15 @@ def test_random_graphs_validate(g):
 
 
 @settings(max_examples=40, deadline=None)
-@given(jk_graphs(max_vertices=2, max_valence=2, max_ports=2))
-def test_iso_search_agrees_with_brute_force(g):
+@given(
+    jk_graphs(max_vertices=2, max_valence=2, max_ports=2),
+    jk_graphs(max_vertices=2, max_valence=2, max_ports=2),
+)
+def test_iso_search_agrees_with_brute_force(g, h):
     assert len(find_isomorphisms(g, g)) == brute_isomorphism_count(g, g)
+    count = brute_isomorphism_count(g, h)
+    assert len(find_isomorphisms(g, h)) == count
+    assert is_isomorphic(g, h) == (count > 0)
     shuffled = relabel(
         g,
         {a: "A" + a for a in g.arcs},

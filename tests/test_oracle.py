@@ -30,6 +30,9 @@ def test_graph_classes_at_one_vertex_two_flags():
 def test_graph_classes_grow():
     assert len(enumerate_bm_graphs(2, 3)) == 18
     assert len(enumerate_bm_graphs(2, 4)) == 33
+    assert len(enumerate_bm_graphs(2, 5)) == 51
+    assert len(enumerate_bm_graphs(2, 6)) == 83
+    assert len(enumerate_bm_graphs(3, 5)) == 112
 
 
 def test_hom_counts_frozen(LOOP, E2, CC):
