@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -312,9 +312,12 @@ def graph_sum(parts: Iterable[JKGraph]) -> JKGraph:
     return JKGraph(arcs, flags, vertices, involution, embed, incidence)
 
 
-def involutions(items: list[str], fixpoints: bool = True) -> Iterator[dict[str, str]]:
+def involutions(
+    items: list[str], fixpoints: bool = True, pairs: Callable[[str, str], bool] | None = None
+) -> Iterator[dict[str, str]]:
     """Every involution of items as a dict, only the fixpoint-free ones
-    (perfect matchings) unless fixpoints.  The order is fixed: items[0]
+    (perfect matchings) unless fixpoints, and only swapping a and b where
+    pairs(a, b) holds if pairs is given.  The order is fixed: items[0]
     is first left fixed, then paired with each later item in turn."""
     if not fixpoints and len(items) % 2:
         return
@@ -323,11 +326,12 @@ def involutions(items: list[str], fixpoints: bool = True) -> Iterator[dict[str, 
         return
     first, rest = items[0], items[1:]
     if fixpoints:
-        for sub in involutions(rest):
+        for sub in involutions(rest, True, pairs):
             yield {first: first, **sub}
     for k, partner in enumerate(rest):
-        for sub in involutions(rest[:k] + rest[k + 1 :], fixpoints):
-            yield {first: partner, partner: first, **sub}
+        if pairs is None or pairs(first, partner):
+            for sub in involutions(rest[:k] + rest[k + 1 :], fixpoints, pairs):
+                yield {first: partner, partner: first, **sub}
 
 
 @dataclass(frozen=True)

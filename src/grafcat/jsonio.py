@@ -120,19 +120,26 @@ def bm_graph_from_json(doc) -> BMGraph:
     )
 
 
+def _read_json(path: str, prefix: str = ""):
+    """The document in a file; failing to read or parse it is a
+    JsonFormatError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise JsonFormatError(f"{prefix}{path} is not JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or a NUL in path
+        raise JsonFormatError(f"{prefix}cannot read {path}: {exc}") from exc
+
+
 def _graph_slot(doc, kind: str, what: str, base_dir: str | None, from_json):
     """A morphism's source or target: inline graph or {"$file": path}."""
     if isinstance(doc, dict) and set(doc) == {"$file"}:
         if base_dir is None:
             raise JsonFormatError(f"{what}: file references are not allowed here")
-        path = os.path.join(base_dir, doc["$file"])
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise JsonFormatError(f"{what}: cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise JsonFormatError(f"{what}: {path} is not JSON: {exc}") from exc
+        if not isinstance(doc["$file"], str):
+            raise JsonFormatError(f"{what}: $file must be a string")
+        doc = _read_json(os.path.join(base_dir, doc["$file"]), f"{what}: ")
     _expect_kind(doc, kind, what)
     return from_json(doc)
 
@@ -344,11 +351,5 @@ def parse_document(doc, base_dir: str | None = None) -> tuple[str, object]:
 def load_document(path: str) -> tuple[str, object]:
     """Read a kinded JSON file, resolving {"$file": ...} graph slots
     relative to its directory."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise JsonFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise JsonFormatError(f"{path} is not JSON: {exc}") from exc
+    doc = _read_json(path)
     return parse_document(doc, os.path.dirname(os.path.abspath(path)))

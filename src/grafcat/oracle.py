@@ -1,8 +1,8 @@
 """Exhaustive small-scale enumeration and the equivalence check.
 
 Graphs are generated from raw combinatorial data (valence lists and
-involutions), morphisms by filtering all candidate triples through the
-validator, and cospans by combining all port matchings with all
+involutions), morphisms by building only the triples the morphism
+clauses allow, and cospans by combining all port matchings with all
 refinements.  No apex bound is needed: a reduced cover is bijective on
 vertices, so every apex has its source's vertex count.  Cospans are
 compared through their normal form (cospan_key): the cover leg forces
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .bm import BMGraph, BMMorphism, validate_bm_morphism
+from .bm import BMGraph, BMMorphism
 from .cospan_equiv import (
     GraphCospan,
     cospan_key,
@@ -28,7 +28,7 @@ from .cospan_equiv import (
     validate_cospan,
 )
 from .etale import ReducedCover, replay_gluings
-from .graph_core import JKGraph, canonical_key, involutions, ports
+from .graph_core import JKGraph, _UnionFind, canonical_key, involutions, ports
 from .kleisli import FlaggedSubgraphRef, Refinement, validate_refinement
 
 
@@ -86,20 +86,92 @@ def _surjections(domain: list[str], codomain: list[str]):
 
 
 def enumerate_bm_morphisms(tau: BMGraph, rho: BMGraph) -> list[BMMorphism]:
-    """All morphisms tau -> rho, by filtering every candidate triple."""
-    out = []
+    """All morphisms tau -> rho, built clause by clause.  Target flags
+    take unused source flags in sorted order: a tail takes a tail, and an
+    edge whose partner is placed takes the partner of that image, or any
+    tail if the image is a tail.  Each image flag forces its vertex into
+    its target flag's fibre, each source edge outside the image lies in
+    one fibre, and leftover tails pair only within a fibre.  The order is
+    that of the candidate triples: image permutations, then vertex
+    surjections in product order, then involutions of the complement."""
     tau_flags = sorted(tau.flags)
     rho_flags = sorted(rho.flags)
-    if len(rho_flags) > len(tau_flags):
+    tau_vertices = sorted(tau.vertices)
+    rho_vertices = sorted(rho.vertices)
+    if len(rho_flags) > len(tau_flags) or len(rho_vertices) > len(tau_vertices):
         return []
-    for image in itertools.permutations(tau_flags, len(rho_flags)):
-        flag_map = dict(zip(rho_flags, image))
-        complement = sorted(set(tau_flags) - set(image))
-        for vertex_map in _surjections(sorted(tau.vertices), sorted(rho.vertices)):
-            for virtual in involutions(complement, fixpoints=False):
-                m = BMMorphism(tau, rho, flag_map, vertex_map, virtual)
-                if validate_bm_morphism(m).ok:
-                    out.append(m)
+    if (len(tau_flags) - len(rho_flags)) % 2:
+        return []  # the contracted flags pair up
+    tj, rj = tau.involution, rho.involution
+    tb, rb = tau.boundary, rho.boundary
+    tails = [f for f in tau_flags if tj[f] == f]
+    out = []
+    flag_map: dict[str, str] = {}
+    used: set[str] = set()
+    forced: dict[str, str] = {}  # source vertex -> target vertex
+
+    def candidates(x: str) -> list[str]:
+        y = rj[x]
+        if y in flag_map:
+            g = flag_map[y]
+            if tj[g] != g:
+                return [tj[g]]
+        elif y != x:
+            # a source edge half needs its partner free for y
+            return [f for f in tau_flags if f not in used and tj[f] not in used]
+        return [f for f in tails if f not in used]
+
+    def complete():
+        # Tie the two ends of each contracted source edge into one class.
+        # A class takes its forced target vertex, or every target vertex;
+        # free classes vary in order of their first vertex, which keeps
+        # product order over the sorted source vertices.
+        complement = [f for f in tau_flags if f not in used]
+        uf = _UnionFind(tau_vertices)
+        for f in complement:
+            uf.union(tb[f], tb[tj[f]])
+        root = {v: uf.find(v) for v in tau_vertices}
+        fixed: dict[str, str] = {}
+        for v, w in forced.items():
+            if fixed.setdefault(root[v], w) != w:
+                return
+        free = list(dict.fromkeys(root[v] for v in tau_vertices if root[v] not in fixed))
+        hit = set(fixed.values())
+        for values in itertools.product(rho_vertices, repeat=len(free)):
+            if len(hit.union(values)) != len(rho_vertices):
+                continue
+            fibre = {**fixed, **dict(zip(free, values))}
+            vertex_map = {v: fibre[root[v]] for v in tau_vertices}
+
+            def pairs(a: str, b: str) -> bool:
+                if tj[a] != a:
+                    return tj[a] == b
+                return tj[b] == b and vertex_map[tb[a]] == vertex_map[tb[b]]
+
+            for virtual in involutions(complement, fixpoints=False, pairs=pairs):
+                out.append(BMMorphism(tau, rho, flag_map, vertex_map, virtual))
+
+    def place(i: int):
+        if i == len(rho_flags):
+            complete()
+            return
+        x = rho_flags[i]
+        w = rb[x]
+        for f in candidates(x):
+            v = tb[f]
+            fresh = v not in forced
+            if not fresh and forced[v] != w:
+                continue
+            forced[v] = w
+            flag_map[x] = f
+            used.add(f)
+            place(i + 1)
+            used.discard(f)
+            del flag_map[x]
+            if fresh:
+                del forced[v]
+
+    place(0)
     return out
 
 

@@ -158,21 +158,30 @@ def test_encodings_agree_end_to_end():
     )
 
 
-def test_encodings_agree_on_the_two_five_window():
-    # the next window up: every graph with at most 2 vertices and 5 flags
+def _agree_on_window(max_vertices, max_flags, n_graphs, n_morphisms):
     t0 = time.monotonic()
-    report = check_equivalence(2, 5)
+    report = check_equivalence(max_vertices, max_flags)
     elapsed = time.monotonic() - t0
     assert report.ok
-    assert len(report.graphs) == 51
-    assert len(report.pairs) == 2601
-    assert report.total_bm == 4449
-    assert report.total_cospans == 4449
+    assert len(report.graphs) == n_graphs
+    assert len(report.pairs) == n_graphs**2
+    assert report.total_bm == n_morphisms
+    assert report.total_cospans == n_morphisms
     print(
-        f"PASS encoding equivalence (2,5): {len(report.graphs)} graphs, "
-        f"{len(report.pairs)} ordered pairs, {report.total_bm} morphisms matched "
-        f"both ways in {elapsed:.1f}s"
+        f"PASS encoding equivalence ({max_vertices},{max_flags}): "
+        f"{len(report.graphs)} graphs, {len(report.pairs)} ordered pairs, "
+        f"{report.total_bm} morphisms matched both ways in {elapsed:.1f}s"
     )
+
+
+def test_encodings_agree_on_the_two_five_window():
+    # the next window up: every graph with at most 2 vertices and 5 flags
+    _agree_on_window(2, 5, 51, 4449)
+
+
+def test_encodings_agree_on_the_three_five_window():
+    # every graph with at most 3 vertices and 5 flags: 12544 ordered pairs
+    _agree_on_window(3, 5, 112, 17679)
 
 
 def test_factorisations_compose_back_and_compare_uniquely(bm_world):

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -5,8 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grafcat import jsonio
+from conftest import make_bm_loop, make_bm_two_corollas
+from grafcat import cli, jsonio
 from grafcat.bm import BMMorphism, bm_corolla, bm_identity, bm_point, compose_bm
 from grafcat.cospan_equiv import phi, phi1_graph
 from grafcat.etale import identity_etale
@@ -119,6 +125,117 @@ def test_file_references_resolve(save, LOOP):
     doc["target"] = {"$file": "pt.json"}
     proc = run("validate", save("m.json", doc))
     assert json.loads(proc.stdout)["ok"] is True
+
+
+@pytest.mark.parametrize("ref", [5, None, ["loop.json"], {"path": "loop.json"}])
+def test_non_string_file_reference_exits_two(save, LOOP, ref):
+    save("loop.json", jsonio.bm_graph_to_json(LOOP))
+    doc = jsonio.bm_morphism_to_json(make_contract(LOOP))
+    doc["source"] = {"$file": ref}
+    proc = run("validate", save("m.json", doc), expect=2)
+    assert "$file" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_undecodable_file_exits_two(tmp_path, save, LOOP):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    assert "Traceback" not in run("validate", str(binary), expect=2).stderr
+    doc = jsonio.bm_morphism_to_json(make_contract(LOOP))
+    doc["target"] = {"$file": "binary.json"}
+    assert "Traceback" not in run("validate", save("m.json", doc), expect=2).stderr
+
+
+# -- exit codes under malformed documents ----------------------------------------
+
+_KINDS = ["jk-graph", "bm-graph", "bm-morphism", "etale", "refinement", "cospan", "species", "x"]
+_ODD_VALUES = [5, None, True, 1.5, "v", [], ["v"], {}, {"v": 1}, {"v": "v"}]
+_FILE_SLOTS = [
+    {"$file": 5}, {"$file": None}, {"$file": ["g.json"]}, {"$file": {}},
+    {"$file": "absent.json"}, {"$file": "a\0b"}, {"$file": "g.json"}, {},
+]
+
+
+def _fuzz_bases():
+    loop, cc = make_bm_loop(), make_bm_two_corollas()
+    contract = make_contract(loop)
+    by_file = jsonio.bm_morphism_to_json(contract)
+    by_file["source"] = {"$file": "g.json"}
+    return [
+        jsonio.bm_graph_to_json(loop),
+        jsonio.bm_graph_to_json(cc),
+        jsonio.bm_morphism_to_json(contract),
+        jsonio.bm_morphism_to_json(bm_identity(cc)),
+        by_file,
+    ]
+
+
+def _locations(doc, at=()):
+    for k, v in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield at + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _locations(v, at + (k,))
+
+
+def _at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+@st.composite
+def _malformed(draw):
+    """A valid bm-graph or bm-morphism document with one to three of:
+    a key dropped, a value of another type, another kind, or a graph
+    slot replaced by a broken file reference."""
+    doc = copy.deepcopy(draw(st.sampled_from(_fuzz_bases())))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "retype", "kind", "file"]))
+        locations = list(_locations(doc))
+        if op == "file" or not locations:
+            doc[draw(st.sampled_from(["source", "target"]))] = copy.deepcopy(
+                draw(st.sampled_from(_FILE_SLOTS))
+            )
+            continue
+        if op == "kind":
+            locations = [p for p in locations if p[-1] == "kind"] or [("kind",)]
+        *parent, key = draw(st.sampled_from(locations))
+        container = _at(doc, parent)
+        if op == "drop":
+            del container[key]
+        else:
+            odd = _KINDS if op == "kind" else _ODD_VALUES
+            container[key] = copy.deepcopy(draw(st.sampled_from(odd)))
+    return doc
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            return exc.code
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "g.json").write_text(jsonio.dumps(jsonio.bm_graph_to_json(make_bm_loop())))
+    (d / "id.json").write_text(jsonio.dumps(jsonio.bm_morphism_to_json(bm_identity(bm_point()))))
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_malformed())
+def test_malformed_documents_keep_the_exit_code_contract(fuzz_dir, doc):
+    path = fuzz_dir / "doc.json"
+    path.write_text(json.dumps(doc))
+    doc_path, graph, ident = str(path), str(fuzz_dir / "g.json"), str(fuzz_dir / "id.json")
+    for argv in (
+        ["validate", doc_path],
+        ["hom-count", doc_path, graph],
+        ["compose", doc_path, ident],
+    ):
+        assert _exit_code(argv) in (0, 1, 2), argv
 
 
 # -- compose / factorise / phi / pushout --------------------------------------------

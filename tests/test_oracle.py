@@ -1,4 +1,17 @@
-from grafcat.bm import BMGraph, bm_corolla, bm_point, bm_tails, validate_bm_graph
+import itertools
+
+from hypothesis import given, settings
+
+from conftest import bm_graphs
+from grafcat.bm import (
+    BMGraph,
+    BMMorphism,
+    bm_corolla,
+    bm_point,
+    bm_tails,
+    validate_bm_graph,
+    validate_bm_morphism,
+)
 from grafcat.cospan_equiv import phi1_graph
 from grafcat.kleisli import validate_refinement
 from grafcat.oracle import (
@@ -10,6 +23,7 @@ from grafcat.oracle import (
     enumerate_cospans,
     enumerate_refinements,
 )
+from grafcat.graph_core import involutions
 
 C1 = bm_corolla(1)
 C2 = bm_corolla(2)
@@ -100,3 +114,110 @@ def test_progress_callback_fires():
     check_equivalence(1, 1, progress=lambda res: seen.append(res))
     assert len(seen) == 9
     assert all(r.ok for r in seen)
+
+
+# -- constructive hom-sets against the candidate filter -----------------------------
+
+def filtered_bm_morphisms(tau, rho):
+    """Test-only reference: every (injective flag map, vertex surjection,
+    fixpoint-free involution of the complement) triple, in that nesting
+    order, kept if it validates."""
+    out = []
+    tau_flags = sorted(tau.flags)
+    rho_flags = sorted(rho.flags)
+    if len(rho_flags) > len(tau_flags):
+        return []
+    tau_vertices = sorted(tau.vertices)
+    rho_vertices = sorted(rho.vertices)
+    surjections = [
+        dict(zip(tau_vertices, values))
+        for values in itertools.product(rho_vertices, repeat=len(tau_vertices))
+        if set(values) == set(rho_vertices)
+    ]
+    for image in itertools.permutations(tau_flags, len(rho_flags)):
+        flag_map = dict(zip(rho_flags, image))
+        complement = sorted(set(tau_flags) - set(image))
+        for vertex_map in surjections:
+            for virtual in involutions(complement, fixpoints=False):
+                m = BMMorphism(tau, rho, flag_map, vertex_map, virtual)
+                if validate_bm_morphism(m).ok:
+                    out.append(m)
+    return out
+
+
+def _in_order(homs):
+    # the maps with their insertion order, so that printed output agrees too
+    return [
+        (tuple(m.flag_map.items()), tuple(m.vertex_map.items()),
+         tuple(m.virtual_involution.items()))
+        for m in homs
+    ]
+
+
+def _match_filter_on_window(max_vertices, max_flags):
+    graphs = enumerate_bm_graphs(max_vertices, max_flags)
+    pairs = morphisms = 0
+    for tau in graphs:
+        for rho in graphs:
+            built = enumerate_bm_morphisms(tau, rho)
+            reference = filtered_bm_morphisms(tau, rho)
+            assert _in_order(built) == _in_order(reference), (tau, rho)
+            pairs += 1
+            morphisms += len(built)
+    return pairs, morphisms
+
+
+def test_constructed_homs_match_the_filter_on_the_two_five_window():
+    assert _match_filter_on_window(2, 5) == (2601, 4449)
+
+
+def test_constructed_homs_match_the_filter_on_the_three_four_window():
+    assert _match_filter_on_window(3, 4) == (4096, 3774)
+
+
+def test_empty_graph_homs():
+    empty = BMGraph(set(), set(), {}, {})
+    assert len(enumerate_bm_morphisms(empty, empty)) == 1
+    assert enumerate_bm_morphisms(P, empty) == []
+    assert enumerate_bm_morphisms(C2, empty) == []
+    assert enumerate_bm_morphisms(empty, P) == []
+
+
+def test_two_tails_graft_into_a_target_edge(CC, E2, LOOP):
+    homs = enumerate_bm_morphisms(CC, E2)
+    assert [m.flag_map for m in homs] == [{"e1": "s", "e2": "t"}, {"e1": "t", "e2": "s"}]
+    assert all(m.virtual_involution == {} for m in homs)
+    assert [m.flag_map for m in enumerate_bm_morphisms(C2, LOOP)] == [
+        {"f1": "1", "f2": "2"},
+        {"f1": "2", "f2": "1"},
+    ]
+
+
+def test_tails_in_different_fibres_are_never_paired(CC):
+    # contracting both tails needs one fibre; two isolated vertices split them
+    two_points = BMGraph({"u", "w"}, set(), {}, {})
+    assert enumerate_bm_morphisms(CC, two_points) == []
+    (onto_point,) = enumerate_bm_morphisms(CC, P)
+    assert onto_point.virtual_involution == {"s": "t", "t": "s"}
+    # three tails on two vertices onto a corolla and a point: the kept tail
+    # decides which fibre holds the pair
+    tau = BMGraph(
+        {"x", "y"}, {"a", "b", "c"}, {"a": "x", "b": "x", "c": "y"},
+        {"a": "a", "b": "b", "c": "c"},
+    )
+    rho = BMGraph({"u", "w"}, {"k"}, {"k": "u"}, {"k": "k"})
+    for m in enumerate_bm_morphisms(tau, rho):
+        for f, t in m.virtual_involution.items():
+            assert m.vertex_map[tau.boundary[f]] == m.vertex_map[tau.boundary[t]]
+    assert len(enumerate_bm_morphisms(tau, rho)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bm_graphs(max_vertices=3, max_valence=3).filter(lambda g: len(g.flags) <= 5),
+    bm_graphs(max_vertices=3, max_valence=3).filter(lambda g: len(g.flags) <= 5),
+)
+def test_constructed_homs_are_valid_and_match_the_filter(tau, rho):
+    built = enumerate_bm_morphisms(tau, rho)
+    assert all(validate_bm_morphism(m).ok for m in built)
+    assert _in_order(built) == _in_order(filtered_bm_morphisms(tau, rho))
