@@ -33,19 +33,19 @@ from .bm import (
 from .etale import (
     EtaleMorphism,
     ReducedCover,
+    check_reduced_cover,
     compose_covers,
     fresh_label,
     identity_cover,
-    validate_reduced_cover,
 )
-from .graph_core import JKGraph, ValidationReport
+from .graph_core import JKGraph, ValidationReport, graph_clauses
 from .kleisli import (
     Refinement,
     FlaggedSubgraphRef,
+    check_refinement,
     compose_refinements,
     identity_refinement,
     pushout_gen_rc,
-    validate_refinement,
 )
 
 
@@ -186,14 +186,21 @@ class GraphCospan:
 
 
 def validate_cospan(c: GraphCospan) -> ValidationReport:
+    """Check both legs and that they share their apex.  The graph
+    clauses of the source, the apex and the target are checked once
+    each, the refinement's own target only if it is not the apex; then
+    each leg's map clauses are checked against them."""
+    apex = graph_clauses(c.left.target)
+    same_apex = c.left.target == c.right.target
     problems = []
-    rep = validate_reduced_cover(c.left)
+    rep = check_reduced_cover(c.left, graph_clauses(c.left.source), apex)
     if not rep.ok:
         problems.append("left: " + "; ".join(rep.problems))
-    rep = validate_refinement(c.right)
+    right_target = apex if same_apex else graph_clauses(c.right.target)
+    rep = check_refinement(c.right, graph_clauses(c.right.source), right_target)
     if not rep.ok:
         problems.append("right: " + "; ".join(rep.problems))
-    if c.left.target != c.right.target:
+    if not same_apex:
         problems.append("apex: the two legs land in different graphs")
     return ValidationReport(tuple(problems))
 

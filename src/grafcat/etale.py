@@ -14,10 +14,13 @@ import itertools
 from dataclasses import dataclass
 
 from .graph_core import (
+    GraphClauses,
     JKGraph,
     ValidationReport,
     edges,
     embed_image,
+    endpoint_problems,
+    graph_clauses,
     inner_edges,
     isolated_edges,
     spanned_subgraph,
@@ -43,12 +46,15 @@ class EtaleMorphism:
 
 def validate_etale(m: EtaleMorphism) -> ValidationReport:
     """Check the etale clauses; the report lists each violated one."""
-    problems = []
-    for rep, name in ((validate_graph(m.source), "source"), (validate_graph(m.target), "target")):
-        if not rep.ok:
-            problems.append(f"{name}-invalid: " + "; ".join(rep.problems))
+    source, target = graph_clauses(m.source), graph_clauses(m.target)
+    return ValidationReport(tuple(_etale_problems(m, source, target)))
+
+
+def _etale_problems(m: EtaleMorphism, source: GraphClauses, target: GraphClauses) -> list[str]:
+    """validate_etale's problems, given the clauses of its two graphs."""
+    problems = endpoint_problems(source, target)
     if problems:
-        return ValidationReport(tuple(problems))
+        return problems
     src, tgt = m.source, m.target
     if set(m.arc_map) != set(src.arcs) or not set(m.arc_map.values()) <= set(tgt.arcs):
         problems.append("arc-map: not a total map from source arcs to target arcs")
@@ -57,7 +63,7 @@ def validate_etale(m: EtaleMorphism) -> ValidationReport:
     if set(m.vertex_map) != set(src.vertices) or not set(m.vertex_map.values()) <= set(tgt.vertices):
         problems.append("vertex-map: not a total map from source vertices to target vertices")
     if problems:
-        return ValidationReport(tuple(problems))
+        return problems
     for a in sorted(src.arcs):
         if m.arc_map[src.involution[a]] != tgt.involution[m.arc_map[a]]:
             problems.append(f"involution: arc map does not commute with involutions at {a!r}")
@@ -73,7 +79,7 @@ def validate_etale(m: EtaleMorphism) -> ValidationReport:
             problems.append(
                 f"pullback: flags at {v!r} do not map bijectively onto flags at {m.vertex_map[v]!r}"
             )
-    return ValidationReport(tuple(problems))
+    return problems
 
 
 def identity_etale(g: JKGraph) -> EtaleMorphism:
@@ -169,10 +175,18 @@ def is_covering_family(ms: list[EtaleMorphism]) -> bool:
 
 
 def validate_reduced_cover(rc: ReducedCover) -> ValidationReport:
-    problems = list(validate_etale(rc.morphism).problems)
+    return check_reduced_cover(rc, graph_clauses(rc.source), graph_clauses(rc.target))
+
+
+def check_reduced_cover(
+    rc: ReducedCover, source: GraphClauses, target: GraphClauses
+) -> ValidationReport:
+    """validate_reduced_cover, given the clauses of its source and
+    target: the map clauses are checked here, the graphs are not."""
+    problems = _etale_problems(rc.morphism, source, target)
     if problems:
         return ValidationReport(tuple(problems))
-    if isolated_edges(rc.source) or isolated_edges(rc.target):
+    if source.isolated or target.isolated:
         problems.append("isolated-edges: reduced covers live between graphs without isolated edges")
     if not is_covering_family([rc.morphism]):
         problems.append("covering: not jointly surjective on edges and vertices")

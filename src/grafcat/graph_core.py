@@ -110,6 +110,29 @@ def validate_graph(g: JKGraph) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
+class GraphClauses(NamedTuple):
+    """What the morphism validators ask of each graph they are given:
+    the problems of validate_graph, and, for a valid graph, whether it
+    has isolated edges."""
+
+    problems: tuple[str, ...]
+    isolated: bool
+
+
+def graph_clauses(g: JKGraph) -> GraphClauses:
+    rep = validate_graph(g)
+    return GraphClauses(rep.problems, rep.ok and bool(isolated_edges(g)))
+
+
+def endpoint_problems(source: GraphClauses, target: GraphClauses) -> list[str]:
+    """One problem for each invalid end of a morphism."""
+    return [
+        f"{name}-invalid: " + "; ".join(c.problems)
+        for c, name in ((source, "source"), (target, "target"))
+        if c.problems
+    ]
+
+
 def embed_image(g: JKGraph) -> set[str]:
     return set(g.embed.values())
 

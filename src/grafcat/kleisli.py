@@ -42,12 +42,15 @@ from .etale import (
     validate_etale,
 )
 from .graph_core import (
+    GraphClauses,
     GraphIso,
     JKGraph,
     ValidationReport,
     _iso_gen,
     components,
     corolla,
+    endpoint_problems,
+    graph_clauses,
     graph_sum,
     inner_edges,
     isolated_edges,
@@ -93,18 +96,21 @@ def _chosen_flags(r: Refinement, x: str) -> dict[str, str]:
 
 
 def validate_refinement(r: Refinement) -> ValidationReport:
-    problems = []
-    for rep, name in ((validate_graph(r.source), "source"), (validate_graph(r.target), "target")):
-        if not rep.ok:
-            problems.append(f"{name}-invalid: " + "; ".join(rep.problems))
+    return check_refinement(r, graph_clauses(r.source), graph_clauses(r.target))
+
+
+def check_refinement(r: Refinement, source: GraphClauses, target: GraphClauses) -> ValidationReport:
+    """validate_refinement, given the clauses of its source and target:
+    the map clauses are checked here, the graphs are not."""
+    problems = endpoint_problems(source, target)
     if problems:
         return ValidationReport(tuple(problems))
-    src, tgt = r.source, r.target
-    for g, name in ((src, "source"), (tgt, "target")):
-        if isolated_edges(g):
+    for c, name in ((source, "source"), (target, "target")):
+        if c.isolated:
             problems.append(
                 f"{name}-isolated: refinements run between graphs without isolated edges"
             )
+    src, tgt = r.source, r.target
     if set(r.arc_map) != set(src.arcs) or not set(r.arc_map.values()) <= set(tgt.arcs):
         problems.append("arc-map: not a total map from source arcs to target arcs")
     if set(r.vertex_map) != set(src.vertices) or not all(

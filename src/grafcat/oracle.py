@@ -2,15 +2,17 @@
 
 Graphs are generated from raw combinatorial data (valence lists and
 involutions), morphisms by building only the triples the morphism
-clauses allow, and cospans by combining all port matchings with all
-refinements.  No apex bound is needed: a reduced cover is bijective on
-vertices, so every apex has its source's vertex count.  Cospans are
-compared through their normal form (cospan_key): the cover leg forces
-the apex isomorphism, so equal cospans have equal keys and deduplication
-and the bijection checks are set operations.  The main entry point
-check_equivalence compares, for every ordered pair of graphs within
-bounds, the morphisms of the vertex/flag encoding against the
-cover/refinement cospans of the arc encoding, and verifies that the
+clauses allow, and cospans by pairing each reduced cover of the
+source's picture (one per port matching, built once per graph in
+GraphData) with each refinement into its apex, again built only as the
+refinement clauses allow.  No apex bound is needed: a reduced cover is
+bijective on vertices, so every apex has its source's vertex count.
+Cospans are compared through their normal form (cospan_key): the cover
+leg forces the apex isomorphism, so equal cospans have equal keys and
+deduplication and the bijection checks are set operations.  The main
+entry point check_equivalence compares, for every ordered pair of
+graphs within bounds, the morphisms of the vertex/flag encoding against
+the cover/refinement cospans of the arc encoding, and verifies that the
 translation phi is a bijection between the two."""
 
 from __future__ import annotations
@@ -28,8 +30,16 @@ from .cospan_equiv import (
     validate_cospan,
 )
 from .etale import ReducedCover, replay_gluings
-from .graph_core import JKGraph, _UnionFind, canonical_key, involutions, ports
-from .kleisli import FlaggedSubgraphRef, Refinement, validate_refinement
+from .graph_core import (
+    JKGraph,
+    _flag_view,
+    _UnionFind,
+    canonical_key,
+    graph_clauses,
+    involutions,
+    ports,
+)
+from .kleisli import FlaggedSubgraphRef, Refinement
 
 
 @dataclass(frozen=True)
@@ -75,14 +85,28 @@ def enumerate_bm_graphs(max_vertices: int, max_flags: int) -> list[BMGraph]:
     return list(found.values())
 
 
-def _surjections(domain: list[str], codomain: list[str]):
-    if not codomain:
-        if not domain:
-            yield {}
-        return
-    for values in itertools.product(codomain, repeat=len(domain)):
-        if set(values) == set(codomain):
-            yield dict(zip(domain, values))
+def _surjections(
+    domain: list[str], codomain: list[str], ties: list[tuple[str, str]], forced: dict[str, str]
+):
+    """Every map of the sorted domain onto the sorted codomain that sends
+    the two ends of each tie to one point and agrees with forced, in
+    product order.  Ties join the domain into classes; a class takes its
+    forced point, or every point, and free classes vary in order of
+    their first element, which keeps product order."""
+    uf = _UnionFind(domain)
+    for a, b in ties:
+        uf.union(a, b)
+    root = {v: uf.find(v) for v in domain}
+    fixed: dict[str, str] = {}
+    for v, w in forced.items():
+        if fixed.setdefault(root[v], w) != w:
+            return
+    free = list(dict.fromkeys(root[v] for v in domain if root[v] not in fixed))
+    hit = set(fixed.values())
+    for values in itertools.product(codomain, repeat=len(free)):
+        if len(hit.union(values)) == len(codomain):
+            fibre = {**fixed, **dict(zip(free, values))}
+            yield {v: fibre[root[v]] for v in domain}
 
 
 def enumerate_bm_morphisms(tau: BMGraph, rho: BMGraph) -> list[BMMorphism]:
@@ -122,26 +146,10 @@ def enumerate_bm_morphisms(tau: BMGraph, rho: BMGraph) -> list[BMMorphism]:
         return [f for f in tails if f not in used]
 
     def complete():
-        # Tie the two ends of each contracted source edge into one class.
-        # A class takes its forced target vertex, or every target vertex;
-        # free classes vary in order of their first vertex, which keeps
-        # product order over the sorted source vertices.
+        # the two ends of each contracted source edge lie in one fibre
         complement = [f for f in tau_flags if f not in used]
-        uf = _UnionFind(tau_vertices)
-        for f in complement:
-            uf.union(tb[f], tb[tj[f]])
-        root = {v: uf.find(v) for v in tau_vertices}
-        fixed: dict[str, str] = {}
-        for v, w in forced.items():
-            if fixed.setdefault(root[v], w) != w:
-                return
-        free = list(dict.fromkeys(root[v] for v in tau_vertices if root[v] not in fixed))
-        hit = set(fixed.values())
-        for values in itertools.product(rho_vertices, repeat=len(free)):
-            if len(hit.union(values)) != len(rho_vertices):
-                continue
-            fibre = {**fixed, **dict(zip(free, values))}
-            vertex_map = {v: fibre[root[v]] for v in tau_vertices}
+        ties = [(tb[f], tb[tj[f]]) for f in complement]
+        for vertex_map in _surjections(tau_vertices, rho_vertices, ties, forced):
 
             def pairs(a: str, b: str) -> bool:
                 if tj[a] != a:
@@ -186,91 +194,113 @@ def covers_from(t: JKGraph) -> list[ReducedCover]:
     return out
 
 
+@dataclass(frozen=True)
+class GraphData:
+    """A vertex/flag graph with what every pair it takes part in reads:
+    its arc picture and the reduced covers out of that picture."""
+
+    graph: BMGraph
+    picture: JKGraph
+    covers: tuple[ReducedCover, ...]
+
+
+def graph_data(g: BMGraph) -> GraphData:
+    picture = phi1_graph(g)
+    return GraphData(g, picture, tuple(covers_from(picture)))
+
+
 def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
-    """All refinements r -> s, by solving for the flag choices edge by
-    edge and filtering through the validator."""
+    """All refinements r -> s, built clause by clause; none unless both
+    graphs are valid and without isolated edges.  The flags of r, in
+    sorted order and an inner edge at its lesser flag, take unused flags
+    of s in sorted order: a flag on a port takes a flag on a port, and an
+    inner edge takes an inner edge, its second flag the partner of the
+    first.  Each taken flag forces its vertex into the piece of its
+    taker's vertex, and each inner edge of s left untaken lies in one
+    piece; the pieces not forced take every vertex of r, as long as
+    every vertex of r gets a piece.  The order is that of the vertex
+    surjections in product order over the sorted vertices of s, then of
+    the flag choices."""
     if len(r.vertices) > len(s.vertices) or len(r.flags) > len(s.flags):
         return []
     if len(ports(r)) != len(ports(s)):
         return []
-    out = []
+    for c in (graph_clauses(r), graph_clauses(s)):
+        if c.problems or c.isolated:
+            return []
     r_vertices = sorted(r.vertices)
-    s_flag_of_arc = {a: h for h, a in s.embed.items()}
+    s_vertices = sorted(s.vertices)
+    rank = {x: i for i, x in enumerate(r_vertices)}
+    (_, r_partner), (_, s_partner) = _flag_view(r), _flag_view(s)
+    leaders = [g for g in sorted(r.flags) if g <= r_partner[g]]
+    s_flags = sorted(s.flags)
+    on_port = [h for h in s_flags if s_partner[h] == h]
+    on_edge = [h for h in s_flags if s_partner[h] != h]
+    found: list[tuple[tuple[int, ...], Refinement]] = []
+    chosen: dict[str, str] = {}  # flag of r -> flag of s, partners after leaders
+    forced: dict[str, str] = {}  # vertex of s -> vertex of r
 
-    # group the flags of r into edge leaders and their forced partners
-    leaders = []
-    partner_of: dict[str, str] = {}
-    for g in sorted(r.flags):
-        a = r.involution[r.embed[g]]
-        if a in set(r.embed.values()):
-            g2 = next(h for h in r.flags if r.embed[h] == a)
-            if g2 < g:
-                partner_of[g2] = g
+    def complete():
+        # Every flag of s on a port is taken, so the untaken flags are
+        # whole inner edges, and each lies in one piece.
+        taken = set(chosen.values())
+        ties = [(s.incidence[h], s.incidence[s_partner[h]]) for h in s_flags if h not in taken]
+        arc_map: dict[str, str] = {}
+        for g, h in chosen.items():
+            arc_map[r.embed[g]] = s.embed[h]
+            arc_map.setdefault(r.involution[r.embed[g]], s.involution[s.embed[h]])
+        for vm in _surjections(s_vertices, r_vertices, ties, forced):
+            vertex_map = {x: frozenset(v for v in s_vertices if vm[v] == x) for x in r_vertices}
+            flag_map = {
+                g: FlaggedSubgraphRef(vertex_map[r.incidence[g]], h) for g, h in chosen.items()
+            }
+            key = tuple(rank[vm[v]] for v in s_vertices)
+            found.append((key, Refinement(r, s, arc_map, vertex_map, flag_map)))
+
+    def place(i: int):
+        if i == len(leaders):
+            complete()
+            return
+        g = leaders[i]
+        g2 = r_partner[g]
+        for h in on_port if g2 == g else on_edge:
+            if h in chosen.values():
                 continue
-        leaders.append(g)
-
-    for vm in _surjections(sorted(s.vertices), r_vertices):
-        vertex_map = {x: frozenset(v for v, y in vm.items() if y == x) for x in r_vertices}
-        flags_in_piece = {
-            x: [h for h in sorted(s.flags) if s.incidence[h] in vertex_map[x]]
-            for x in r_vertices
-        }
-
-        def candidates(g: str):
-            return flags_in_piece[r.incidence[g]]
-
-        def build(idx: int, chosen: dict[str, str]):
-            if idx == len(leaders):
-                arc_map = {}
-                ok = True
-                for g, h in chosen.items():
-                    arc_map[r.embed[g]] = s.embed[h]
-                    back = s.involution[s.embed[h]]
-                    partner_arc = r.involution[r.embed[g]]
-                    if arc_map.setdefault(partner_arc, back) != back:
-                        ok = False
-                        break
-                if ok and set(arc_map) == set(r.arcs):
-                    ref = Refinement(
-                        r,
-                        s,
-                        arc_map,
-                        vertex_map,
-                        {
-                            g: FlaggedSubgraphRef(vertex_map[r.incidence[g]], h)
-                            for g, h in chosen.items()
-                        },
-                    )
-                    if validate_refinement(ref).ok:
-                        out.append(ref)
-                return
-            g = leaders[idx]
-            for h in candidates(g):
-                if h in chosen.values():
+            step = {g: h}
+            if g2 != g:
+                h2 = s_partner[h]
+                if h2 in chosen.values():
                     continue
-                step = {g: h}
-                if g in partner_of:
-                    g2 = partner_of[g]
-                    back = s.involution[s.embed[h]]
-                    h2 = s_flag_of_arc.get(back)
-                    if h2 is None or h2 in chosen.values() or h2 == h:
-                        continue
-                    if h2 not in candidates(g2):
-                        continue
-                    step[g2] = h2
-                build(idx + 1, {**chosen, **step})
+                step[g2] = h2
+            fresh = []
+            for a, b in step.items():
+                v, x = s.incidence[b], r.incidence[a]
+                if v not in forced:
+                    forced[v] = x
+                    fresh.append(v)
+                elif forced[v] != x:
+                    break
+            else:
+                chosen.update(step)
+                place(i + 1)
+                for a in step:
+                    del chosen[a]
+            for v in fresh:
+                del forced[v]
 
-        build(0, {})
-    return out
+    place(0)
+    found.sort(key=lambda item: item[0])
+    return [ref for _, ref in found]
 
 
-def enumerate_cospans(t: JKGraph, r: JKGraph) -> list[GraphCospan]:
-    """All cover/refinement cospans from t to r, one per equality class:
-    the first cospan found with each cospan_key.  Every apex is the
-    target of a reduced cover of t, so it has t's vertex count."""
+def enumerate_cospans(t: GraphData, r: GraphData) -> list[GraphCospan]:
+    """All cover/refinement cospans from the picture of t to the picture
+    of r, one per equality class: the first cospan found with each
+    cospan_key.  Each of t's covers is paired with every refinement of
+    r's picture into the cover's apex, which has t's vertex count."""
     found: dict[tuple, GraphCospan] = {}
-    for cover in covers_from(t):
-        for ref in enumerate_refinements(r, cover.target):
+    for cover in t.covers:
+        for ref in enumerate_refinements(r.picture, cover.target):
             c = GraphCospan(cover, ref)
             found.setdefault(cospan_key(c), c)
     return list(found.values())
@@ -317,12 +347,12 @@ class EquivalenceReport:
         return sum(p.cospan_count for p in self.pairs)
 
 
-def check_pair(tau: BMGraph, rho: BMGraph, ti: int, ri: int) -> PairResult:
+def check_pair(tau: GraphData, rho: GraphData, ti: int, ri: int) -> PairResult:
     """Count both hom-sets and check that phi is a bijection between
     them.  An image that is not a valid cospan fails the roundtrip and
     gets no key, so the pair also fails injectivity."""
-    homs = enumerate_bm_morphisms(tau, rho)
-    cospans = enumerate_cospans(phi1_graph(tau), phi1_graph(rho))
+    homs = enumerate_bm_morphisms(tau.graph, rho.graph)
+    cospans = enumerate_cospans(tau, rho)
     keys = set()
     roundtrip = True
     for h in homs:
@@ -346,9 +376,10 @@ def check_equivalence(max_vertices: int, max_flags: int, progress=None) -> Equiv
     produced."""
     bounds = EnumBounds(max_vertices, max_flags)
     graphs = enumerate_bm_graphs(max_vertices, max_flags)
+    data = [graph_data(g) for g in graphs]
     results = []
-    for ti, tau in enumerate(graphs):
-        for ri, rho in enumerate(graphs):
+    for ti, tau in enumerate(data):
+        for ri, rho in enumerate(data):
             res = check_pair(tau, rho, ti, ri)
             results.append(res)
             if progress is not None:

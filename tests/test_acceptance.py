@@ -85,6 +85,8 @@ from grafcat.species import (
     validate_decoration,
 )
 
+from test_oracle import _refinements_in_order, filtered_refinements
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # one- and two-generator species used for the monad-law sweeps
@@ -284,6 +286,17 @@ def test_cover_lattices_are_boolean():
         f"PASS cover lattice: {len(classes)} graphs, sizes 2^k verified, "
         f"inner-edge histogram {dict(sorted(hist.items()))}"
     )
+
+
+def test_refinement_matrix_matches_the_filter(jk_world, ref_matrix):
+    # the constructed refinements between the window's effective pictures
+    # are the filter's, order included
+    for (a, b), refs in ref_matrix.items():
+        reference = filtered_refinements(jk_world[a], jk_world[b])
+        assert _refinements_in_order(refs) == _refinements_in_order(reference), (a, b)
+    total = sum(len(refs) for refs in ref_matrix.values())
+    assert (len(ref_matrix), total) == (1024, 368)
+    print(f"PASS refinements: {len(ref_matrix)} pairs, {total} refinements, as filtered")
 
 
 def test_duality_roundtrips(bm_world, jk_world, ref_matrix):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import make_bm_loop, make_bm_two_corollas
 from grafcat import cli, jsonio
 from grafcat.bm import BMMorphism, bm_corolla, bm_identity, bm_point, compose_bm
-from grafcat.cospan_equiv import phi, phi1_graph
+from grafcat.cospan_equiv import identity_cospan, phi, phi1_graph, phi1_mor
 from grafcat.etale import identity_etale
 from grafcat.graph_core import corolla
 from grafcat.kleisli import identity_refinement
@@ -151,21 +151,61 @@ _KINDS = ["jk-graph", "bm-graph", "bm-morphism", "etale", "refinement", "cospan"
 _ODD_VALUES = [5, None, True, 1.5, "v", [], ["v"], {}, {"v": 1}, {"v": "v"}]
 _FILE_SLOTS = [
     {"$file": 5}, {"$file": None}, {"$file": ["g.json"]}, {"$file": {}},
-    {"$file": "absent.json"}, {"$file": "a\0b"}, {"$file": "g.json"}, {},
+    {"$file": "absent.json"}, {"$file": "a\0b"}, {"$file": "g.json"}, {"$file": "jk.json"}, {},
 ]
 
 
+def _fuzz_files():
+    """The well-formed documents the fuzzed ones are run against, by
+    file name: g.json and jk.json also fill file references."""
+    loop = make_bm_loop()
+    contract = phi(make_contract(loop))  # picture of the loop -> picture of a point
+    graft = phi1_mor(BMMorphism(bm_corolla(2), loop, {"f1": "1", "f2": "2"}, {"v": "v"}, {}))
+    jl, jp, jc = phi1_graph(loop), phi1_graph(bm_point()), phi1_graph(bm_corolla(2))
+    return {
+        "g.json": jsonio.bm_graph_to_json(loop),
+        "jk.json": jsonio.graph_to_json(jl),
+        "id.json": jsonio.bm_morphism_to_json(bm_identity(bm_point())),
+        "id-etale.json": jsonio.etale_to_json(identity_etale(graft.target)),
+        "id-ref.json": jsonio.refinement_to_json(identity_refinement(contract.right.target)),
+        "id-cospan.json": jsonio.cospan_to_json(identity_cospan(jp)),
+        "ref-c2.json": jsonio.refinement_to_json(identity_refinement(jc)),
+        "cover-point.json": jsonio.etale_to_json(identity_etale(jp)),
+        "cover.json": jsonio.cover_to_json(graft),
+        "ref.json": jsonio.refinement_to_json(contract.right),
+        "cospan.json": jsonio.cospan_to_json(contract),
+    }
+
+
 def _fuzz_bases():
+    """(document, the file it composes with, the pushout it takes part
+    in with "doc" standing for it, or None)."""
     loop, cc = make_bm_loop(), make_bm_two_corollas()
     contract = make_contract(loop)
     by_file = jsonio.bm_morphism_to_json(contract)
     by_file["source"] = {"$file": "g.json"}
-    return [
+    files = _fuzz_files()
+    cover, ref = files["cover.json"], files["ref.json"]
+    cospan = files["cospan.json"]
+    cover_by_file = dict(cover, target={"$file": "jk.json"})
+    ref_by_file = dict(ref, target={"$file": "jk.json"})
+    cospan_by_file = dict(cospan, left=dict(cospan["left"], source={"$file": "jk.json"}))
+    bm = [
         jsonio.bm_graph_to_json(loop),
         jsonio.bm_graph_to_json(cc),
         jsonio.bm_morphism_to_json(contract),
         jsonio.bm_morphism_to_json(bm_identity(cc)),
         by_file,
+    ]
+    return [(doc, "id.json", None) for doc in bm] + [
+        (files["jk.json"], "id.json", None),
+        (jsonio.graph_to_json(corolla(2)), "id.json", None),
+        (cover, "id-etale.json", ("ref-c2.json", "doc")),
+        (cover_by_file, "id-etale.json", ("ref-c2.json", "doc")),
+        (ref, "id-ref.json", ("doc", "cover-point.json")),
+        (ref_by_file, "id-ref.json", ("doc", "cover-point.json")),
+        (cospan, "id-cospan.json", None),
+        (cospan_by_file, "id-cospan.json", None),
     ]
 
 
@@ -184,17 +224,18 @@ def _at(doc, path):
 
 @st.composite
 def _malformed(draw):
-    """A valid bm-graph or bm-morphism document with one to three of:
-    a key dropped, a value of another type, another kind, or a graph
-    slot replaced by a broken file reference."""
-    doc = copy.deepcopy(draw(st.sampled_from(_fuzz_bases())))
+    """A valid document of any kind with one to three of: a key dropped,
+    a value of another type, another kind, or a graph slot replaced by a
+    broken file reference.  Drawn with the base's partner documents."""
+    base, partner, pushout = draw(st.sampled_from(_fuzz_bases()))
+    doc = copy.deepcopy(base)
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(["drop", "retype", "kind", "file"]))
         locations = list(_locations(doc))
         if op == "file" or not locations:
-            doc[draw(st.sampled_from(["source", "target"]))] = copy.deepcopy(
-                draw(st.sampled_from(_FILE_SLOTS))
-            )
+            slots = [p for p in locations if p[-1] in ("source", "target")]
+            *parent, key = draw(st.sampled_from(slots or [("source",), ("target",)]))
+            _at(doc, parent)[key] = copy.deepcopy(draw(st.sampled_from(_FILE_SLOTS)))
             continue
         if op == "kind":
             locations = [p for p in locations if p[-1] == "kind"] or [("kind",)]
@@ -205,7 +246,7 @@ def _malformed(draw):
         else:
             odd = _KINDS if op == "kind" else _ODD_VALUES
             container[key] = copy.deepcopy(draw(st.sampled_from(odd)))
-    return doc
+    return doc, partner, pushout
 
 
 def _exit_code(argv) -> int:
@@ -219,23 +260,43 @@ def _exit_code(argv) -> int:
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
-    (d / "g.json").write_text(jsonio.dumps(jsonio.bm_graph_to_json(make_bm_loop())))
-    (d / "id.json").write_text(jsonio.dumps(jsonio.bm_morphism_to_json(bm_identity(bm_point()))))
+    for name, doc in _fuzz_files().items():
+        (d / name).write_text(jsonio.dumps(doc))
     return d
 
 
-@settings(max_examples=200, deadline=None)
-@given(doc=_malformed())
-def test_malformed_documents_keep_the_exit_code_contract(fuzz_dir, doc):
+@settings(max_examples=400, deadline=None)
+@given(drawn=_malformed())
+def test_malformed_documents_keep_the_exit_code_contract(fuzz_dir, drawn):
+    doc, partner, pushout = drawn
     path = fuzz_dir / "doc.json"
     path.write_text(json.dumps(doc))
-    doc_path, graph, ident = str(path), str(fuzz_dir / "g.json"), str(fuzz_dir / "id.json")
-    for argv in (
+    doc_path, graph, other = str(path), str(fuzz_dir / "g.json"), str(fuzz_dir / partner)
+    runs = [
         ["validate", doc_path],
         ["hom-count", doc_path, graph],
-        ["compose", doc_path, ident],
-    ):
+        ["compose", doc_path, other],
+        ["compose", other, doc_path],
+        ["export-dot", doc_path],
+    ]
+    if pushout is not None:
+        runs.append(["pushout"] + [doc_path if a == "doc" else str(fuzz_dir / a) for a in pushout])
+    for argv in runs:
         assert _exit_code(argv) in (0, 1, 2), argv
+
+
+def test_fuzz_bases_are_well_formed(fuzz_dir):
+    # unmutated, every base validates, and the arc-side morphisms compose
+    # with their partners and push out
+    for doc, partner, pushout in _fuzz_bases():
+        path = fuzz_dir / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert _exit_code(["validate", str(path)]) == 0, doc["kind"]
+        if doc["kind"] in ("etale", "refinement", "cospan"):
+            assert _exit_code(["compose", str(path), str(fuzz_dir / partner)]) == 0, doc["kind"]
+        if pushout is not None:
+            argv = ["pushout"] + [str(path) if a == "doc" else str(fuzz_dir / a) for a in pushout]
+            assert _exit_code(argv) == 0, argv
 
 
 # -- compose / factorise / phi / pushout --------------------------------------------
@@ -302,6 +363,28 @@ def test_hom_count(save):
     assert doc["bm_count"] == 2
     assert doc["cospan_count"] == 2
     assert doc["bijection_verified"]
+
+
+def test_hom_count_agrees_with_check_equivalence(tmp_path):
+    # the single-pair path builds each graph's data itself; on every
+    # ordered pair of the (2,3) window it must give the window's row
+    table = tmp_path / "table.jsonl"
+    argv = ["check-equivalence", "--max-vertices", "2", "--max-flags", "3", "-o", str(table)]
+    assert _exit_code(argv) == 0
+    header, *rows = [json.loads(line) for line in table.read_text().splitlines()]
+    files = []
+    for k, doc in enumerate(header["graphs"]):
+        path = tmp_path / f"g{k}.json"
+        path.write_text(jsonio.dumps(doc))
+        files.append(str(path))
+    assert len(rows) == len(files) ** 2 == 324
+    out = tmp_path / "count.json"
+    for row in rows:
+        i, j = int(row["source"][1:]), int(row["target"][1:])
+        assert _exit_code(["hom-count", files[i], files[j], "-o", str(out)]) == 0
+        got = json.loads(out.read_text())
+        keys = ("bm_count", "cospan_count", "bijection_verified")
+        assert [got[k] for k in keys] == [row[k] for k in keys], row
 
 
 def test_hom_count_rejects_an_apex_bound_below_the_source(save):

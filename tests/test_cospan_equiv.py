@@ -46,19 +46,27 @@ from grafcat.graph_core import (
     JKGraph,
     edges,
     find_isomorphisms,
+    graph_sum,
     inner_edges,
     is_isomorphic,
     ports,
     relabel,
+    unit_graph,
     validate_graph,
 )
-from grafcat.kleisli import identity_refinement, transport_refinement, validate_refinement
+from grafcat.kleisli import (
+    Refinement,
+    identity_refinement,
+    transport_refinement,
+    validate_refinement,
+)
 from grafcat.oracle import (
     check_pair,
     covers_from,
     enumerate_bm_graphs,
     enumerate_bm_morphisms,
     enumerate_refinements,
+    graph_data,
 )
 
 
@@ -283,9 +291,46 @@ def test_key_rejects_a_left_leg_not_onto_the_apex(level):
 
 
 def test_check_pair_fails_an_invalid_image(monkeypatch):
-    c1 = bm_corolla(1)
+    c1 = graph_data(bm_corolla(1))
     assert check_pair(c1, c1, 0, 0).ok
     monkeypatch.setattr(oracle, "phi", lambda h: not_onto_apex("arcs"))
     res = check_pair(c1, c1, 0, 0)
     assert not res.ok
     assert not res.roundtrip_exact and not res.translation_injective
+
+
+def broken_cospans():
+    """Cospans that fail in each way validate_cospan reports: a bad apex,
+    an apex with an isolated edge, legs landing in different apexes, a
+    broken map on either leg, and an invalid foot."""
+    c = identity_cospan(phi1_graph(bm_corolla(2)))
+    g = c.apex
+    fixed_arc = JKGraph(
+        g.arcs | {"z"}, g.flags, g.vertices, {**g.involution, "z": "z"}, g.embed, g.incidence
+    )
+    with_edge = graph_sum([g, unit_graph()])
+    bad_arcs = Refinement(g, g, {**c.right.arc_map, "1": "2"}, c.right.vertex_map, c.right.flag_map)
+    out = [not_onto_apex("vertices"), not_onto_apex("arcs")]
+    for apex in (fixed_arc, with_edge):
+        m = c.left.morphism
+        left = ReducedCover(EtaleMorphism(g, apex, m.arc_map, m.flag_map, m.vertex_map))
+        out.append(GraphCospan(left, identity_refinement(apex)))
+        out.append(GraphCospan(left, c.right))
+        out.append(GraphCospan(c.left, identity_refinement(apex)))
+    out.append(GraphCospan(c.left, bad_arcs))
+    out.append(GraphCospan(identity_cover(fixed_arc), identity_refinement(fixed_arc)))
+    return out
+
+
+@pytest.mark.parametrize("c", broken_cospans())
+def test_cospan_problems_are_those_of_its_legs(c):
+    # the graphs are checked once per cospan, yet each leg reports
+    # exactly what its own validator reports
+    expected = []
+    for name, rep in (("left", validate_reduced_cover(c.left)), ("right", validate_refinement(c.right))):
+        if not rep.ok:
+            expected.append(f"{name}: " + "; ".join(rep.problems))
+    if c.left.target != c.right.target:
+        expected.append("apex: the two legs land in different graphs")
+    assert expected
+    assert validate_cospan(c).problems == tuple(expected)

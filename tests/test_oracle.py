@@ -13,7 +13,7 @@ from grafcat.bm import (
     validate_bm_morphism,
 )
 from grafcat.cospan_equiv import phi1_graph
-from grafcat.kleisli import validate_refinement
+from grafcat.kleisli import FlaggedSubgraphRef, Refinement, validate_refinement
 from grafcat.oracle import (
     check_equivalence,
     check_pair,
@@ -22,8 +22,9 @@ from grafcat.oracle import (
     enumerate_bm_morphisms,
     enumerate_cospans,
     enumerate_refinements,
+    graph_data,
 )
-from grafcat.graph_core import involutions
+from grafcat.graph_core import JKGraph, graph_sum, involutions, ports, unit_graph
 
 C1 = bm_corolla(1)
 C2 = bm_corolla(2)
@@ -89,13 +90,13 @@ def test_check_pair_spot_checks(LOOP, E2, CC):
         (pp, P), (LOOP, LOOP), (CC, E2),
     ]
     for tau, rho in pairs:
-        res = check_pair(tau, rho, 0, 0)
+        res = check_pair(graph_data(tau), graph_data(rho), 0, 0)
         assert res.ok, (res.bm_count, res.cospan_count)
 
 
 def test_cospans_match_homs_on_an_interesting_pair(LOOP):
     homs = enumerate_bm_morphisms(LOOP, P)
-    cospans = enumerate_cospans(phi1_graph(LOOP), phi1_graph(P))
+    cospans = enumerate_cospans(graph_data(LOOP), graph_data(P))
     assert len(homs) == len(cospans) == 1
 
 
@@ -211,12 +212,150 @@ def test_tails_in_different_fibres_are_never_paired(CC):
     assert m.virtual_involution == {"a": "b", "b": "a"}
 
 
+SMALL_BM_GRAPHS = bm_graphs(max_vertices=3, max_valence=3).filter(lambda g: len(g.flags) <= 5)
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    bm_graphs(max_vertices=3, max_valence=3).filter(lambda g: len(g.flags) <= 5),
-    bm_graphs(max_vertices=3, max_valence=3).filter(lambda g: len(g.flags) <= 5),
-)
+@given(SMALL_BM_GRAPHS, SMALL_BM_GRAPHS)
 def test_constructed_homs_are_valid_and_match_the_filter(tau, rho):
     built = enumerate_bm_morphisms(tau, rho)
     assert all(validate_bm_morphism(m).ok for m in built)
     assert _in_order(built) == _in_order(filtered_bm_morphisms(tau, rho))
+
+
+# -- constructive refinements against the candidate filter ---------------------------
+
+def filtered_refinements(r, s):
+    """Test-only reference: for every vertex surjection of s onto r in
+    product order, every choice of target flags edge by edge (an inner
+    edge of r at its lesser flag, its partner following), kept if the
+    refinement validates."""
+    if len(r.vertices) > len(s.vertices) or len(r.flags) > len(s.flags):
+        return []
+    if len(ports(r)) != len(ports(s)):
+        return []
+    out = []
+    r_vertices = sorted(r.vertices)
+    s_vertices = sorted(s.vertices)
+    s_flag_of_arc = {a: h for h, a in s.embed.items()}
+    leaders = []
+    partner_of = {}
+    for g in sorted(r.flags):
+        a = r.involution[r.embed[g]]
+        if a in set(r.embed.values()):
+            g2 = next(h for h in r.flags if r.embed[h] == a)
+            if g2 < g:
+                partner_of[g2] = g
+                continue
+        leaders.append(g)
+    surjections = [
+        dict(zip(s_vertices, values))
+        for values in itertools.product(r_vertices, repeat=len(s_vertices))
+        if set(values) == set(r_vertices)
+    ]
+    for vm in surjections:
+        vertex_map = {x: frozenset(v for v, y in vm.items() if y == x) for x in r_vertices}
+        in_piece = {
+            x: [h for h in sorted(s.flags) if s.incidence[h] in vertex_map[x]] for x in r_vertices
+        }
+
+        def build(idx, chosen):
+            if idx == len(leaders):
+                arc_map = {}
+                for g, h in chosen.items():
+                    arc_map[r.embed[g]] = s.embed[h]
+                    back = s.involution[s.embed[h]]
+                    if arc_map.setdefault(r.involution[r.embed[g]], back) != back:
+                        return
+                if set(arc_map) != set(r.arcs):
+                    return
+                flag_map = {
+                    g: FlaggedSubgraphRef(vertex_map[r.incidence[g]], h) for g, h in chosen.items()
+                }
+                ref = Refinement(r, s, arc_map, vertex_map, flag_map)
+                if validate_refinement(ref).ok:
+                    out.append(ref)
+                return
+            g = leaders[idx]
+            for h in in_piece[r.incidence[g]]:
+                if h in chosen.values():
+                    continue
+                step = {g: h}
+                if g in partner_of:
+                    g2 = partner_of[g]
+                    h2 = s_flag_of_arc.get(s.involution[s.embed[h]])
+                    if h2 is None or h2 in chosen.values() or h2 == h:
+                        continue
+                    if h2 not in in_piece[r.incidence[g2]]:
+                        continue
+                    step[g2] = h2
+                build(idx + 1, {**chosen, **step})
+
+        build(0, {})
+    return out
+
+
+def _refinements_in_order(refs):
+    # the maps with their insertion order, so that printed output agrees too
+    return [
+        (r.source, r.target, tuple(r.arc_map.items()), tuple(r.vertex_map.items()),
+         tuple(r.flag_map.items()))
+        for r in refs
+    ]
+
+
+def _match_refinement_filter(pairs):
+    """Every (r, s) pair gives the filter's list, order included; returns
+    the number of pairs and of refinements."""
+    n_pairs = n_refs = 0
+    for r, s in pairs:
+        built = enumerate_refinements(r, s)
+        assert _refinements_in_order(built) == _refinements_in_order(filtered_refinements(r, s))
+        n_pairs += 1
+        n_refs += len(built)
+    return n_pairs, n_refs
+
+
+def _picture_apex_pairs(max_vertices, max_flags):
+    """(picture of rho, cover apex) for every rho and every reduced cover
+    of every picture in the window: the pairs enumerate_cospans visits."""
+    data = [graph_data(g) for g in enumerate_bm_graphs(max_vertices, max_flags)]
+    apexes = [cover.target for t in data for cover in t.covers]
+    return [(r.picture, apex) for r in data for apex in apexes]
+
+
+def test_constructed_refinements_match_the_filter_on_the_two_five_window():
+    assert _match_refinement_filter(_picture_apex_pairs(2, 5)) == (11526, 4449)
+
+
+def test_constructed_refinements_match_the_filter_on_the_three_four_window():
+    assert _match_refinement_filter(_picture_apex_pairs(3, 4)) == (11072, 3774)
+
+
+def test_graph_data_holds_the_picture_and_its_covers(LOOP):
+    d = graph_data(C2)
+    assert d.graph == C2 and d.picture == phi1_graph(C2)
+    assert d.covers == tuple(covers_from(phi1_graph(C2)))
+    assert len(graph_data(LOOP).covers) == 1
+
+
+def test_refinements_need_valid_graphs_without_isolated_edges(LOOP):
+    src = phi1_graph(LOOP)
+    broken = JKGraph(src.arcs, src.flags, src.vertices, src.involution, src.embed, {})
+    assert enumerate_refinements(broken, src) == enumerate_refinements(src, broken) == []
+    with_edge = graph_sum([src, unit_graph()])
+    assert enumerate_refinements(with_edge, with_edge) == []
+    assert enumerate_refinements(src, src)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SMALL_BM_GRAPHS, SMALL_BM_GRAPHS)
+def test_constructed_refinements_are_valid_and_match_the_filter(tau, rho):
+    r = phi1_graph(rho)
+    for d in (graph_data(tau), graph_data(rho)):
+        for cover in d.covers:
+            built = enumerate_refinements(r, cover.target)
+            assert all(validate_refinement(ref).ok for ref in built)
+            assert _refinements_in_order(built) == _refinements_in_order(
+                filtered_refinements(r, cover.target)
+            )
