@@ -184,7 +184,7 @@ def compose_bm(m1: BMMorphism, m2: BMMorphism) -> BMMorphism:
     virtual involution is m1's on the former and m2's transported along
     m1's flag map on the latter.
     """
-    if m1.target != m2.source:
+    if m1.target is not m2.source and m1.target != m2.source:
         raise ValueError("morphisms are not composable: middle graphs differ")
     flag_map = {x: m1.flag_map[m2.flag_map[x]] for x in m2.flag_map}
     vertex_map = {v: m2.vertex_map[m1.vertex_map[v]] for v in m1.vertex_map}

@@ -98,7 +98,7 @@ def iso_etale(source: JKGraph, target: JKGraph, iso) -> EtaleMorphism:
 
 def compose_etale(m1: EtaleMorphism, m2: EtaleMorphism) -> EtaleMorphism:
     """The composite m2 after m1 (m1 first)."""
-    if m1.target != m2.source:
+    if m1.target is not m2.source and m1.target != m2.source:
         raise ValueError("etale maps are not composable: middle graphs differ")
     return EtaleMorphism(
         m1.source,

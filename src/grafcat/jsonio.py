@@ -58,6 +58,12 @@ def _str_map(value, what: str) -> dict[str, str]:
     return value
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: not a float, and not a boolean (which Python
+    counts as an int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect_kind(doc, kind: str, what: str):
     if not isinstance(doc, dict):
         raise JsonFormatError(f"{what}: expected an object")
@@ -298,10 +304,14 @@ def species_from_json(doc) -> GraphicalSpecies:
         if not isinstance(entry["name"], str):
             raise JsonFormatError("species.operations[].name: expected a string")
         profile = tuple(_str_list(entry["profile"], "species.operations[].profile"))
+        if not _is_int(entry["arity"]):
+            raise JsonFormatError("species.operations[].arity: expected an integer")
         if entry["arity"] != len(profile):
             raise JsonFormatError(
                 f"species.operations[{entry['name']!r}]: arity does not match the profile"
             )
+        if entry["name"] in operations:
+            raise JsonFormatError(f"species.operations: {entry['name']!r} is listed twice")
         operations[entry["name"]] = profile
     action = None
     if "action" in doc:
@@ -313,9 +323,18 @@ def species_from_json(doc) -> GraphicalSpecies:
             if not isinstance(entry["operation"], str) or not isinstance(entry["result"], str):
                 raise JsonFormatError("species.action[]: operation and result must be strings")
             perm = entry["permutation"]
-            if not isinstance(perm, list) or not all(isinstance(i, int) for i in perm):
+            if not isinstance(perm, list) or not all(_is_int(i) for i in perm):
                 raise JsonFormatError("species.action[].permutation: expected integers")
-            action[(entry["operation"], tuple(i - 1 for i in perm))] = entry["result"]
+            if sorted(perm) != list(range(1, len(perm) + 1)):
+                raise JsonFormatError(
+                    f"species.action[].permutation: {perm} does not list 1..{len(perm)} once each"
+                )
+            key = entry["operation"], tuple(i - 1 for i in perm)
+            if key in action:
+                raise JsonFormatError(
+                    f"species.action: {entry['operation']!r} under {perm} is listed twice"
+                )
+            action[key] = entry["result"]
     return GraphicalSpecies(
         frozenset(_str_list(doc["colours"], "species.colours")),
         _str_map(doc["colour_involution"], "species.colour_involution"),

@@ -452,7 +452,7 @@ def compose_cover_then_refinement(rc: ReducedCover, u: Refinement) -> KleisliMor
     with a refinement u: R -> U, again in generic/free form: T is
     refined by the pieces of u pulled back along rc, and the glued
     result maps onto U."""
-    if rc.target != u.source:
+    if rc.target is not u.source and rc.target != u.source:
         raise ValueError("cover and refinement are not composable")
     src = rc.source
     assignment = {}
@@ -483,12 +483,43 @@ def compose_cover_then_refinement(rc: ReducedCover, u: Refinement) -> KleisliMor
     return KleisliMorphism(refinement, free)
 
 
+def _middle_colours(k: KleisliMorphism) -> tuple[dict, dict]:
+    """What any isomorphism of middles commuting with both parts must
+    keep: a middle vertex's pieces and its image under the free part,
+    and a middle flag's image under the free part and the source flags
+    that choose it."""
+    r, m = k.generic, k.free
+    pieces: dict[str, list[str]] = {}
+    for x, w in r.vertex_map.items():
+        for v in w:
+            pieces.setdefault(v, []).append(x)
+    choosers: dict[str, list[str]] = {}
+    for g, ref in r.flag_map.items():
+        choosers.setdefault(ref.flag, []).append(g)
+    vertex_colours = {
+        v: (tuple(sorted(pieces.get(v, ()))), m.vertex_map.get(v)) for v in r.target.vertices
+    }
+    flag_colours = {
+        h: (m.flag_map.get(h), tuple(sorted(choosers.get(h, ())))) for h in r.target.flags
+    }
+    return vertex_colours, flag_colours
+
+
 def kleisli_equal(k1: KleisliMorphism, k2: KleisliMorphism) -> bool:
     """Equality of generic/free presentations: same endpoints, and an
-    isomorphism of middles commuting with both parts."""
-    if k1.source != k2.source or k1.target != k2.target:
+    isomorphism of middles commuting with both parts.
+
+    The search only tries isomorphisms that keep each middle vertex in
+    the same pieces over the same target vertex, and send each middle
+    flag to one with the same image below and the same source flags
+    choosing it; each candidate is then transported and compared in
+    full, so the colours only drop candidates that would fail."""
+    if (k1.source is not k2.source and k1.source != k2.source) or (
+        k1.target is not k2.target and k1.target != k2.target
+    ):
         return False
-    for iso in _iso_gen(k1.generic.target, k2.generic.target):
+    (vc1, fc1), (vc2, fc2) = _middle_colours(k1), _middle_colours(k2)
+    for iso in _iso_gen(k1.generic.target, k2.generic.target, (vc1, vc2), (fc1, fc2)):
         if transport_refinement(k1.generic, iso, k2.generic.target) != k2.generic:
             continue
         mid_iso = iso_etale(k1.generic.target, k2.generic.target, iso)

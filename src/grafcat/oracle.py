@@ -293,17 +293,17 @@ def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
     return [ref for _, ref in found]
 
 
-def enumerate_cospans(t: GraphData, r: GraphData) -> list[GraphCospan]:
+def enumerate_cospans(t: GraphData, r: GraphData) -> dict[tuple, GraphCospan]:
     """All cover/refinement cospans from the picture of t to the picture
-    of r, one per equality class: the first cospan found with each
-    cospan_key.  Each of t's covers is paired with every refinement of
+    of r, one per equality class, by cospan_key: the first cospan found
+    with each key.  Each of t's covers is paired with every refinement of
     r's picture into the cover's apex, which has t's vertex count."""
     found: dict[tuple, GraphCospan] = {}
     for cover in t.covers:
         for ref in enumerate_refinements(r.picture, cover.target):
             c = GraphCospan(cover, ref)
             found.setdefault(cospan_key(c), c)
-    return list(found.values())
+    return found
 
 
 @dataclass(frozen=True)
@@ -364,7 +364,7 @@ def check_pair(tau: GraphData, rho: GraphData, ti: int, ri: int) -> PairResult:
             roundtrip = False
         keys.add(cospan_key(c))
     injective = len(keys) == len(homs)
-    surjective = all(cospan_key(c) in keys for c in cospans)
+    surjective = keys >= cospans.keys()
     return PairResult(
         ti, ri, len(homs), len(cospans), injective, surjective, roundtrip
     )

@@ -100,6 +100,9 @@ def validate_species(sp: GraphicalSpecies) -> ValidationReport:
                 problems.append(f"action: identity permutation must fix {name!r}")
         for (name, p), m in sorted(sp.action.items()):
             n = len(sp.operations.get(name, ()))
+            if name in sp.operations and len(p) != n:
+                problems.append(f"action: {p} does not permute the {n} slots of {name!r}")
+                continue
             for q in itertools.permutations(range(n)):
                 pq = tuple(p[q[i]] for i in range(n))
                 lhs = sp.action.get((m, q))
@@ -280,6 +283,18 @@ def transport_decoration(sp: GraphicalSpecies, dec: Decoration, iso: GraphIso) -
     return Decoration(colouring, labels)
 
 
+def _flag_colours(g: JKGraph, dec: Decoration, fix_ports: bool) -> dict:
+    """Each flag's arc colour, paired with the port across its edge if
+    fix_ports and there is one."""
+    colours = {h: dec.arc_colouring.get(a) for h, a in g.embed.items()}
+    if fix_ports:
+        open_ends = ports(g)
+        for h, a in g.embed.items():
+            if g.involution[a] in open_ends:
+                colours[h] = colours[h], g.involution[a]
+    return colours
+
+
 def decorated_isomorphic(
     sp: GraphicalSpecies,
     g1: JKGraph,
@@ -289,8 +304,26 @@ def decorated_isomorphic(
     fix_ports: bool = False,
 ) -> bool:
     """Some isomorphism g1 -> g2 carries dec1 to dec2 (optionally fixing
-    every port by name)."""
-    for iso in _iso_gen(g1, g2):
+    every port by name).
+
+    The search only tries isomorphisms that keep each vertex's operation
+    and each flag's arc colour (and, fixing ports, the port across the
+    flag's edge); each candidate is then transported and compared in
+    full, so the colours only drop candidates that would fail."""
+    # transport puts dec1's labels in canonical form, whose operation is
+    # the least of its orbit; it differs from a label's own operation
+    # only if the label was not canonical
+    least: dict[tuple[str, int], str] = {}
+    vc1 = {}
+    for v, label in dec1.vertex_labels.items():
+        key = label.operation, len(label.arcs_by_slot)
+        if key not in least:
+            least[key] = min(act(sp, key[0], p) for p in itertools.permutations(range(key[1])))
+        vc1[v] = least[key]
+    vc2 = {v: label.operation for v, label in dec2.vertex_labels.items()}
+    fc1 = _flag_colours(g1, dec1, fix_ports)
+    fc2 = _flag_colours(g2, dec2, fix_ports)
+    for iso in _iso_gen(g1, g2, (vc1, vc2), (fc1, fc2)):
         if fix_ports and any(iso.arc_map[p] != p for p in ports(g1)):
             continue
         if transport_decoration(sp, dec1, iso) == dec2:

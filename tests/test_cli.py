@@ -83,8 +83,59 @@ def species_doc():
     }
 
 
+def free_species_doc():
+    return {
+        "kind": "species",
+        "colours": ["in", "out"],
+        "colour_involution": {"in": "out", "out": "in"},
+        "operations": [
+            {"name": "b", "arity": 2, "profile": ["in", "out"]},
+            {"name": "m", "arity": 3, "profile": ["in", "in", "out"]},
+        ],
+    }
+
+
 def test_species_document_validates(save):
     assert json.loads(run("validate", save("sp.json", species_doc())).stdout)["ok"] is True
+
+
+def _set_arity(doc, value):
+    # with a profile as long as Python takes the value to be
+    doc["operations"][0].update(arity=value, profile=["c"] * int(value))
+
+
+def _set_permutation_entry(doc, value):
+    doc["action"][1]["permutation"][0] = value
+
+
+def _repeat_operation(doc, value):
+    doc["operations"].append(dict(doc["operations"][0], profile=value, arity=len(value)))
+
+
+def _repeat_action(doc, value):
+    doc["action"].append(dict(doc["action"][0], result=value))
+
+
+@pytest.mark.parametrize(
+    "mutate, value",
+    [
+        (_set_arity, True),
+        (_set_arity, 2.0),
+        (_set_arity, "2"),
+        (_set_permutation_entry, True),
+        (_set_permutation_entry, 2.0),
+        (_repeat_operation, ["c", "c"]),
+        (_repeat_operation, ["c"]),
+        (_repeat_action, "m"),
+    ],
+)
+def test_species_documents_need_integers_and_distinct_entries(save, mutate, value):
+    # Python counts True as 1 and 2.0 == 2; a repeated entry would
+    # silently replace the first one
+    doc = species_doc()
+    mutate(doc, value)
+    proc = run("validate", save("bad.json", doc), expect=2)
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -108,6 +159,17 @@ def test_non_string_names_exit_two(save, where, value):
     else:
         doc["action"][1][where] = value
     proc = run("validate", save("bad.json", doc), expect=2)
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "perm, code", [([1, 1], 2), ([3, 1], 2), ([0, 1], 2), ([1], 1), ([1, 2, 3], 1)]
+)
+def test_species_permutations_keep_the_exit_code_contract(save, perm, code):
+    # not a permutation of 1..k: unusable; one of the wrong length: a problem
+    doc = species_doc()
+    doc["action"][1]["permutation"] = perm
+    proc = run("validate", save("bad.json", doc), expect=code)
     assert "Traceback" not in proc.stderr
 
 
@@ -197,7 +259,8 @@ def _fuzz_bases():
         jsonio.bm_morphism_to_json(bm_identity(cc)),
         by_file,
     ]
-    return [(doc, "id.json", None) for doc in bm] + [
+    species = [species_doc(), free_species_doc()]
+    return [(doc, "id.json", None) for doc in bm + species] + [
         (files["jk.json"], "id.json", None),
         (jsonio.graph_to_json(corolla(2)), "id.json", None),
         (cover, "id-etale.json", ("ref-c2.json", "doc")),
@@ -265,7 +328,7 @@ def fuzz_dir(tmp_path_factory):
     return d
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=450, deadline=None)
 @given(drawn=_malformed())
 def test_malformed_documents_keep_the_exit_code_contract(fuzz_dir, drawn):
     doc, partner, pushout = drawn

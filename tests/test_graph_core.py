@@ -15,6 +15,8 @@ from grafcat.graph_core import (
     edges,
     elements,
     find_isomorphisms,
+    flag_isomorphisms,
+    flags_by_vertex,
     graph_sum,
     inner_edges,
     involutions,
@@ -31,6 +33,7 @@ from grafcat.graph_core import (
     unit_graph,
     validate_graph,
 )
+from grafcat.oracle import enumerate_bm_graphs
 
 
 # -- validation ---------------------------------------------------------------
@@ -287,6 +290,115 @@ def test_recompose_random(g):
     back = recompose_elements(elements(g))
     assert validate_graph(back).ok
     assert is_isomorphic(back, g)
+
+
+# -- coloured flag search -------------------------------------------------------------
+
+
+def uncoloured_flag_isomorphisms(at1, partner1, at2, partner2):
+    """flag_isomorphisms without colours, written out on its own: the
+    reference for the uncoloured output and its order."""
+
+    def signature(at, partner, v):
+        return len(at[v]), sum(1 for h in at[v] if partner[h] == h)
+
+    sig1 = {v: signature(at1, partner1, v) for v in at1}
+    sig2 = {w: signature(at2, partner2, w) for w in at2}
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return
+    vs1, vs2 = sorted(at1), sorted(at2)
+    if not vs1:
+        yield {}, {}
+        return
+    placed: set[str] = set()
+    checks = []
+    for v in vs1:
+        placed.update(at1[v])
+        checks.append([(h, partner1[h]) for h in at1[v] if partner1[h] in placed])
+    vmap: dict[str, str] = {}
+    fmap: dict[str, str] = {}
+
+    def place(i):
+        v = vs1[i]
+        used = {vmap[u] for u in vs1[:i]}
+        for w in vs2:
+            if w in used or sig2[w] != sig1[v]:
+                continue
+            vmap[v] = w
+            for image in itertools.permutations(at2[w]):
+                fmap.update(zip(at1[v], image))
+                if all(fmap[p] == partner2[fmap[h]] for h, p in checks[i]):
+                    if i + 1 == len(vs1):
+                        yield dict(vmap), dict(fmap)
+                    else:
+                        yield from place(i + 1)
+
+    yield from place(0)
+
+
+def _flag_search_window():
+    """Each (2,4) vertex/flag graph as (at, partner), with a fixed
+    colouring of its vertices and flags by the parity of their rank."""
+    out = []
+    for g in enumerate_bm_graphs(2, 4):
+        at = flags_by_vertex(g.vertices, g.boundary)
+        vc = {v: i % 2 for i, v in enumerate(sorted(g.vertices))}
+        fc = {h: i % 2 for i, h in enumerate(sorted(g.flags))}
+        out.append((at, g.involution, vc, fc))
+    return out
+
+
+def test_uncoloured_flag_search_is_unchanged():
+    window = _flag_search_window()
+    found = 0
+    for at1, p1, _, _ in window:
+        for at2, p2, _, _ in window:
+            isos = list(flag_isomorphisms(at1, p1, at2, p2))
+            assert isos == list(uncoloured_flag_isomorphisms(at1, p1, at2, p2))
+            found += len(isos)
+    assert (len(window), found) == (33, 149)
+
+
+@pytest.mark.parametrize("use_vertices, use_flags", [(True, False), (False, True), (True, True)])
+def test_coloured_flag_search_keeps_the_colour_preserving_isomorphisms(use_vertices, use_flags):
+    window = _flag_search_window()
+    kept = total = 0
+    for at1, p1, vc1, fc1 in window:
+        for at2, p2, vc2, fc2 in window:
+            everything = list(flag_isomorphisms(at1, p1, at2, p2))
+            preserving = [
+                (vmap, fmap)
+                for vmap, fmap in everything
+                if (not use_vertices or all(vc2[vmap[v]] == c for v, c in vc1.items()))
+                and (not use_flags or all(fc2[fmap[h]] == c for h, c in fc1.items()))
+            ]
+            coloured = flag_isomorphisms(
+                at1,
+                p1,
+                at2,
+                p2,
+                vertex_colours=(vc1, vc2) if use_vertices else None,
+                flag_colours=(fc1, fc2) if use_flags else None,
+            )
+            assert list(coloured) == preserving
+            kept += len(preserving)
+            total += len(everything)
+    assert 0 < kept < total
+
+
+def test_vertex_and_flag_colours_stay_apart():
+    # a vertex and a flag share the label "x"; a missing colour is None
+    at = {"x": ["x", "y"]}
+    partner = {"x": "x", "y": "y"}
+    both = list(flag_isomorphisms(at, partner, at, partner))
+    assert len(both) == 2
+    pinned = flag_isomorphisms(
+        at, partner, at, partner, vertex_colours=({"x": 0}, {"x": 0}), flag_colours=({"x": 1},) * 2
+    )
+    assert list(pinned) == [({"x": "x"}, {"x": "x", "y": "y"})]
+    assert not list(
+        flag_isomorphisms(at, partner, at, partner, vertex_colours=({"x": 0}, {"x": 1}))
+    )
 
 
 # -- canonical key -------------------------------------------------------------------

@@ -2,10 +2,13 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import jk_graphs, make_path_piece
+from grafcat.cospan_equiv import phi1_graph
 from grafcat.etale import (
+    compose_etale,
     cut_edges,
     glue_ports,
     identity_cover,
+    iso_etale,
     open_subgraph,
     reduced_covers_of,
     validate_etale,
@@ -13,6 +16,7 @@ from grafcat.etale import (
 )
 from grafcat.graph_core import (
     JKGraph,
+    _iso_gen,
     corolla,
     disjoint_union,
     inner_edges,
@@ -37,8 +41,10 @@ from grafcat.kleisli import (
     pushout_gen_rc,
     refine,
     refinement_to_cover,
+    transport_refinement,
     validate_refinement,
 )
+from grafcat.oracle import covers_from, enumerate_bm_graphs, enumerate_refinements
 
 
 def loop_to_cycle(L, PATH):
@@ -221,6 +227,59 @@ def test_kleisli_equal_discriminates(L, PATH):
     r = loop_to_cycle(L, PATH)
     assert kleisli_equal(generic_kleisli(r), generic_kleisli(r))
     assert not kleisli_equal(generic_kleisli(r), generic_kleisli(identity_refinement(L)))
+
+
+def searched_kleisli_equal(k1: KleisliMorphism, k2: KleisliMorphism) -> bool:
+    """kleisli_equal without colours: every isomorphism of middles is
+    transported and compared.  The reference for the pruned search."""
+    if k1.source != k2.source or k1.target != k2.target:
+        return False
+    for iso in _iso_gen(k1.generic.target, k2.generic.target):
+        if transport_refinement(k1.generic, iso, k2.generic.target) != k2.generic:
+            continue
+        mid_iso = iso_etale(k1.generic.target, k2.generic.target, iso)
+        if compose_etale(mid_iso, k2.free) == k1.free:
+            return True
+    return False
+
+
+def test_pruned_kleisli_equal_matches_the_search_on_the_three_three_window():
+    # every comparison the pushout acceptance test makes, on the (3,3)
+    # pictures: cocones, their mediating refinements, and distinct
+    # refinements after a cover
+    calls = []
+
+    def agree(k1, k2):
+        same = kleisli_equal(k1, k2)
+        assert same == searched_kleisli_equal(k1, k2)
+        calls.append(same)
+        return same
+
+    jks = [g for g in map(phi1_graph, enumerate_bm_graphs(3, 3)) if is_effective(g)]
+    for R in jks:
+        rcs = covers_from(R)
+        for S in jks:
+            for gen in enumerate_refinements(R, S):
+                for rc in rcs:
+                    gen2, rc2 = pushout_gen_rc(gen, rc)
+                    for w in covers_from(S):
+                        for v in enumerate_refinements(rc.target, w.target):
+                            k = KleisliMorphism(gen, w.morphism)
+                            if agree(compose_cover_then_refinement(rc, v), k):
+                                for m in enumerate_refinements(rc2.target, w.target):
+                                    if compose_refinements(gen2, m) == v:
+                                        agree(
+                                            compose_cover_then_refinement(rc2, m),
+                                            free_kleisli(w.morphism),
+                                        )
+        for rc in rcs:
+            for T in jks:
+                refs = enumerate_refinements(rc.target, T)
+                ks = [compose_cover_then_refinement(rc, v) for v in refs]
+                for i, k in enumerate(ks):
+                    for k2 in ks[i + 1 :]:
+                        agree(k, k2)
+    assert (len(calls), sum(calls)) == (5528, 1214)
 
 
 def test_open_inclusion_is_not_generic(CY):

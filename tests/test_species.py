@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from grafcat.graph_core import (
+    _iso_gen,
     canonical_key,
     corolla,
     find_isomorphisms,
@@ -14,6 +15,7 @@ from grafcat.graph_core import (
 from grafcat.kleisli import _refine_with_cover
 from grafcat.species import (
     Decoration,
+    VertexLabel,
     GraphicalSpecies,
     _stub_graphs,
     act,
@@ -249,6 +251,56 @@ def test_truncated_free_matches_flat_recount():
         assert len(truncated_free(sp, n_ports, max_v)) == flat_decorated_count(
             sp, n_ports, max_v
         )
+
+
+def searched_decorated_isomorphic(sp, g1, dec1, g2, dec2, fix_ports=False) -> bool:
+    """decorated_isomorphic without colours: every isomorphism is
+    transported and compared.  The reference for the pruned search."""
+    for iso in _iso_gen(g1, g2):
+        if fix_ports and any(iso.arc_map[p] != p for p in ports(g1)):
+            continue
+        if transport_decoration(sp, dec1, iso) == dec2:
+            return True
+    return False
+
+
+def _shuffled(sp, g, dec):
+    """A copy of g with renamed vertices and flags and the arcs not on
+    ports renamed, and dec carried along; ports keep their names."""
+    arcs = {a: "A" + a for a in set(g.arcs) - ports(g)}
+    h = relabel(g, arcs, {f: "F" + f for f in g.flags}, {v: "V" + v for v in g.vertices})
+    iso = next(i for i in _iso_gen(g, h) if all(i.arc_map[p] == p for p in ports(g)))
+    return h, transport_decoration(sp, dec, iso)
+
+
+def test_pruned_decorated_isomorphic_matches_the_search():
+    calls = matches = 0
+    for sp, n_ports, max_v in [(SP, 1, 2), (SP, 2, 2), (SP, 3, 3), (CSP, 2, 2), (CSP, 3, 1)]:
+        arities = sorted({len(p) for p in sp.operations.values()})
+        for g in graphs_with_ports(arities, n_ports, max_v):
+            decs = evaluate_species(sp, g)
+            copies = [_shuffled(sp, g, d) for d in decs]
+            for d1 in decs:
+                for h, d2 in [(g, d) for d in decs] + copies:
+                    for fix_ports in (False, True):
+                        same = decorated_isomorphic(sp, g, d1, h, d2, fix_ports)
+                        assert same == searched_decorated_isomorphic(sp, g, d1, h, d2, fix_ports)
+                        calls += 1
+                        matches += same
+    assert (calls, matches) == (7988, 1716)
+
+
+def test_pruned_decorated_isomorphic_reads_labels_as_transport_does():
+    # a label off its canonical form still matches its canonical twin
+    c3 = corolla(3)
+    dec = evaluate_species(SP, c3)[0]
+    (v, label), = dec.vertex_labels.items()
+    p = (1, 0, 2)
+    moved = VertexLabel(act(SP, label.operation, p), tuple(label.arcs_by_slot[i] for i in p))
+    assert moved != label
+    raw = Decoration(dec.arc_colouring, {v: moved})
+    assert decorated_isomorphic(SP, c3, raw, c3, dec, fix_ports=True)
+    assert searched_decorated_isomorphic(SP, c3, raw, c3, dec, fix_ports=True)
 
 
 def test_truncated_free_has_no_duplicates():
