@@ -16,7 +16,6 @@ from grafcat.oracle import (
     enumerate_bm_graphs,
     enumerate_bm_morphisms,
     enumerate_cospans,
-    graph_data,
 )
 
 # the catalogue of graphs with at most 1 vertex and 2 flags
@@ -28,15 +27,15 @@ star = bm_corolla(2)
 homs = enumerate_bm_morphisms(star, star)
 print("endomorphisms of the 2-corolla:", len(homs))
 
-# the cospan side counts the same; graph_data holds a graph's arc picture
-# and the reduced covers out of it, built once and shared by every pair
-star_data = graph_data(star)
-cospans = enumerate_cospans(star_data, star_data)
+# the cospan side counts the same; a graph's arc picture and the reduced
+# covers out of it are built on first use and kept on the graph, so every
+# pair the graph is in shares them
+cospans = enumerate_cospans(star, star)
 print("cospans from the 2-corolla to itself:", len(cospans))
 
 # one ordered pair, fully compared: counts, injectivity, surjectivity,
 # and exactness of the roundtrip
-res = check_pair(star_data, star_data, 0, 0)
+res = check_pair(star, star, 0, 0)
 print("\npair comparison:", res)
 print("pair verdict:", "pass" if res.ok else "FAIL")
 

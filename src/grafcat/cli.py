@@ -24,7 +24,7 @@ from .etale import (
 )
 from .graph_core import JKGraph, edges, validate_graph
 from .kleisli import compose_refinements, pushout_gen_rc, validate_refinement
-from .oracle import check_equivalence, check_pair, enumerate_bm_graphs, graph_data
+from .oracle import check_equivalence, check_pair, enumerate_bm_graphs
 from .species import validate_species
 
 
@@ -174,7 +174,7 @@ def _cmd_hom_count(args) -> int:
     _, tau = _load_checked(args.source, {"bm-graph"})
     _, rho = _load_checked(args.target, {"bm-graph"})
     _check_bound(args, len(tau.vertices))
-    res = check_pair(graph_data(tau), graph_data(rho), 0, 1)
+    res = check_pair(tau, rho, 0, 1)
     doc = {
         "source": args.source,
         "target": args.target,

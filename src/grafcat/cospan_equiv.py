@@ -33,19 +33,19 @@ from .bm import (
 from .etale import (
     EtaleMorphism,
     ReducedCover,
-    check_reduced_cover,
     compose_covers,
     fresh_label,
     identity_cover,
+    validate_reduced_cover,
 )
-from .graph_core import JKGraph, ValidationReport, graph_clauses
+from .graph_core import JKGraph, ValidationReport, memoised
 from .kleisli import (
     Refinement,
     FlaggedSubgraphRef,
-    check_refinement,
     compose_refinements,
     identity_refinement,
     pushout_gen_rc,
+    validate_refinement,
 )
 
 
@@ -60,9 +60,11 @@ def tail_companions(g: BMGraph) -> dict[str, str]:
     return out
 
 
+@memoised
 def phi1_graph(g: BMGraph) -> JKGraph:
     """The arc picture of a vertex/flag graph: flags become arcs (with
-    the embedding the identity), tails gain companion port arcs."""
+    the embedding the identity), tails gain companion port arcs.  Built
+    once per graph, so the two legs of phi(m) share their apex."""
     comp = tail_companions(g)
     arcs = set(g.flags) | set(comp.values())
     involution = {}
@@ -186,21 +188,15 @@ class GraphCospan:
 
 
 def validate_cospan(c: GraphCospan) -> ValidationReport:
-    """Check both legs and that they share their apex.  The graph
-    clauses of the source, the apex and the target are checked once
-    each, the refinement's own target only if it is not the apex; then
-    each leg's map clauses are checked against them."""
-    apex = graph_clauses(c.left.target)
-    same_apex = c.left.target == c.right.target
+    """Check both legs and that they share their apex."""
     problems = []
-    rep = check_reduced_cover(c.left, graph_clauses(c.left.source), apex)
+    rep = validate_reduced_cover(c.left)
     if not rep.ok:
         problems.append("left: " + "; ".join(rep.problems))
-    right_target = apex if same_apex else graph_clauses(c.right.target)
-    rep = check_refinement(c.right, graph_clauses(c.right.source), right_target)
+    rep = validate_refinement(c.right)
     if not rep.ok:
         problems.append("right: " + "; ".join(rep.problems))
-    if not same_apex:
+    if c.left.target != c.right.target:
         problems.append("apex: the two legs land in different graphs")
     return ValidationReport(tuple(problems))
 

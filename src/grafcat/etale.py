@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 
 from .graph_core import (
-    GraphClauses,
     JKGraph,
     ValidationReport,
     edges,
@@ -22,9 +21,7 @@ from .graph_core import (
     endpoint_problems,
     graph_clauses,
     inner_edges,
-    isolated_edges,
     spanned_subgraph,
-    validate_graph,
 )
 
 
@@ -46,15 +43,9 @@ class EtaleMorphism:
 
 def validate_etale(m: EtaleMorphism) -> ValidationReport:
     """Check the etale clauses; the report lists each violated one."""
-    source, target = graph_clauses(m.source), graph_clauses(m.target)
-    return ValidationReport(tuple(_etale_problems(m, source, target)))
-
-
-def _etale_problems(m: EtaleMorphism, source: GraphClauses, target: GraphClauses) -> list[str]:
-    """validate_etale's problems, given the clauses of its two graphs."""
-    problems = endpoint_problems(source, target)
+    problems = endpoint_problems(m.source, m.target)
     if problems:
-        return problems
+        return ValidationReport(tuple(problems))
     src, tgt = m.source, m.target
     if set(m.arc_map) != set(src.arcs) or not set(m.arc_map.values()) <= set(tgt.arcs):
         problems.append("arc-map: not a total map from source arcs to target arcs")
@@ -63,7 +54,7 @@ def _etale_problems(m: EtaleMorphism, source: GraphClauses, target: GraphClauses
     if set(m.vertex_map) != set(src.vertices) or not set(m.vertex_map.values()) <= set(tgt.vertices):
         problems.append("vertex-map: not a total map from source vertices to target vertices")
     if problems:
-        return problems
+        return ValidationReport(tuple(problems))
     for a in sorted(src.arcs):
         if m.arc_map[src.involution[a]] != tgt.involution[m.arc_map[a]]:
             problems.append(f"involution: arc map does not commute with involutions at {a!r}")
@@ -79,7 +70,7 @@ def _etale_problems(m: EtaleMorphism, source: GraphClauses, target: GraphClauses
             problems.append(
                 f"pullback: flags at {v!r} do not map bijectively onto flags at {m.vertex_map[v]!r}"
             )
-    return problems
+    return ValidationReport(tuple(problems))
 
 
 def identity_etale(g: JKGraph) -> EtaleMorphism:
@@ -175,18 +166,11 @@ def is_covering_family(ms: list[EtaleMorphism]) -> bool:
 
 
 def validate_reduced_cover(rc: ReducedCover) -> ValidationReport:
-    return check_reduced_cover(rc, graph_clauses(rc.source), graph_clauses(rc.target))
-
-
-def check_reduced_cover(
-    rc: ReducedCover, source: GraphClauses, target: GraphClauses
-) -> ValidationReport:
-    """validate_reduced_cover, given the clauses of its source and
-    target: the map clauses are checked here, the graphs are not."""
-    problems = _etale_problems(rc.morphism, source, target)
-    if problems:
-        return ValidationReport(tuple(problems))
-    if source.isolated or target.isolated:
+    rep = validate_etale(rc.morphism)
+    if not rep.ok:
+        return rep
+    problems = []
+    if graph_clauses(rc.source).isolated or graph_clauses(rc.target).isolated:
         problems.append("isolated-edges: reduced covers live between graphs without isolated edges")
     if not is_covering_family([rc.morphism]):
         problems.append("covering: not jointly surjective on edges and vertices")
@@ -321,9 +305,10 @@ def reduced_covers_of(x: JKGraph) -> list[ReducedCover]:
     """All reduced covers of x up to isomorphism, one per subset of its
     inner edges; they form a boolean lattice of size 2^(number of inner
     edges)."""
-    if not validate_graph(x).ok:
+    clauses = graph_clauses(x)
+    if clauses.problems:
         raise ValueError("invalid graph")
-    if isolated_edges(x):
+    if clauses.isolated:
         raise ValueError("reduced covers are only formed over graphs without isolated edges")
     inner = sorted(inner_edges(x), key=lambda e: tuple(sorted(e)))
     covers = []

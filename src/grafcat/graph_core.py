@@ -13,14 +13,36 @@ both arcs in the image of s is inner, an edge with neither arc in the
 image is isolated.
 
 All identifiers are opaque strings and all maps are explicit finite
-dicts.  Values are treated as immutable after construction.
+dicts.  Values are treated as immutable after construction, which is
+what lets memoised keep per-value results on the value itself.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
+
+
+def memoised(fn):
+    """fn(value), computed once per value object and stored in the
+    value's __dict__ (under a dotted name no attribute can have).  The
+    stored result is shared by every caller, who must not change it."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+    missing = object()
+
+    @functools.wraps(fn)
+    def cached(value):
+        # set and read as an attribute: CPython keeps attributes inline
+        # until value.__dict__ is asked for, and reads them faster there
+        result = getattr(value, key, missing)
+        if result is missing:
+            result = fn(value)
+            object.__setattr__(value, key, result)
+        return result
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -113,22 +135,23 @@ def validate_graph(g: JKGraph) -> ValidationReport:
 class GraphClauses(NamedTuple):
     """What the morphism validators ask of each graph they are given:
     the problems of validate_graph, and, for a valid graph, whether it
-    has isolated edges."""
+    has isolated edges.  graph_clauses works them out once per graph."""
 
     problems: tuple[str, ...]
     isolated: bool
 
 
+@memoised
 def graph_clauses(g: JKGraph) -> GraphClauses:
     rep = validate_graph(g)
     return GraphClauses(rep.problems, rep.ok and bool(isolated_edges(g)))
 
 
-def endpoint_problems(source: GraphClauses, target: GraphClauses) -> list[str]:
+def endpoint_problems(source: JKGraph, target: JKGraph) -> list[str]:
     """One problem for each invalid end of a morphism."""
     return [
         f"{name}-invalid: " + "; ".join(c.problems)
-        for c, name in ((source, "source"), (target, "target"))
+        for c, name in ((graph_clauses(source), "source"), (graph_clauses(target), "target"))
         if c.problems
     ]
 

@@ -42,7 +42,6 @@ from .etale import (
     validate_etale,
 )
 from .graph_core import (
-    GraphClauses,
     GraphIso,
     JKGraph,
     ValidationReport,
@@ -53,12 +52,10 @@ from .graph_core import (
     graph_clauses,
     graph_sum,
     inner_edges,
-    isolated_edges,
     local_interface,
     ports,
     prefix_graph,
     relabel,
-    validate_graph,
 )
 
 
@@ -96,17 +93,11 @@ def _chosen_flags(r: Refinement, x: str) -> dict[str, str]:
 
 
 def validate_refinement(r: Refinement) -> ValidationReport:
-    return check_refinement(r, graph_clauses(r.source), graph_clauses(r.target))
-
-
-def check_refinement(r: Refinement, source: GraphClauses, target: GraphClauses) -> ValidationReport:
-    """validate_refinement, given the clauses of its source and target:
-    the map clauses are checked here, the graphs are not."""
-    problems = endpoint_problems(source, target)
+    problems = endpoint_problems(r.source, r.target)
     if problems:
         return ValidationReport(tuple(problems))
-    for c, name in ((source, "source"), (target, "target")):
-        if c.isolated:
+    for g, name in ((r.source, "source"), (r.target, "target")):
+        if graph_clauses(g).isolated:
             problems.append(
                 f"{name}-isolated: refinements run between graphs without isolated edges"
             )
@@ -241,19 +232,19 @@ def _refine_with_cover(
 ) -> tuple[Refinement, ReducedCover]:
     """refine(), also returning the gluing quotient from the summed
     prefixed pieces onto the refined graph."""
-    rep = validate_graph(r)
-    if not rep.ok:
-        raise ValueError("invalid graph: " + "; ".join(rep.problems))
-    if isolated_edges(r):
+    clauses = graph_clauses(r)
+    if clauses.problems:
+        raise ValueError("invalid graph: " + "; ".join(clauses.problems))
+    if clauses.isolated:
         raise ValueError("cannot refine a graph with isolated edges")
     if set(assignment) != set(r.vertices):
         raise ValueError("assignment must cover exactly the vertices")
     for x in sorted(assignment):
         piece, bij = assignment[x]
-        prep = validate_graph(piece)
-        if not prep.ok:
-            raise ValueError(f"piece at {x!r} invalid: " + "; ".join(prep.problems))
-        if (not piece.vertices and not piece.arcs) or isolated_edges(piece):
+        clauses = graph_clauses(piece)
+        if clauses.problems:
+            raise ValueError(f"piece at {x!r} invalid: " + "; ".join(clauses.problems))
+        if (not piece.vertices and not piece.arcs) or clauses.isolated:
             raise ValueError(f"piece at {x!r} must be nonempty without isolated edges")
         if set(bij) != ports(piece):
             raise ValueError(f"interface at {x!r} is not defined on the piece's ports")

@@ -3,10 +3,12 @@
 Graphs are generated from raw combinatorial data (valence lists and
 involutions), morphisms by building only the triples the morphism
 clauses allow, and cospans by pairing each reduced cover of the
-source's picture (one per port matching, built once per graph in
-GraphData) with each refinement into its apex, again built only as the
-refinement clauses allow.  No apex bound is needed: a reduced cover is
-bijective on vertices, so every apex has its source's vertex count.
+source's picture (one per port matching) with each refinement into its
+apex, again built only as the refinement clauses allow.  A graph's
+picture, the covers out of it and its graph clauses are memoised on
+the graph and the picture, so each is built once however many pairs
+the graph is in.  No apex bound is needed: a reduced cover is bijective
+on vertices, so every apex has its source's vertex count.
 Cospans are compared through their normal form (cospan_key): the cover
 leg forces the apex isomorphism, so equal cospans have equal keys and
 deduplication and the bijection checks are set operations.  The main
@@ -37,6 +39,7 @@ from .graph_core import (
     canonical_key,
     graph_clauses,
     involutions,
+    memoised,
     ports,
 )
 from .kleisli import FlaggedSubgraphRef, Refinement
@@ -194,19 +197,9 @@ def covers_from(t: JKGraph) -> list[ReducedCover]:
     return out
 
 
-@dataclass(frozen=True)
-class GraphData:
-    """A vertex/flag graph with what every pair it takes part in reads:
-    its arc picture and the reduced covers out of that picture."""
-
-    graph: BMGraph
-    picture: JKGraph
-    covers: tuple[ReducedCover, ...]
-
-
-def graph_data(g: BMGraph) -> GraphData:
-    picture = phi1_graph(g)
-    return GraphData(g, picture, tuple(covers_from(picture)))
+@memoised
+def _covers(picture: JKGraph) -> tuple[ReducedCover, ...]:
+    return tuple(covers_from(picture))
 
 
 def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
@@ -293,14 +286,15 @@ def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
     return [ref for _, ref in found]
 
 
-def enumerate_cospans(t: GraphData, r: GraphData) -> dict[tuple, GraphCospan]:
+def enumerate_cospans(t: BMGraph, r: BMGraph) -> dict[tuple, GraphCospan]:
     """All cover/refinement cospans from the picture of t to the picture
     of r, one per equality class, by cospan_key: the first cospan found
     with each key.  Each of t's covers is paired with every refinement of
     r's picture into the cover's apex, which has t's vertex count."""
     found: dict[tuple, GraphCospan] = {}
-    for cover in t.covers:
-        for ref in enumerate_refinements(r.picture, cover.target):
+    picture = phi1_graph(r)
+    for cover in _covers(phi1_graph(t)):
+        for ref in enumerate_refinements(picture, cover.target):
             c = GraphCospan(cover, ref)
             found.setdefault(cospan_key(c), c)
     return found
@@ -347,11 +341,11 @@ class EquivalenceReport:
         return sum(p.cospan_count for p in self.pairs)
 
 
-def check_pair(tau: GraphData, rho: GraphData, ti: int, ri: int) -> PairResult:
+def check_pair(tau: BMGraph, rho: BMGraph, ti: int, ri: int) -> PairResult:
     """Count both hom-sets and check that phi is a bijection between
     them.  An image that is not a valid cospan fails the roundtrip and
     gets no key, so the pair also fails injectivity."""
-    homs = enumerate_bm_morphisms(tau.graph, rho.graph)
+    homs = enumerate_bm_morphisms(tau, rho)
     cospans = enumerate_cospans(tau, rho)
     keys = set()
     roundtrip = True
@@ -376,10 +370,9 @@ def check_equivalence(max_vertices: int, max_flags: int, progress=None) -> Equiv
     produced."""
     bounds = EnumBounds(max_vertices, max_flags)
     graphs = enumerate_bm_graphs(max_vertices, max_flags)
-    data = [graph_data(g) for g in graphs]
     results = []
-    for ti, tau in enumerate(data):
-        for ri, rho in enumerate(data):
+    for ti, tau in enumerate(graphs):
+        for ri, rho in enumerate(graphs):
             res = check_pair(tau, rho, ti, ri)
             results.append(res)
             if progress is not None:

@@ -99,8 +99,11 @@ def validate_species(sp: GraphicalSpecies) -> ValidationReport:
             if sp.action.get((name, ident)) != name:
                 problems.append(f"action: identity permutation must fix {name!r}")
         for (name, p), m in sorted(sp.action.items()):
-            n = len(sp.operations.get(name, ()))
-            if name in sp.operations and len(p) != n:
+            if name not in sp.operations:
+                problems.append(f"action: entry for unknown operation {name!r} under {p}")
+                continue
+            n = len(sp.operations[name])
+            if len(p) != n:
                 problems.append(f"action: {p} does not permute the {n} slots of {name!r}")
                 continue
             for q in itertools.permutations(range(n)):

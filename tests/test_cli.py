@@ -173,6 +173,23 @@ def test_species_permutations_keep_the_exit_code_contract(save, perm, code):
     assert "Traceback" not in proc.stderr
 
 
+def test_species_action_for_an_unknown_operation_exits_one(save):
+    doc = {
+        "kind": "species",
+        "colours": ["in"],
+        "colour_involution": {"in": "in"},
+        "operations": [{"name": "b", "arity": 2, "profile": ["in", "in"]}],
+        "action": [
+            {"operation": "b", "permutation": [1, 2], "result": "b"},
+            {"operation": "b", "permutation": [2, 1], "result": "b"},
+        ],
+    }
+    run("validate", save("ok.json", doc))
+    doc["action"].append({"operation": "zzz", "permutation": [1], "result": "nope"})
+    proc = run("validate", save("bad.json", doc), expect=1)
+    assert "unknown operation 'zzz'" in proc.stdout
+
+
 def test_validate_classifies_morphisms(save, LOOP):
     proc = run("validate", save("m.json", jsonio.bm_morphism_to_json(make_contract(LOOP))))
     cls = json.loads(proc.stdout)["classification"]
@@ -341,6 +358,8 @@ def test_malformed_documents_keep_the_exit_code_contract(fuzz_dir, drawn):
         ["compose", doc_path, other],
         ["compose", other, doc_path],
         ["export-dot", doc_path],
+        ["factorise", doc_path],
+        ["phi", doc_path],
     ]
     if pushout is not None:
         runs.append(["pushout"] + [doc_path if a == "doc" else str(fuzz_dir / a) for a in pushout])
@@ -348,13 +367,34 @@ def test_malformed_documents_keep_the_exit_code_contract(fuzz_dir, drawn):
         assert _exit_code(argv) in (0, 1, 2), argv
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    command=st.sampled_from(["enumerate", "check-equivalence"]),
+    max_vertices=st.integers(-2, 2),
+    max_flags=st.integers(-2, 3),
+    apex_bound=st.none() | st.integers(-1, 3),
+)
+def test_window_bounds_keep_the_exit_code_contract(command, max_vertices, max_flags, apex_bound):
+    # a negative bound, or an apex bound below the vertex bound, is
+    # unusable; every other window in range passes
+    argv = [command, "--max-vertices", str(max_vertices), "--max-flags", str(max_flags)]
+    unusable = max_vertices < 0 or max_flags < 0
+    if command == "check-equivalence" and apex_bound is not None:
+        argv += ["--apex-bound", str(apex_bound)]
+        unusable = unusable or apex_bound < max_vertices
+    assert _exit_code(argv) == (2 if unusable else 0), argv
+
+
 def test_fuzz_bases_are_well_formed(fuzz_dir):
-    # unmutated, every base validates, and the arc-side morphisms compose
-    # with their partners and push out
+    # unmutated, every base validates, the vertex/flag morphisms factorise
+    # and translate, and the arc-side morphisms compose with their
+    # partners and push out
     for doc, partner, pushout in _fuzz_bases():
         path = fuzz_dir / "doc.json"
         path.write_text(json.dumps(doc))
         assert _exit_code(["validate", str(path)]) == 0, doc["kind"]
+        if doc["kind"] == "bm-morphism":
+            assert _exit_code(["factorise", str(path)]) == _exit_code(["phi", str(path)]) == 0
         if doc["kind"] in ("etale", "refinement", "cospan"):
             assert _exit_code(["compose", str(path), str(fuzz_dir / partner)]) == 0, doc["kind"]
         if pushout is not None:

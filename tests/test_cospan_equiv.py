@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bm_graphs
-from grafcat import oracle
+from grafcat import graph_core, oracle
 from grafcat.bm import (
     BMGraph,
     BMMorphism,
@@ -46,6 +46,7 @@ from grafcat.graph_core import (
     JKGraph,
     edges,
     find_isomorphisms,
+    graph_clauses,
     graph_sum,
     inner_edges,
     is_isomorphic,
@@ -66,7 +67,6 @@ from grafcat.oracle import (
     enumerate_bm_graphs,
     enumerate_bm_morphisms,
     enumerate_refinements,
-    graph_data,
 )
 
 
@@ -291,7 +291,7 @@ def test_key_rejects_a_left_leg_not_onto_the_apex(level):
 
 
 def test_check_pair_fails_an_invalid_image(monkeypatch):
-    c1 = graph_data(bm_corolla(1))
+    c1 = bm_corolla(1)
     assert check_pair(c1, c1, 0, 0).ok
     monkeypatch.setattr(oracle, "phi", lambda h: not_onto_apex("arcs"))
     res = check_pair(c1, c1, 0, 0)
@@ -301,8 +301,9 @@ def test_check_pair_fails_an_invalid_image(monkeypatch):
 
 def broken_cospans():
     """Cospans that fail in each way validate_cospan reports: a bad apex,
-    an apex with an isolated edge, legs landing in different apexes, a
-    broken map on either leg, and an invalid foot."""
+    an apex with an isolated edge (also as two equal objects), legs
+    landing in different apexes, a broken map on either leg, and an
+    invalid foot."""
     c = identity_cospan(phi1_graph(bm_corolla(2)))
     g = c.apex
     fixed_arc = JKGraph(
@@ -319,13 +320,32 @@ def broken_cospans():
         out.append(GraphCospan(c.left, identity_refinement(apex)))
     out.append(GraphCospan(c.left, bad_arcs))
     out.append(GraphCospan(identity_cover(fixed_arc), identity_refinement(fixed_arc)))
+    # with_edge's left leg again, into an equal apex that is another object
+    twin = graph_sum([g, unit_graph()])
+    out.append(GraphCospan(left, identity_refinement(twin)))
     return out
+
+
+def test_validate_cospan_checks_only_the_apex_of_each_image(monkeypatch):
+    # phi takes both feet from the memoised pictures and gives both legs
+    # one apex, so once the pictures are checked each image of the (2,4)
+    # window costs one validate_graph call
+    graphs = enumerate_bm_graphs(2, 4)
+    images = [phi(h) for t in graphs for r in graphs for h in enumerate_bm_morphisms(t, r)]
+    for g in graphs:
+        graph_clauses(phi1_graph(g))
+    calls = []
+    real = graph_core.validate_graph
+    monkeypatch.setattr(graph_core, "validate_graph", lambda g: calls.append(g) or real(g))
+    assert all(validate_cospan(c).ok for c in images)
+    assert len(calls) == len(images) == 993
+    assert all(g is c.apex for g, c in zip(calls, images))
 
 
 @pytest.mark.parametrize("c", broken_cospans())
 def test_cospan_problems_are_those_of_its_legs(c):
-    # the graphs are checked once per cospan, yet each leg reports
-    # exactly what its own validator reports
+    # each leg reports exactly what its own validator reports, and the
+    # apexes are compared by value
     expected = []
     for name, rep in (("left", validate_reduced_cover(c.left)), ("right", validate_refinement(c.right))):
         if not rep.ok:

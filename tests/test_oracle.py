@@ -3,6 +3,7 @@ import itertools
 from hypothesis import given, settings
 
 from conftest import bm_graphs
+from grafcat import oracle
 from grafcat.bm import (
     BMGraph,
     BMMorphism,
@@ -22,7 +23,6 @@ from grafcat.oracle import (
     enumerate_bm_morphisms,
     enumerate_cospans,
     enumerate_refinements,
-    graph_data,
 )
 from grafcat.graph_core import JKGraph, graph_sum, involutions, ports, unit_graph
 
@@ -90,13 +90,13 @@ def test_check_pair_spot_checks(LOOP, E2, CC):
         (pp, P), (LOOP, LOOP), (CC, E2),
     ]
     for tau, rho in pairs:
-        res = check_pair(graph_data(tau), graph_data(rho), 0, 0)
+        res = check_pair(tau, rho, 0, 0)
         assert res.ok, (res.bm_count, res.cospan_count)
 
 
 def test_cospans_match_homs_on_an_interesting_pair(LOOP):
     homs = enumerate_bm_morphisms(LOOP, P)
-    cospans = enumerate_cospans(graph_data(LOOP), graph_data(P))
+    cospans = enumerate_cospans(LOOP, P)
     assert len(homs) == len(cospans) == 1
 
 
@@ -319,9 +319,9 @@ def _match_refinement_filter(pairs):
 def _picture_apex_pairs(max_vertices, max_flags):
     """(picture of rho, cover apex) for every rho and every reduced cover
     of every picture in the window: the pairs enumerate_cospans visits."""
-    data = [graph_data(g) for g in enumerate_bm_graphs(max_vertices, max_flags)]
-    apexes = [cover.target for t in data for cover in t.covers]
-    return [(r.picture, apex) for r in data for apex in apexes]
+    pictures = [phi1_graph(g) for g in enumerate_bm_graphs(max_vertices, max_flags)]
+    apexes = [cover.target for t in pictures for cover in covers_from(t)]
+    return [(r, apex) for r in pictures for apex in apexes]
 
 
 def test_constructed_refinements_match_the_filter_on_the_two_five_window():
@@ -332,11 +332,12 @@ def test_constructed_refinements_match_the_filter_on_the_three_four_window():
     assert _match_refinement_filter(_picture_apex_pairs(3, 4)) == (11072, 3774)
 
 
-def test_graph_data_holds_the_picture_and_its_covers(LOOP):
-    d = graph_data(C2)
-    assert d.graph == C2 and d.picture == phi1_graph(C2)
-    assert d.covers == tuple(covers_from(phi1_graph(C2)))
-    assert len(graph_data(LOOP).covers) == 1
+def test_pictures_and_covers_are_built_once_per_graph(LOOP):
+    picture = phi1_graph(C2)
+    assert phi1_graph(C2) is picture
+    assert oracle._covers(picture) is oracle._covers(picture)
+    assert oracle._covers(picture) == tuple(covers_from(picture))
+    assert len(oracle._covers(phi1_graph(LOOP))) == 1
 
 
 def test_refinements_need_valid_graphs_without_isolated_edges(LOOP):
@@ -352,8 +353,8 @@ def test_refinements_need_valid_graphs_without_isolated_edges(LOOP):
 @given(SMALL_BM_GRAPHS, SMALL_BM_GRAPHS)
 def test_constructed_refinements_are_valid_and_match_the_filter(tau, rho):
     r = phi1_graph(rho)
-    for d in (graph_data(tau), graph_data(rho)):
-        for cover in d.covers:
+    for g in (tau, rho):
+        for cover in covers_from(phi1_graph(g)):
             built = enumerate_refinements(r, cover.target)
             assert all(validate_refinement(ref).ok for ref in built)
             assert _refinements_in_order(built) == _refinements_in_order(

@@ -90,6 +90,19 @@ def test_broken_action_table_rejected():
     ).ok
 
 
+def test_action_entries_for_unknown_operations_rejected():
+    # a full table for b, plus one entry for an operation not in the species
+    action = {("b", (0, 1)): "b", ("b", (1, 0)): "b", ("zzz", (0,)): "nope"}
+    sp = GraphicalSpecies(frozenset({"in"}), {"in": "in"}, {"b": ("in", "in")}, action)
+    assert validate_species(sp).problems == (
+        "action: entry for unknown operation 'zzz' under (0,)",
+    )
+    del action[("zzz", (0,))]
+    assert validate_species(
+        GraphicalSpecies(frozenset({"in"}), {"in": "in"}, {"b": ("in", "in")}, action)
+    ).ok
+
+
 # -- the symmetric-group action ------------------------------------------------------
 
 def test_action_laws():
