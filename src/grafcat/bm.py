@@ -22,9 +22,10 @@ morphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .graph_core import ValidationReport, _UnionFind, flag_isomorphisms, flags_by_vertex
+from .graph_core import ValidationReport, _UnionFind, flag_isomorphisms, flags_by_vertex, memoised
 
 
 @dataclass(frozen=True)
@@ -80,24 +81,31 @@ def bm_corolla(n: int) -> BMGraph:
     return BMGraph({"v"}, set(flags), {f: "v" for f in flags}, {f: f for f in flags})
 
 
-@dataclass(frozen=True)
-class BMMorphism:
-    """A morphism of vertex/flag graphs; see the module docstring.
-
-    flag_map sends each flag of the target to the source flag it comes
-    from; virtual_involution pairs up the source flags outside its image.
-    """
-
+class _BMMorphismFields(NamedTuple):
     source: BMGraph
     target: BMGraph
     flag_map: dict[str, str]
     vertex_map: dict[str, str]
-    virtual_involution: dict[str, str] = field(default_factory=dict)
+    virtual_involution: dict[str, str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "flag_map", dict(self.flag_map))
-        object.__setattr__(self, "vertex_map", dict(self.vertex_map))
-        object.__setattr__(self, "virtual_involution", dict(self.virtual_involution))
+
+class BMMorphism(_BMMorphismFields):
+    """A morphism of vertex/flag graphs; see the module docstring.
+
+    flag_map sends each flag of the target to the source flag it comes
+    from; virtual_involution pairs up the source flags outside its image.
+    An immutable value that compares as the tuple of its five fields.
+    The constructor copies the three maps, so no caller's dict is
+    aliased; the builders in this module hand over maps they have just
+    built (or, in factorise_bm, the maps of m itself) in one
+    tuple.__new__ call.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, source, target, flag_map, vertex_map, virtual_involution={}):
+        maps = dict(flag_map), dict(vertex_map), dict(virtual_involution)
+        return tuple.__new__(cls, (source, target, *maps))
 
 
 def contracted_pairs(m: BMMorphism) -> set[frozenset[str]]:
@@ -171,9 +179,8 @@ def validate_bm_morphism(m: BMMorphism) -> ValidationReport:
 
 
 def bm_identity(g: BMGraph) -> BMMorphism:
-    return BMMorphism(
-        g, g, {f: f for f in g.flags}, {v: v for v in g.vertices}, {}
-    )
+    flag_map, vertex_map = {f: f for f in g.flags}, {v: v for v in g.vertices}
+    return tuple.__new__(BMMorphism, (g, g, flag_map, vertex_map, {}))
 
 
 def compose_bm(m1: BMMorphism, m2: BMMorphism) -> BMMorphism:
@@ -191,7 +198,7 @@ def compose_bm(m1: BMMorphism, m2: BMMorphism) -> BMMorphism:
     virtual = dict(m1.virtual_involution)
     for f, t in m2.virtual_involution.items():
         virtual[m1.flag_map[f]] = m1.flag_map[t]
-    return BMMorphism(m1.source, m2.target, flag_map, vertex_map, virtual)
+    return tuple.__new__(BMMorphism, (m1.source, m2.target, flag_map, vertex_map, virtual))
 
 
 @dataclass(frozen=True)
@@ -279,15 +286,12 @@ def factorise_bm(m: BMMorphism) -> tuple[BMGraph, BMMorphism, BMMorphism]:
     """Split m into a grafting followed by a compression through its
     ghost graph.  The two parts compose back to m on the nose."""
     mid = ghost_graph(m)
-    graft = BMMorphism(
-        m.source,
-        mid,
-        {f: f for f in m.source.flags},
-        {v: v for v in m.source.vertices},
-        {},
+    graft = tuple.__new__(
+        BMMorphism,
+        (m.source, mid, {f: f for f in m.source.flags}, {v: v for v in m.source.vertices}, {}),
     )
-    compress = BMMorphism(
-        mid, m.target, dict(m.flag_map), dict(m.vertex_map), dict(m.virtual_involution)
+    compress = tuple.__new__(
+        BMMorphism, (mid, m.target, m.flag_map, m.vertex_map, m.virtual_involution)
     )
     return mid, graft, compress
 
@@ -302,18 +306,21 @@ def commute_bm(m1: BMMorphism, m2: BMMorphism) -> tuple[BMGraph, BMMorphism, BMM
     return factorise_bm(compose_bm(m1, m2))
 
 
+@memoised
+def _flags_at(g: BMGraph) -> dict[str, list[str]]:
+    """Each vertex's sorted flags, built once per graph."""
+    return flags_by_vertex(g.vertices, g.boundary)
+
+
 def find_bm_isomorphisms(g1: BMGraph, g2: BMGraph) -> list[BMMorphism]:
     """All isomorphisms g1 -> g2, as morphism triples: the involution is
     the partner map, with tails as their own partners."""
     if len(g1.vertices) != len(g2.vertices) or len(g1.flags) != len(g2.flags):
         return []
     return [
-        BMMorphism(g1, g2, {x: f for f, x in fmap.items()}, vmap, {})
+        tuple.__new__(BMMorphism, (g1, g2, {x: f for f, x in fmap.items()}, vmap, {}))
         for vmap, fmap in flag_isomorphisms(
-            flags_by_vertex(g1.vertices, g1.boundary),
-            g1.involution,
-            flags_by_vertex(g2.vertices, g2.boundary),
-            g2.involution,
+            _flags_at(g1), g1.involution, _flags_at(g2), g2.involution
         )
     ]
 

@@ -49,6 +49,7 @@ from .kleisli import (
 )
 
 
+@memoised
 def tail_companions(g: BMGraph) -> dict[str, str]:
     """The deterministic fresh arc name given to each tail's open end."""
     taken = set(g.flags)
@@ -83,10 +84,12 @@ def phi1_graph(g: BMGraph) -> JKGraph:
     )
 
 
+@memoised
 def phi1_graph_inv(g: JKGraph) -> BMGraph:
     """Read a vertex/flag graph off any arc picture without isolated
     edges: flags keep their names, inner edges restore the pairing and
-    ports become tails."""
+    ports become tails.  Built once per picture, so phi_inv's two parts
+    share their middle graph."""
     im = set(g.embed.values())
     flag_of_arc = {a: h for h, a in g.embed.items()}
     involution = {}

@@ -103,7 +103,7 @@ def validate_species(sp: GraphicalSpecies) -> ValidationReport:
                 problems.append(f"action: entry for unknown operation {name!r} under {p}")
                 continue
             n = len(sp.operations[name])
-            if len(p) != n:
+            if len(p) != n or set(p) != set(range(n)):
                 problems.append(f"action: {p} does not permute the {n} slots of {name!r}")
                 continue
             for q in itertools.permutations(range(n)):

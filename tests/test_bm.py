@@ -23,6 +23,7 @@ from grafcat.bm import (
     validate_bm_graph,
     validate_bm_morphism,
 )
+from grafcat.graph_core import flag_isomorphisms, flags_by_vertex
 from grafcat.oracle import enumerate_bm_graphs, enumerate_bm_morphisms
 
 
@@ -188,6 +189,146 @@ def test_factorise_all_morphisms_between_small_graphs(LOOP, E2, CC):
                 assert compose_bm(g, c) == h
                 seen += 1
     assert seen > 20
+
+
+# -- the morphism value ---------------------------------------------------------------------
+
+def test_morphism_copies_the_callers_maps(LOOP):
+    maps = {"f1": "1", "f2": "2"}, {"v": "v"}, {}
+    graft = BMMorphism(bm_corolla(2), LOOP, *maps)
+    for d in maps:
+        d["x"] = "y"
+    assert (graft.flag_map, graft.vertex_map, graft.virtual_involution) == (
+        {"f1": "1", "f2": "2"}, {"v": "v"}, {}
+    )
+    defaulted = BMMorphism(LOOP, LOOP, {}, {})
+    assert defaulted.virtual_involution == {}
+    assert defaulted.virtual_involution is not BMMorphism(LOOP, LOOP, {}, {}).virtual_involution
+
+
+def test_morphism_fields_cannot_be_assigned(LOOP):
+    m = bm_identity(LOOP)
+    for name in ("source", "target", "flag_map", "vertex_map", "virtual_involution", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, {})
+    assert m == bm_identity(LOOP)
+
+
+def test_morphism_repr_names_every_field(LOOP):
+    m = BMMorphism(LOOP, bm_point(), {}, {"v": "v"}, {"f1": "f2", "f2": "f1"})
+    assert repr(m) == (
+        f"BMMorphism(source={LOOP!r}, target={bm_point()!r}, flag_map={{}}, "
+        "vertex_map={'v': 'v'}, virtual_involution={'f1': 'f2', 'f2': 'f1'})"
+    )
+
+
+def test_morphisms_compare_as_their_five_fields(LOOP):
+    m = BMMorphism(LOOP, bm_point(), {}, {"v": "v"}, {"f1": "f2", "f2": "f1"})
+    assert m == BMMorphism(make_bm_loop(), bm_point(), {}, {"v": "v"}, {"f2": "f1", "f1": "f2"})
+    assert m != BMMorphism(LOOP, bm_point(), {}, {"v": "v"}, {})
+    assert m == (LOOP, bm_point(), {}, {"v": "v"}, {"f1": "f2", "f2": "f1"})
+
+
+# -- the builders against the copying constructor -------------------------------------------
+#
+# compose_bm, factorise_bm and find_bm_isomorphisms hand their fresh maps
+# straight to the tuple; the references below build the same values
+# through the public constructor, as the builders first did.
+
+def reference_compose(m1, m2):
+    flag_map = {x: m1.flag_map[m2.flag_map[x]] for x in m2.flag_map}
+    vertex_map = {v: m2.vertex_map[m1.vertex_map[v]] for v in m1.vertex_map}
+    virtual = dict(m1.virtual_involution)
+    for f, t in m2.virtual_involution.items():
+        virtual[m1.flag_map[f]] = m1.flag_map[t]
+    return BMMorphism(m1.source, m2.target, flag_map, vertex_map, virtual)
+
+
+def reference_factorise(m):
+    mid = ghost_graph(m)
+    graft = BMMorphism(
+        m.source, mid, {f: f for f in m.source.flags}, {v: v for v in m.source.vertices}, {}
+    )
+    compress = BMMorphism(mid, m.target, m.flag_map, m.vertex_map, m.virtual_involution)
+    return mid, graft, compress
+
+
+def reference_isomorphisms(g1, g2):
+    if len(g1.vertices) != len(g2.vertices) or len(g1.flags) != len(g2.flags):
+        return []
+    return [
+        BMMorphism(g1, g2, {x: f for f, x in fmap.items()}, vmap, {})
+        for vmap, fmap in flag_isomorphisms(
+            flags_by_vertex(g1.vertices, g1.boundary),
+            g1.involution,
+            flags_by_vertex(g2.vertices, g2.boundary),
+            g2.involution,
+        )
+    ]
+
+
+def in_order(m):
+    """A morphism's fields, each map with its insertion order."""
+    return (
+        m.source, m.target, tuple(m.flag_map.items()), tuple(m.vertex_map.items()),
+        tuple(m.virtual_involution.items()),
+    )
+
+
+@pytest.fixture(scope="module")
+def hom_matrix():
+    graphs = enumerate_bm_graphs(2, 4)
+    return graphs, {
+        (i, j): enumerate_bm_morphisms(a, b)
+        for i, a in enumerate(graphs)
+        for j, b in enumerate(graphs)
+    }
+
+
+def test_compose_matches_the_reference_on_every_composable_pair(hom_matrix):
+    graphs, homs = hom_matrix
+    n = len(graphs)
+    pairs = 0
+    for (i, j), firsts in homs.items():
+        for k in range(n):
+            for m2 in homs[(j, k)]:
+                for m1 in firsts:
+                    built = compose_bm(m1, m2)
+                    assert type(built) is BMMorphism
+                    assert in_order(built) == in_order(reference_compose(m1, m2))
+                    assert built.source is m1.source and built.target is m2.target
+                    pairs += 1
+    assert pairs == 27521
+
+
+def test_factorise_and_identities_match_the_reference_on_the_window(hom_matrix):
+    graphs, homs = hom_matrix
+    morphisms = [m for ms in homs.values() for m in ms]
+    assert len(morphisms) == 993
+    for m in morphisms:
+        mid, graft, compress = factorise_bm(m)
+        ref_mid, ref_graft, ref_compress = reference_factorise(m)
+        assert mid == ref_mid and graft.target is mid is compress.source
+        assert in_order(graft) == in_order(ref_graft)
+        assert in_order(compress) == in_order(ref_compress)
+        assert type(graft) is type(compress) is BMMorphism
+    for g in graphs:
+        assert in_order(bm_identity(g)) == in_order(
+            BMMorphism(g, g, {f: f for f in g.flags}, {v: v for v in g.vertices})
+        )
+
+
+def test_isomorphisms_match_the_reference_on_every_pair(hom_matrix):
+    graphs, _ = hom_matrix
+    total = 0
+    for g1 in graphs:
+        for g2 in graphs:
+            found = find_bm_isomorphisms(g1, g2)
+            assert [in_order(m) for m in found] == [
+                in_order(m) for m in reference_isomorphisms(g1, g2)
+            ]
+            total += len(found)
+    assert (len(graphs) ** 2, total) == (1089, 149)
 
 
 # -- isomorphisms -------------------------------------------------------------------------

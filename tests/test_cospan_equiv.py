@@ -31,6 +31,7 @@ from grafcat.cospan_equiv import (
     phi2_mor,
     phi2_mor_inv,
     phi_inv,
+    tail_companions,
     validate_cospan,
 )
 from grafcat.etale import (
@@ -340,6 +341,25 @@ def test_validate_cospan_checks_only_the_apex_of_each_image(monkeypatch):
     assert all(validate_cospan(c).ok for c in images)
     assert len(calls) == len(images) == 993
     assert all(g is c.apex for g, c in zip(calls, images))
+
+
+def test_phi_inv_parts_share_their_middle_graph():
+    # phi gives both legs one apex and phi1_graph_inv is memoised on it,
+    # so on every (2,4) image the grafting read off the left leg and the
+    # compression read off the right leg meet in one graph object
+    graphs = enumerate_bm_graphs(2, 4)
+    images = 0
+    for t in graphs:
+        assert tail_companions(t) is tail_companions(t)
+        for r in graphs:
+            for h in enumerate_bm_morphisms(t, r):
+                c = phi(h)
+                graft, compress = phi1_mor_inv(c.left), phi2_mor_inv(c.right)
+                assert graft.target is compress.source is phi1_graph_inv(c.apex)
+                assert graft.source is phi1_graph_inv(phi1_graph(t))
+                assert phi_inv(c) == h
+                images += 1
+    assert images == 993
 
 
 @pytest.mark.parametrize("c", broken_cospans())

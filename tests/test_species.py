@@ -103,6 +103,20 @@ def test_action_entries_for_unknown_operations_rejected():
     ).ok
 
 
+def test_action_keys_that_are_not_permutations_rejected():
+    # a key of the right length must still permute the slots
+    table = {("b", (0, 1)): "b", ("b", (1, 0)): "b"}
+    for p in ((0, 0), (1, 1)):
+        action = {**table, ("b", p): "b"}
+        sp = GraphicalSpecies(frozenset({"in"}), {"in": "in"}, {"b": ("in", "in")}, action)
+        assert validate_species(sp).problems == (
+            f"action: {p} does not permute the 2 slots of 'b'",
+        )
+    assert validate_species(
+        GraphicalSpecies(frozenset({"in"}), {"in": "in"}, {"b": ("in", "in")}, table)
+    ).ok
+
+
 # -- the symmetric-group action ------------------------------------------------------
 
 def test_action_laws():
