@@ -312,17 +312,36 @@ def _flags_at(g: BMGraph) -> dict[str, list[str]]:
     return flags_by_vertex(g.vertices, g.boundary)
 
 
-def find_bm_isomorphisms(g1: BMGraph, g2: BMGraph) -> list[BMMorphism]:
-    """All isomorphisms g1 -> g2, as morphism triples: the involution is
-    the partner map, with tails as their own partners."""
-    if len(g1.vertices) != len(g2.vertices) or len(g1.flags) != len(g2.flags):
-        return []
+def _search_isomorphisms(g1: BMGraph, g2: BMGraph) -> list[BMMorphism]:
+    """The isomorphisms g1 -> g2 of two graphs of equal size, in
+    flag_isomorphisms' order."""
     return [
         tuple.__new__(BMMorphism, (g1, g2, {x: f for f, x in fmap.items()}, vmap, {}))
         for vmap, fmap in flag_isomorphisms(
             _flags_at(g1), g1.involution, _flags_at(g2), g2.involution
         )
     ]
+
+
+@memoised
+def _automorphisms(g: BMGraph) -> tuple[BMMorphism, ...]:
+    """The automorphisms of g, searched once per graph."""
+    return tuple(_search_isomorphisms(g, g))
+
+
+def find_bm_isomorphisms(g1: BMGraph, g2: BMGraph) -> list[BMMorphism]:
+    """All isomorphisms g1 -> g2, as morphism triples: the involution is
+    the partner map, with tails as their own partners.
+
+    The automorphisms of a graph (g1 is g2) are searched once per graph
+    object and kept on it.  The morphisms are shared immutable values,
+    so callers must not write into their maps; each call returns a
+    fresh list."""
+    if g1 is g2:
+        return list(_automorphisms(g1))
+    if len(g1.vertices) != len(g2.vertices) or len(g1.flags) != len(g2.flags):
+        return []
+    return _search_isomorphisms(g1, g2)
 
 
 def is_bm_isomorphic(g1: BMGraph, g2: BMGraph) -> bool:

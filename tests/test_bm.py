@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+import grafcat.bm
 from conftest import bm_graphs, make_bm_edge, make_bm_loop, make_bm_two_corollas
 from grafcat.bm import (
     BMGraph,
@@ -340,6 +341,45 @@ def test_automorphism_counts(LOOP, E2):
     assert len(find_bm_isomorphisms(bm_point(), bm_point())) == 1
     assert find_bm_isomorphisms(bm_corolla(2), LOOP) == []
     assert not is_bm_isomorphic(bm_corolla(2), LOOP)
+
+
+def equal_copy(g):
+    return BMGraph(g.vertices, g.flags, g.boundary, g.involution)
+
+
+@pytest.mark.parametrize("window", [(2, 5), (3, 4)])
+def test_memoised_automorphisms_match_the_search(window):
+    for g in enumerate_bm_graphs(*window):
+        first = find_bm_isomorphisms(g, g)
+        assert [in_order(m) for m in first] == [in_order(m) for m in reference_isomorphisms(g, g)]
+        twin = equal_copy(g)
+        across = find_bm_isomorphisms(g, twin)
+        assert all(m.source is g and m.target is twin for m in across)
+        assert [(g, g) + in_order(m)[2:] for m in across] == [in_order(m) for m in first]
+        again = find_bm_isomorphisms(g, g)
+        assert again is not first
+        assert len(again) == len(first) and all(a is b for a, b in zip(again, first))
+        first.clear()
+        assert [in_order(m) for m in find_bm_isomorphisms(g, g)] == [in_order(m) for m in again]
+
+
+def test_automorphisms_are_searched_once_per_graph(monkeypatch):
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return flag_isomorphisms(*args)
+
+    monkeypatch.setattr(grafcat.bm, "flag_isomorphisms", counted)
+    g = make_bm_two_corollas()
+    for _ in range(50):
+        assert len(find_bm_isomorphisms(g, g)) == 2
+    assert len(searches) == 1
+    twin = equal_copy(g)
+    assert len(find_bm_isomorphisms(twin, twin)) == 2
+    assert len(searches) == 2
+    assert len(find_bm_isomorphisms(g, twin)) == 2
+    assert len(searches) == 3
 
 
 def product_isomorphisms(g1: BMGraph, g2: BMGraph) -> set:
