@@ -22,6 +22,11 @@ Refinements are the generic morphisms of a Kleisli category whose free
 morphisms are etale maps; this module also provides the generic/free
 factorisation data, the pushout of a refinement against a reduced
 cover, and decision procedures for equality of the composites.
+
+Two constructions are cuts of a refinement's target: the pieces summed
+into one reduced cover are the target with every edge between two
+chosen flags cut open, and a reduced cover followed by a refinement
+factors through the target with the edges the cover glues cut open.
 """
 
 from __future__ import annotations
@@ -171,34 +176,26 @@ def identity_refinement(g: JKGraph) -> Refinement:
     )
 
 
-def _piece_data(r: Refinement, x: str) -> tuple[JKGraph, dict[str, str], ReducedCover]:
-    """The piece at x: the spanned subgraph with self-glued edges cut,
-    its port interface, and the cut quotient back onto the span."""
-    src, tgt = r.source, r.target
-    span, _ = open_subgraph(tgt, r.vertex_map[x])
-    chosen = _chosen_flags(r, x)
-    chosen_set = set(chosen.values())
-    flag_of_arc = {a: h for h, a in span.embed.items()}
-    self_glued = {
-        e for e in inner_edges(span) if all(flag_of_arc[a] in chosen_set for a in e)
-    }
-    piece, cut_cover = cut_edges(span, self_glued)
-    bij = {}
-    for g, h in chosen.items():
-        port = piece.involution[piece.embed[h]]
-        bij[port] = src.involution[src.embed[g]]
-    return piece, bij, cut_cover
-
-
 def pieces(r: Refinement) -> dict[str, tuple[JKGraph, dict[str, str]]]:
     """The piece at each source vertex, with its interface.
 
     Returns x -> (piece, bij) where the piece is the subgraph of the
-    target spanned by W_x with its self-glued edges cut open, and bij
-    sends each port of the piece to the source arc pointing into x along
-    the corresponding flag.
+    target spanned by W_x with its self-glued edges (both flags chosen
+    at x) cut open, and bij sends each port of the piece to the source
+    arc pointing into x along the corresponding flag.
     """
-    return {x: _piece_data(r, x)[:2] for x in sorted(r.source.vertices)}
+    src, tgt = r.source, r.target
+    out = {}
+    for x in sorted(src.vertices):
+        span, _ = open_subgraph(tgt, r.vertex_map[x])
+        chosen = _chosen_flags(r, x)
+        chosen_arcs = {tgt.embed[h] for h in chosen.values()}
+        piece, _ = cut_edges(span, {e for e in inner_edges(span) if e <= chosen_arcs})
+        out[x] = piece, {
+            piece.involution[piece.embed[h]]: src.involution[src.embed[g]]
+            for g, h in chosen.items()
+        }
+    return out
 
 
 def _disjoint_pieces(
@@ -318,28 +315,11 @@ def transport_refinement(r: Refinement, iso: GraphIso, new_target: JKGraph) -> R
 
 
 def refinement_to_cover(r: Refinement) -> ReducedCover:
-    """The sum of the pieces, mapping onto the target: a refinement seen
-    as a single reduced cover that remembers only the pieces."""
-    assignment = {}
-    cut_covers = {}
-    for x in sorted(r.source.vertices):
-        piece, bij, cut_cover = _piece_data(r, x)
-        assignment[x] = (piece, bij)
-        cut_covers[x] = cut_cover
-    total, _ = _disjoint_pieces(assignment)
-    arc_map = {}
-    flag_map = {}
-    vertex_map = {}
-    for x in sorted(assignment):
-        pfx = x + "."
-        cc = cut_covers[x]
-        for a, b in cc.arc_map.items():
-            arc_map[pfx + a] = b
-        for h in cc.source.flags:
-            flag_map[pfx + h] = h
-        for v in cc.source.vertices:
-            vertex_map[pfx + v] = v
-    return ReducedCover(EtaleMorphism(total, r.target, arc_map, flag_map, vertex_map))
+    """The target with every edge between two chosen flags cut open,
+    mapping back onto the target: the sum of the pieces as a single
+    reduced cover that remembers only the pieces."""
+    cut = {frozenset(r.arc_map[a] for a in e) for e in inner_edges(r.source)}
+    return cut_edges(r.target, cut)[1]
 
 
 def cover_to_refinement(rc: ReducedCover) -> Refinement:
@@ -440,38 +420,30 @@ def is_generic(k: KleisliMorphism) -> bool:
 
 def compose_cover_then_refinement(rc: ReducedCover, u: Refinement) -> KleisliMorphism:
     """The composite of the free morphism of a reduced cover rc: T -> R
-    with a refinement u: R -> U, again in generic/free form: T is
-    refined by the pieces of u pulled back along rc, and the glued
-    result maps onto U."""
+    with a refinement u: R -> U, again in generic/free form: U with the
+    edges that rc glues cut open, refined from T, followed by the cover
+    that glues them back.
+
+    rc is bijective on vertices and flags, so the pieces of u pulled
+    back along rc are u's own pieces; only the inner edges of R that no
+    inner edge of T provides stay open in the middle."""
     if rc.target is not u.source and rc.target != u.source:
         raise ValueError("cover and refinement are not composable")
     src = rc.source
-    assignment = {}
-    u_cut_arcs: dict[str, str] = {}
-    for x in sorted(src.vertices):
-        v = rc.vertex_map[x]
-        piece, bij, cut_cover = _piece_data(u, v)
-        local_inv = {rc.arc_map[a]: a for a in local_interface(src, x)}
-        assignment[x] = (piece, {q: local_inv[b] for q, b in bij.items()})
-        for a, b in cut_cover.arc_map.items():
-            u_cut_arcs[x + "." + a] = b
-    refinement, glue_cover = _refine_with_cover(src, assignment)
-    mid = refinement.target
-
+    kept = {frozenset(rc.arc_map[a] for a in e) for e in inner_edges(src)}
+    cut = {frozenset(u.arc_map[a] for a in e) for e in inner_edges(u.source) - kept}
+    mid, free = cut_edges(u.target, cut)
+    vertex_map = {x: u.vertex_map[rc.vertex_map[x]] for x in src.vertices}
     flag_map = {}
-    vertex_map = {}
-    for x in sorted(src.vertices):
-        for w in assignment[x][0].vertices:
-            vertex_map[x + "." + w] = w
-        for h in assignment[x][0].flags:
-            flag_map[x + "." + h] = h
     arc_map = {}
-    for a, alpha in glue_cover.arc_map.items():
-        b = u_cut_arcs[a]
-        if arc_map.setdefault(alpha, b) != b:
-            raise ValueError("gluing did not match the target's edges")
-    free = EtaleMorphism(mid, u.target, arc_map, flag_map, vertex_map)
-    return KleisliMorphism(refinement, free)
+    for g in src.flags:
+        h = u.flag_map[rc.flag_map[g]].flag
+        flag_map[g] = FlaggedSubgraphRef(vertex_map[src.incidence[g]], h)
+        a = src.embed[g]
+        arc_map[a] = mid.embed[h]
+        arc_map[src.involution[a]] = mid.involution[mid.embed[h]]
+    refinement = Refinement(src, mid, arc_map, vertex_map, flag_map)
+    return KleisliMorphism(refinement, free.morphism)
 
 
 def _middle_colours(k: KleisliMorphism) -> tuple[dict, dict]:

@@ -34,6 +34,7 @@ from .graph_core import (
     canonical_key,
     corolla,
     edges,
+    find_isomorphisms,
     involutions,
     is_connected,
     local_interface,
@@ -286,18 +287,6 @@ def transport_decoration(sp: GraphicalSpecies, dec: Decoration, iso: GraphIso) -
     return Decoration(colouring, labels)
 
 
-def _flag_colours(g: JKGraph, dec: Decoration, fix_ports: bool) -> dict:
-    """Each flag's arc colour, paired with the port across its edge if
-    fix_ports and there is one."""
-    colours = {h: dec.arc_colouring.get(a) for h, a in g.embed.items()}
-    if fix_ports:
-        open_ends = ports(g)
-        for h, a in g.embed.items():
-            if g.involution[a] in open_ends:
-                colours[h] = colours[h], g.involution[a]
-    return colours
-
-
 def decorated_isomorphic(
     sp: GraphicalSpecies,
     g1: JKGraph,
@@ -307,27 +296,10 @@ def decorated_isomorphic(
     fix_ports: bool = False,
 ) -> bool:
     """Some isomorphism g1 -> g2 carries dec1 to dec2 (optionally fixing
-    every port by name).
-
-    The search only tries isomorphisms that keep each vertex's operation
-    and each flag's arc colour (and, fixing ports, the port across the
-    flag's edge); each candidate is then transported and compared in
-    full, so the colours only drop candidates that would fail."""
-    # transport puts dec1's labels in canonical form, whose operation is
-    # the least of its orbit; it differs from a label's own operation
-    # only if the label was not canonical
-    least: dict[tuple[str, int], str] = {}
-    vc1 = {}
-    for v, label in dec1.vertex_labels.items():
-        key = label.operation, len(label.arcs_by_slot)
-        if key not in least:
-            least[key] = min(act(sp, key[0], p) for p in itertools.permutations(range(key[1])))
-        vc1[v] = least[key]
-    vc2 = {v: label.operation for v, label in dec2.vertex_labels.items()}
-    fc1 = _flag_colours(g1, dec1, fix_ports)
-    fc2 = _flag_colours(g2, dec2, fix_ports)
-    for iso in _iso_gen(g1, g2, (vc1, vc2), (fc1, fc2)):
-        if fix_ports and any(iso.arc_map[p] != p for p in ports(g1)):
+    every port by name)."""
+    fixed = ports(g1) if fix_ports else ()
+    for iso in _iso_gen(g1, g2):
+        if any(iso.arc_map[p] != p for p in fixed):
             continue
         if transport_decoration(sp, dec1, iso) == dec2:
             return True
@@ -405,13 +377,20 @@ def truncated_free(
     arities = sorted({len(p) for p in sp.operations.values()})
     elements: list[tuple[JKGraph, Decoration]] = []
     for g in graphs_with_ports(arities, n_ports, max_vertices):
-        kept: list[Decoration] = []
+        open_ends = ports(g)
+        autos = [
+            iso for iso in find_isomorphisms(g, g) if all(iso.arc_map[p] == p for p in open_ends)
+        ]
+        # one decoration per orbit of the port-fixing automorphisms, keyed
+        # by the least image; the first of each orbit is kept
+        orbits: dict[tuple, Decoration] = {}
         for dec in evaluate_species(sp, g):
-            if not any(
-                decorated_isomorphic(sp, g, dec, g, prev, fix_ports=True) for prev in kept
-            ):
-                kept.append(dec)
-        elements.extend((g, dec) for dec in kept)
+            key = min(
+                (tuple(sorted(d.arc_colouring.items())), tuple(sorted(d.vertex_labels.items())))
+                for d in (transport_decoration(sp, dec, iso) for iso in autos)
+            )
+            orbits.setdefault(key, dec)
+        elements.extend((g, dec) for dec in orbits.values())
     return elements
 
 

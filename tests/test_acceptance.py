@@ -85,6 +85,7 @@ from grafcat.species import (
     validate_decoration,
 )
 
+from test_kleisli import covers_agree, summed_refinement_to_cover
 from test_oracle import _refinements_in_order, filtered_refinements
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -316,12 +317,15 @@ def test_duality_roundtrips(bm_world, jk_world, ref_matrix):
             )
             covers_checked += 1
 
-    # refinement -> cover -> refinement on connected-piece refinements;
-    # a disconnected piece cannot survive since the cover forgets how
-    # its components were grouped
-    refs_checked = 0
+    # every refinement's cut cover agrees with the sum of its pieces;
+    # refinement -> cover -> refinement on connected-piece refinements (a
+    # disconnected piece cannot survive, since the cover forgets how its
+    # components were grouped)
+    refs_summed = refs_checked = 0
     for key, refs in ref_matrix.items():
         for r in refs:
+            assert covers_agree(refinement_to_cover(r), summed_refinement_to_cover(r))
+            refs_summed += 1
             if not all(is_connected(p) for p, _ in pieces(r).values()):
                 continue
             rc = refinement_to_cover(r)
@@ -357,9 +361,11 @@ def test_duality_roundtrips(bm_world, jk_world, ref_matrix):
                 assert phi2_mor_inv(phi2_mor(m)) == m
                 n_c += 1
     assert covers_checked >= 50 and refs_checked >= 100
+    assert refs_summed == 368
     print(
         f"PASS duality: {covers_checked} cover and {refs_checked} refinement "
-        f"roundtrips, {len(graphs)} objects both ways, {n_all} morphisms "
+        f"roundtrips, {refs_summed} cut covers as summed pieces, "
+        f"{len(graphs)} objects both ways, {n_all} morphisms "
         f"({n_g} graftings, {n_c} compressions)"
     )
 

@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from conftest import jk_graphs, make_path_piece
 from grafcat.cospan_equiv import phi1_graph
 from grafcat.etale import (
+    EtaleMorphism,
+    ReducedCover,
     compose_etale,
     cut_edges,
     glue_ports,
     identity_cover,
+    is_reduced_cover,
     iso_etale,
     open_subgraph,
     reduced_covers_of,
@@ -19,9 +22,11 @@ from grafcat.graph_core import (
     _iso_gen,
     corolla,
     disjoint_union,
+    find_isomorphisms,
     inner_edges,
     is_effective,
     is_isomorphic,
+    local_interface,
     ports,
     validate_graph,
 )
@@ -29,6 +34,8 @@ from grafcat.kleisli import (
     FlaggedSubgraphRef,
     KleisliMorphism,
     Refinement,
+    _disjoint_pieces,
+    _refine_with_cover,
     compose_cover_then_refinement,
     compose_refinements,
     cover_to_refinement,
@@ -49,6 +56,94 @@ from grafcat.oracle import covers_from, enumerate_bm_graphs, enumerate_refinemen
 
 def loop_to_cycle(L, PATH):
     return refine(L, {"v": (PATH, {"p": "l2", "q": "l1"})})
+
+
+# -- references: the pieces cut out one by one and glued back -----------------------
+
+def cut_piece(r: Refinement, x: str) -> tuple[JKGraph, dict[str, str], ReducedCover]:
+    """The piece at x, its interface, and the cut quotient back onto the
+    subgraph of the target spanned by W_x (whose arcs keep the target's
+    names)."""
+    src, tgt = r.source, r.target
+    span, _ = open_subgraph(tgt, r.vertex_map[x])
+    chosen = {g: r.flag_map[g].flag for g in src.flags if src.incidence[g] == x}
+    flag_of_arc = {a: h for h, a in span.embed.items()}
+    self_glued = {
+        e for e in inner_edges(span) if all(flag_of_arc[a] in chosen.values() for a in e)
+    }
+    piece, cut_cover = cut_edges(span, self_glued)
+    bij = {
+        piece.involution[piece.embed[h]]: src.involution[src.embed[g]]
+        for g, h in chosen.items()
+    }
+    return piece, bij, cut_cover
+
+
+def summed_refinement_to_cover(r: Refinement) -> ReducedCover:
+    """refinement_to_cover as a sum of prefixed pieces mapping onto the
+    target."""
+    assignment = {}
+    arc_map, flag_map, vertex_map = {}, {}, {}
+    for x in sorted(r.source.vertices):
+        piece, bij, cc = cut_piece(r, x)
+        assignment[x] = (piece, bij)
+        arc_map.update({x + "." + a: b for a, b in cc.arc_map.items()})
+        flag_map.update({x + "." + h: h for h in piece.flags})
+        vertex_map.update({x + "." + v: v for v in piece.vertices})
+    total, _ = _disjoint_pieces(assignment)
+    return ReducedCover(EtaleMorphism(total, r.target, arc_map, flag_map, vertex_map))
+
+
+def reglued_cover_then_refinement(rc: ReducedCover, u: Refinement) -> KleisliMorphism:
+    """compose_cover_then_refinement by refining T with the pieces of u
+    pulled back along rc, one gluing per inner edge of T, and mapping
+    the glued result onto U."""
+    src = rc.source
+    assignment = {}
+    u_arcs: dict[str, str] = {}
+    for x in sorted(src.vertices):
+        piece, bij, cc = cut_piece(u, rc.vertex_map[x])
+        local_inv = {rc.arc_map[a]: a for a in local_interface(src, x)}
+        assignment[x] = (piece, {q: local_inv[b] for q, b in bij.items()})
+        u_arcs.update({x + "." + a: b for a, b in cc.arc_map.items()})
+    refinement, glue_cover = _refine_with_cover(src, assignment)
+    arc_map: dict[str, str] = {}
+    for a, alpha in glue_cover.arc_map.items():
+        assert arc_map.setdefault(alpha, u_arcs[a]) == u_arcs[a]
+    flag_map, vertex_map = {}, {}
+    for x, (piece, _) in assignment.items():
+        flag_map.update({x + "." + h: h for h in piece.flags})
+        vertex_map.update({x + "." + v: v for v in piece.vertices})
+    free = EtaleMorphism(refinement.target, u.target, arc_map, flag_map, vertex_map)
+    return KleisliMorphism(refinement, free)
+
+
+def covers_agree(rc1: ReducedCover, rc2: ReducedCover) -> bool:
+    """Same target, and an isomorphism of sources commuting with both."""
+    return rc1.target == rc2.target and any(
+        all(rc2.arc_map[w.arc_map[a]] == b for a, b in rc1.arc_map.items())
+        and all(rc2.flag_map[w.flag_map[h]] == k for h, k in rc1.flag_map.items())
+        and all(rc2.vertex_map[w.vertex_map[v]] == u for v, u in rc1.vertex_map.items())
+        for w in find_isomorphisms(rc1.source, rc2.source)
+    )
+
+
+def assert_bijective_reduced_cover(m: EtaleMorphism) -> None:
+    assert is_reduced_cover(m)
+    for level, below in ((m.vertex_map, m.target.vertices), (m.flag_map, m.target.flags)):
+        assert len(level) == len(set(level.values())) == len(below)
+
+
+def checked_cover_then_refinement(rc: ReducedCover, u: Refinement) -> KleisliMorphism:
+    """compose_cover_then_refinement, checked against the reglue
+    reference: a valid generic part, a bijective reduced cover as free
+    part, and kleisli_equal to the reference both ways."""
+    k = compose_cover_then_refinement(rc, u)
+    assert validate_refinement(k.generic).ok
+    assert_bijective_reduced_cover(k.free)
+    ref = reglued_cover_then_refinement(rc, u)
+    assert kleisli_equal(k, ref) and kleisli_equal(ref, k)
+    return k
 
 
 # -- refinements ---------------------------------------------------------------
@@ -213,7 +308,7 @@ def test_cover_then_refinement(CY):
     _, cover_all = cut_edges(CY, inner_edges(CY))
     k = compose_cover_then_refinement(cover_all, identity_refinement(CY))
     assert validate_refinement(k.generic).ok
-    assert validate_etale(k.free).ok
+    assert_bijective_reduced_cover(k.free)
     assert kleisli_equal(k, free_kleisli(cover_all.morphism))
 
 
@@ -221,6 +316,13 @@ def test_identity_cover_then_refinement(L, PATH):
     r = loop_to_cycle(L, PATH)
     k = compose_cover_then_refinement(identity_cover(L), r)
     assert kleisli_equal(k, generic_kleisli(r))
+
+
+def test_cover_then_refinement_needs_composable_parts(L, CY, PATH):
+    r = loop_to_cycle(L, PATH)
+    for rc in (identity_cover(CY), cut_edges(CY, inner_edges(CY))[1]):
+        with pytest.raises(ValueError):
+            compose_cover_then_refinement(rc, r)
 
 
 def test_kleisli_equal_discriminates(L, PATH):
@@ -246,7 +348,8 @@ def searched_kleisli_equal(k1: KleisliMorphism, k2: KleisliMorphism) -> bool:
 def test_pruned_kleisli_equal_matches_the_search_on_the_three_three_window():
     # every comparison the pushout acceptance test makes, on the (3,3)
     # pictures: cocones, their mediating refinements, and distinct
-    # refinements after a cover
+    # refinements after a cover; every composite is also checked against
+    # the reglue reference
     calls = []
 
     def agree(k1, k2):
@@ -265,17 +368,17 @@ def test_pruned_kleisli_equal_matches_the_search_on_the_three_three_window():
                     for w in covers_from(S):
                         for v in enumerate_refinements(rc.target, w.target):
                             k = KleisliMorphism(gen, w.morphism)
-                            if agree(compose_cover_then_refinement(rc, v), k):
+                            if agree(checked_cover_then_refinement(rc, v), k):
                                 for m in enumerate_refinements(rc2.target, w.target):
                                     if compose_refinements(gen2, m) == v:
                                         agree(
-                                            compose_cover_then_refinement(rc2, m),
+                                            checked_cover_then_refinement(rc2, m),
                                             free_kleisli(w.morphism),
                                         )
         for rc in rcs:
             for T in jks:
                 refs = enumerate_refinements(rc.target, T)
-                ks = [compose_cover_then_refinement(rc, v) for v in refs]
+                ks = [checked_cover_then_refinement(rc, v) for v in refs]
                 for i, k in enumerate(ks):
                     for k2 in ks[i + 1 :]:
                         agree(k, k2)
