@@ -23,7 +23,7 @@ morphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .graph_core import ValidationReport, _UnionFind, flag_isomorphisms, flags_by_vertex, memoised
 
@@ -312,21 +312,23 @@ def _flags_at(g: BMGraph) -> dict[str, list[str]]:
     return flags_by_vertex(g.vertices, g.boundary)
 
 
-def _search_isomorphisms(g1: BMGraph, g2: BMGraph) -> list[BMMorphism]:
-    """The isomorphisms g1 -> g2 of two graphs of equal size, in
+def _search_maps(g1: BMGraph, g2: BMGraph) -> Iterator[tuple[dict[str, str], ...]]:
+    """The (flag_map, vertex_map, virtual_involution) maps of the
+    isomorphisms g1 -> g2 of two graphs of equal size, in
     flag_isomorphisms' order."""
-    return [
-        tuple.__new__(BMMorphism, (g1, g2, {x: f for f, x in fmap.items()}, vmap, {}))
+    return (
+        ({x: f for f, x in fmap.items()}, vmap, {})
         for vmap, fmap in flag_isomorphisms(
             _flags_at(g1), g1.involution, _flags_at(g2), g2.involution
         )
-    ]
+    )
 
 
 @memoised
-def _automorphisms(g: BMGraph) -> tuple[BMMorphism, ...]:
-    """The automorphisms of g, searched once per graph."""
-    return tuple(_search_isomorphisms(g, g))
+def _automorphism_maps(g: BMGraph) -> tuple[tuple[dict[str, str], ...], ...]:
+    """The maps of g's automorphisms, searched once per graph.  They hold
+    no reference to g, so the memo does not keep g in a cycle."""
+    return tuple(_search_maps(g, g))
 
 
 def find_bm_isomorphisms(g1: BMGraph, g2: BMGraph) -> list[BMMorphism]:
@@ -334,14 +336,16 @@ def find_bm_isomorphisms(g1: BMGraph, g2: BMGraph) -> list[BMMorphism]:
     the partner map, with tails as their own partners.
 
     The automorphisms of a graph (g1 is g2) are searched once per graph
-    object and kept on it.  The morphisms are shared immutable values,
-    so callers must not write into their maps; each call returns a
-    fresh list."""
+    object and their maps kept on it; each call builds fresh morphisms
+    around those shared maps, so callers must not write into them."""
     if g1 is g2:
-        return list(_automorphisms(g1))
-    if len(g1.vertices) != len(g2.vertices) or len(g1.flags) != len(g2.flags):
+        maps = _automorphism_maps(g1)
+    elif len(g1.vertices) != len(g2.vertices) or len(g1.flags) != len(g2.flags):
         return []
-    return _search_isomorphisms(g1, g2)
+    else:
+        maps = _search_maps(g1, g2)
+    ends = (g1, g2)
+    return [tuple.__new__(BMMorphism, ends + m) for m in maps]
 
 
 def is_bm_isomorphic(g1: BMGraph, g2: BMGraph) -> bool:

@@ -165,9 +165,12 @@ def edges(g: JKGraph) -> set[frozenset[str]]:
     return {frozenset((a, g.involution[a])) for a in g.arcs}
 
 
-def inner_edges(g: JKGraph) -> set[frozenset[str]]:
+@memoised
+def inner_edges(g: JKGraph) -> frozenset[frozenset[str]]:
+    """The edges with both arcs in the image of embed, found once per
+    graph."""
     im = embed_image(g)
-    return {e for e in edges(g) if all(a in im for a in e)}
+    return frozenset(e for e in edges(g) if all(a in im for a in e))
 
 
 def ports(g: JKGraph) -> set[str]:

@@ -30,13 +30,12 @@ from .graph_core import (
     GraphIso,
     JKGraph,
     ValidationReport,
+    _UnionFind,
     _iso_gen,
     canonical_key,
     corolla,
     edges,
     find_isomorphisms,
-    involutions,
-    is_connected,
     local_interface,
     ports,
     validate_graph,
@@ -320,50 +319,95 @@ def monad_unit(sp: GraphicalSpecies, operation: str) -> tuple[JKGraph, Decoratio
     return g, Decoration(colouring, {"v": label})
 
 
-def _stub_graphs(allowed_valences: list[int], n_ports: int, n_vertices: int):
-    """Connected graphs with the given port names 1..n and n_vertices
-    vertices whose valences are allowed; raw, with duplicates."""
-    port_names = [str(i) for i in range(1, n_ports + 1)]
-    for valences in itertools.product(sorted(allowed_valences), repeat=n_vertices):
-        if sum(valences) < n_ports or (sum(valences) - n_ports) % 2:
+def _pairings(residual: list[int], i: int = 0):
+    """Every way to pair off the residual stubs of vertices i, i+1, ...:
+    for each vertex in turn, the sorted vertices its stubs are paired
+    with, itself twice per loop and a later vertex once per edge."""
+    if i == len(residual):
+        yield ()
+        return
+    for targets in itertools.combinations_with_replacement(range(i, len(residual)), residual[i]):
+        loop_stubs = targets.count(i)
+        if loop_stubs % 2:
             continue
-        flags = []
-        incidence = {}
-        for i, d in enumerate(valences, start=1):
-            for j in range(1, d + 1):
-                f = f"v{i}.{j}"
-                flags.append(f)
-                incidence[f] = f"v{i}"
-        items = [f + "*" for f in flags] + port_names
-        for involution in involutions(items, fixpoints=False):
-            if any(involution[p] in port_names for p in port_names):
-                continue  # a port-port edge would be isolated
-            g = JKGraph(
-                set(items),
-                set(flags),
-                {f"v{i}" for i in range(1, n_vertices + 1)},
-                involution,
-                {f: f + "*" for f in flags},
-                incidence,
-            )
-            if is_connected(g):
-                yield g
+        rest = list(residual)
+        for j in targets[loop_stubs:]:
+            rest[j] -= 1
+        if min(rest) >= 0:
+            for tail in _pairings(rest, i + 1):
+                yield (targets, *tail)
+
+
+def _multigraphs(allowed_valences: list[int], n_ports: int, n_vertices: int):
+    """Connected graphs with ports 1..n and n_vertices vertices whose
+    valences are allowed, one per vertex multigraph: a non-decreasing
+    valence tuple, the vertex of each port, and each vertex's loops and
+    edge multiplicities to later vertices.  Permuting the flags at a
+    vertex fixes every port, so stub matchings with equal multiplicities
+    lie in one class; relabeling vertices of equal valence can still
+    give duplicates.  At each vertex the stubs go, in flag order, to its
+    ports, its loops and its edges."""
+    vertices = [f"v{i}" for i in range(1, n_vertices + 1)]
+    valence_tuples = itertools.combinations_with_replacement(
+        sorted(set(allowed_valences)), n_vertices
+    )
+    for valences in valence_tuples:
+        spare = sum(valences) - n_ports
+        if spare < 0 or spare % 2:
+            continue
+        incidence = {f"{v}.{j}": v for v, d in zip(vertices, valences) for j in range(1, d + 1)}
+        for port_at in itertools.product(range(n_vertices), repeat=n_ports):
+            residual = list(valences)
+            for i in port_at:
+                residual[i] -= 1
+            if min(residual) < 0:
+                continue
+            for pairing in _pairings(residual):
+                uf = _UnionFind(range(n_vertices))
+                for i, targets in enumerate(pairing):
+                    for j in targets:
+                        uf.union(i, j)
+                if len({uf.find(i) for i in range(n_vertices)}) > 1:
+                    continue
+                stubs = [
+                    iter([f"{v}.{j}*" for j in range(1, d + 1)])
+                    for v, d in zip(vertices, valences)
+                ]
+                # ports first; a loop's first stub takes a second one
+                ends = [(next(stubs[i]), str(p)) for p, i in enumerate(port_at, start=1)]
+                ends += [
+                    (next(stubs[i]), next(stubs[j]))
+                    for i, targets in enumerate(pairing)
+                    for j in targets[targets.count(i) // 2 :]
+                ]
+                involution = {a: b for end in ends for a, b in (end, end[::-1])}
+                yield JKGraph(
+                    set(involution),
+                    set(incidence),
+                    set(vertices),
+                    involution,
+                    {f: f + "*" for f in incidence},
+                    incidence,
+                )
 
 
 def graphs_with_ports(
     allowed_valences: list[int], n_ports: int, max_vertices: int
 ) -> list[JKGraph]:
     """Connected graphs with ports 1..n and at most max_vertices
-    vertices of allowed valences, one per port-fixing isomorphism class:
-    the first raw graph of each class, keyed by its canonical_key with
-    the ports fixed, in the order the raw graphs are generated.  For two
-    ports this includes the vertexless unit graph, which comes first."""
+    vertices of allowed valences, one per port-fixing isomorphism class,
+    in a deterministic order: by number of vertices, the vertexless unit
+    graph first for two ports.  Vertices are v1, v2, ..., the flags at
+    vi are vi.1, vi.2, ... and each flag's arc is its name with a '*'.
+    ValueError for a negative valence or port count."""
+    if n_ports < 0 or any(d < 0 for d in allowed_valences):
+        raise ValueError("valences and the port count must be non-negative")
     out: dict[tuple, JKGraph] = {}
     if n_ports == 2:
         unit = JKGraph({"1", "2"}, set(), set(), {"1": "2", "2": "1"}, {}, {})
         out[canonical_key(unit, ports(unit))] = unit
     for n_v in range(1, max_vertices + 1):
-        for g in _stub_graphs(allowed_valences, n_ports, n_v):
+        for g in _multigraphs(allowed_valences, n_ports, n_v):
             out.setdefault(canonical_key(g, ports(g)), g)
     return list(out.values())
 

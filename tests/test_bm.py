@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -358,7 +360,7 @@ def test_memoised_automorphisms_match_the_search(window):
         assert [(g, g) + in_order(m)[2:] for m in across] == [in_order(m) for m in first]
         again = find_bm_isomorphisms(g, g)
         assert again is not first
-        assert len(again) == len(first) and all(a is b for a, b in zip(again, first))
+        assert again == first
         first.clear()
         assert [in_order(m) for m in find_bm_isomorphisms(g, g)] == [in_order(m) for m in again]
 
@@ -380,6 +382,21 @@ def test_automorphisms_are_searched_once_per_graph(monkeypatch):
     assert len(searches) == 2
     assert len(find_bm_isomorphisms(g, twin)) == 2
     assert len(searches) == 3
+
+
+def test_a_graph_whose_automorphisms_were_asked_for_is_freed_at_once():
+    # the memo holds maps, not morphisms, so nothing on the graph points
+    # back at it and reference counting frees it; the collector is off
+    # so that a cycle would keep it alive
+    gc.disable()
+    try:
+        g = bm_corolla(3)
+        alive = weakref.ref(g)
+        assert len(find_bm_isomorphisms(g, g)) == 6
+        del g
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def product_isomorphisms(g1: BMGraph, g2: BMGraph) -> set:

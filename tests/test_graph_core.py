@@ -86,6 +86,17 @@ def test_edge_kinds(L, CY, PATH):
     assert isolated_edges(L) == set()
 
 
+def test_inner_edges_are_kept_on_the_graph_and_cannot_be_changed(CY):
+    first = inner_edges(CY)
+    assert inner_edges(CY) is first
+    im = set(CY.embed.values())
+    fresh = {frozenset((a, CY.involution[a])) for a in CY.arcs if {a, CY.involution[a]} <= im}
+    assert first == fresh
+    with pytest.raises(AttributeError):
+        first.add(frozenset({"x", "y"}))
+    assert isinstance(first, frozenset) and all(isinstance(e, frozenset) for e in first)
+
+
 def test_local_interface_is_the_inward_arcs():
     c = corolla(3)
     assert local_interface(c, "v") == {"1", "2", "3"}

@@ -3,9 +3,12 @@ import itertools
 import pytest
 
 from grafcat.graph_core import (
+    JKGraph,
     canonical_key,
     corolla,
     find_isomorphisms,
+    involutions,
+    is_connected,
     local_interface,
     ports,
     relabel,
@@ -16,7 +19,6 @@ from grafcat.species import (
     Decoration,
     VertexLabel,
     GraphicalSpecies,
-    _stub_graphs,
     act,
     canonical_label,
     decorated_isomorphic,
@@ -205,6 +207,103 @@ def test_monad_unit():
 
 # -- truncated free algebra ----------------------------------------------------------------
 
+def stub_graphs(allowed_valences, n_ports, n_vertices):
+    """Reference enumerator: every matching of all stubs and ports with
+    no port-port edge, kept when connected; raw, with duplicates."""
+    port_names = [str(i) for i in range(1, n_ports + 1)]
+    for valences in itertools.product(sorted(allowed_valences), repeat=n_vertices):
+        if sum(valences) < n_ports or (sum(valences) - n_ports) % 2:
+            continue
+        flags = []
+        incidence = {}
+        for i, d in enumerate(valences, start=1):
+            for j in range(1, d + 1):
+                f = f"v{i}.{j}"
+                flags.append(f)
+                incidence[f] = f"v{i}"
+        items = [f + "*" for f in flags] + port_names
+        for involution in involutions(items, fixpoints=False):
+            if any(involution[p] in port_names for p in port_names):
+                continue  # a port-port edge would be isolated
+            g = JKGraph(
+                set(items),
+                set(flags),
+                {f"v{i}" for i in range(1, n_vertices + 1)},
+                involution,
+                {f: f + "*" for f in flags},
+                incidence,
+            )
+            if is_connected(g):
+                yield g
+
+
+def port_fixing_keys(allowed_valences, n_ports, max_vertices):
+    """The port-fixing class keys of the reference's raw graphs, with
+    the unit graph's for two ports."""
+    keys = set()
+    if n_ports == 2:
+        unit = JKGraph({"1", "2"}, set(), set(), {"1": "2", "2": "1"}, {}, {})
+        keys.add(canonical_key(unit, ports(unit)))
+    for n_v in range(1, max_vertices + 1):
+        for g in stub_graphs(allowed_valences, n_ports, n_v):
+            keys.add(canonical_key(g, ports(g)))
+    return keys
+
+
+# the monad-law sweep's calls (outers, middle pools, SP2 truncations),
+# then valences 0, 1 and 4, a repeated valence, no vertices and a wider
+# window
+ENUMERATOR_ARGS = [([2, 3], p, 3) for p in range(4)] + [
+    ([2, 3], 2, 2),
+    ([2, 3], 3, 2),
+    ([2, 3], 1, 1),
+    ([2, 3], 2, 1),
+    ([2, 3], 3, 1),
+    ([2, 3], 1, 2),
+    ([3], 3, 1),
+    ([3], 2, 2),
+    ([1], 2, 2),
+    ([0, 1, 2], 0, 2),
+    ([4], 2, 2),
+    ([3, 2, 3], 2, 2),
+    ([2, 3], 4, 3),
+]
+
+
+@pytest.mark.parametrize("args", ENUMERATOR_ARGS, ids=str)
+def test_multigraph_enumeration_matches_the_stub_matchings(args):
+    allowed, n_ports, max_v = args
+    gs = graphs_with_ports(allowed, n_ports, max_v)
+    keys = [canonical_key(g, ports(g)) for g in gs]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == port_fixing_keys(allowed, n_ports, max_v)
+    if n_ports == 2:
+        assert not gs[0].vertices
+    for g in gs:
+        assert validate_graph(g).ok
+        assert is_connected(g)
+        assert ports(g) == {str(k) for k in range(1, n_ports + 1)}
+        assert all(len(g.flags_at(v)) in allowed for v in g.vertices)
+        assert len(g.vertices) <= max_v
+
+
+def test_graphs_with_ports_rejects_negative_arguments():
+    with pytest.raises(ValueError):
+        graphs_with_ports([-1, 3], 2, 2)
+    with pytest.raises(ValueError):
+        graphs_with_ports([3], -1, 2)
+    with pytest.raises(ValueError):
+        graphs_with_ports([3, -2], 2, 0)
+
+
+def test_graphs_with_ports_without_vertices():
+    for max_v in (0, -1):
+        (unit,) = graphs_with_ports([3], 2, max_v)
+        assert not unit.vertices and ports(unit) == {"1", "2"}
+        assert graphs_with_ports([3], 3, max_v) == []
+        assert graphs_with_ports([2], 0, max_v) == []
+
+
 def test_graphs_with_ports_shapes():
     gs = graphs_with_ports([3], 3, 1)
     assert len(gs) == 1 and len(gs[0].vertices) == 1
@@ -234,7 +333,7 @@ def test_port_fixing_key_matches_the_isomorphism_search():
     for p, reps in classes.items():
         rep_keys = [canonical_key(h, ports(h)) for h in reps]
         for n_v in range(1, 4):
-            for g in _stub_graphs([2, 3], p, n_v):
+            for g in stub_graphs([2, 3], p, n_v):
                 key = canonical_key(g, ports(g))
                 for h, h_key in zip(reps, rep_keys):
                     same = port_fixing_isomorphic(g, h)
