@@ -466,16 +466,11 @@ def flags_by_vertex(vertices: Iterable[str], incidence: dict[str, str]) -> dict[
     return at
 
 
-Colouring = tuple[dict, dict]
-
-
 def flag_isomorphisms(
     at1: dict[str, list[str]],
     partner1: dict[str, str],
     at2: dict[str, list[str]],
     partner2: dict[str, str],
-    vertex_colours: Colouring | None = None,
-    flag_colours: Colouring | None = None,
 ) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
     """Every pair (vertex_map, flag_map) of bijections that sends the
     flags at each vertex onto the flags at its image and commutes with
@@ -486,33 +481,13 @@ def flag_isomorphisms(
     Vertices are placed in sorted order, each onto an unused vertex of
     the same (valence, open ends) signature with each order of its
     flags; partner is checked against the flags placed so far, so a
-    pair of flags is checked when its later flag is placed.
-
-    vertex_colours and flag_colours, if given, are pairs of dicts (one
-    for each side, vertices and flags apart so that equal labels cannot
-    collide) of hashable colours; a missing entry is the colour None.
-    Only the maps that preserve every colour are yielded, in the
-    uncoloured order: a vertex's colour and the sorted colours of its
-    flags join its signature, and each order of its flags must match
-    colour for colour."""
+    pair of flags is checked when its later flag is placed."""
 
     def signature(at, partner, v):
         return len(at[v]), sum(1 for h in at[v] if partner[h] == h)
 
     sig1 = {v: signature(at1, partner1, v) for v in at1}
     sig2 = {w: signature(at2, partner2, w) for w in at2}
-    if vertex_colours or flag_colours:
-        # colours need not be ordered: signatures carry their numbers,
-        # shared by both sides, instead
-        number: dict = {}
-        vc1, vc2 = vertex_colours or ({}, {})
-        fc1, fc2 = flag_colours or ({}, {})
-        for sig, at, vc, fc in ((sig1, at1, vc1, fc1), (sig2, at2, vc2, fc2)):
-            for v in at:
-                sig[v] += (
-                    number.setdefault(vc.get(v), len(number)),
-                    sorted(number.setdefault(fc.get(h), len(number)) for h in at[v]),
-                )
     if sorted(sig1.values()) != sorted(sig2.values()):
         return iter(())
     vs1 = sorted(at1)
@@ -528,8 +503,6 @@ def flag_isomorphisms(
     vmap: dict[str, str] = {}
     fmap: dict[str, str] = {}
 
-    wanted = [tuple(map(fc1.get, at1[v])) for v in vs1] if flag_colours else None
-
     def place(i: int):
         v = vs1[i]
         hs = at1[v]
@@ -538,10 +511,7 @@ def flag_isomorphisms(
             if w in used or sig2[w] != sig1[v]:
                 continue
             vmap[v] = w
-            images = itertools.permutations(at2[w])
-            if wanted:  # only the orders that match v's flag colours
-                images = (im for im in images if tuple(map(fc2.get, im)) == wanted[i])
-            for image in images:
+            for image in itertools.permutations(at2[w]):
                 fmap.update(zip(hs, image))
                 for h, p in checks[i]:
                     if fmap[p] != partner2[fmap[h]]:
@@ -562,22 +532,16 @@ def _isolated_maps(iso1: list[tuple[str, str]], iso2: list[tuple[str, str]]):
             yield {a: b for e1, e2 in zip(iso1, ends) for a, b in zip(e1, e2)}
 
 
-def _flag_view(g: JKGraph) -> tuple[dict[str, list[str]], dict[str, str]]:
+def flag_view(g: JKGraph) -> tuple[dict[str, list[str]], dict[str, str]]:
     """The flags at each vertex and each flag's partner across its edge."""
     flag_of_arc = {a: h for h, a in g.embed.items()}
     partner = {h: flag_of_arc.get(g.involution[a], h) for h, a in g.embed.items()}
     return flags_by_vertex(g.vertices, g.incidence), partner
 
 
-def _iso_gen(
-    g1: JKGraph,
-    g2: JKGraph,
-    vertex_colours: Colouring | None = None,
-    flag_colours: Colouring | None = None,
-) -> Iterator[GraphIso]:
+def _iso_gen(g1: JKGraph, g2: JKGraph) -> Iterator[GraphIso]:
     """The flag-level isomorphisms, each with the arc map they force,
-    combined with every pairing of the isolated edges; only those that
-    preserve the colours, if given (see flag_isomorphisms)."""
+    combined with every pairing of the isolated edges."""
     if (
         len(g1.arcs) != len(g2.arcs)
         or len(g1.flags) != len(g2.flags)
@@ -585,9 +549,7 @@ def _iso_gen(
     ):
         return
     isolated = None
-    for vmap, fmap in flag_isomorphisms(
-        *_flag_view(g1), *_flag_view(g2), vertex_colours, flag_colours
-    ):
+    for vmap, fmap in flag_isomorphisms(*flag_view(g1), *flag_view(g2)):
         if isolated is None:  # needed only once a flag map is found
             iso1 = sorted(tuple(sorted(e)) for e in isolated_edges(g1))
             iso2 = sorted(tuple(sorted(e)) for e in isolated_edges(g2))

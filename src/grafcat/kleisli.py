@@ -21,7 +21,7 @@ back to exactly S.
 Refinements are the generic morphisms of a Kleisli category whose free
 morphisms are etale maps; this module also provides the generic/free
 factorisation data, the pushout of a refinement against a reduced
-cover, and decision procedures for equality of the composites.
+cover, and equality of composites by the middle isomorphism they force.
 
 Two constructions are cuts of a refinement's target: the pieces summed
 into one reduced cover are the target with every edge between two
@@ -50,13 +50,14 @@ from .graph_core import (
     GraphIso,
     JKGraph,
     ValidationReport,
-    _iso_gen,
     components,
     corolla,
     endpoint_problems,
+    flag_view,
     graph_clauses,
     graph_sum,
     inner_edges,
+    isolated_edges,
     local_interface,
     ports,
     prefix_graph,
@@ -446,46 +447,83 @@ def compose_cover_then_refinement(rc: ReducedCover, u: Refinement) -> KleisliMor
     return KleisliMorphism(refinement, free.morphism)
 
 
-def _middle_colours(k: KleisliMorphism) -> tuple[dict, dict]:
-    """What any isomorphism of middles commuting with both parts must
-    keep: a middle vertex's pieces and its image under the free part,
-    and a middle flag's image under the free part and the source flags
-    that choose it."""
-    r, m = k.generic, k.free
-    pieces: dict[str, list[str]] = {}
-    for x, w in r.vertex_map.items():
-        for v in w:
-            pieces.setdefault(v, []).append(x)
-    choosers: dict[str, list[str]] = {}
-    for g, ref in r.flag_map.items():
-        choosers.setdefault(ref.flag, []).append(g)
-    vertex_colours = {
-        v: (tuple(sorted(pieces.get(v, ()))), m.vertex_map.get(v)) for v in r.target.vertices
-    }
-    flag_colours = {
-        h: (m.flag_map.get(h), tuple(sorted(choosers.get(h, ())))) for h in r.target.flags
-    }
-    return vertex_colours, flag_colours
+def _middle_iso(k1: KleisliMorphism, k2: KleisliMorphism) -> GraphIso | None:
+    """The isomorphism of middles that both parts force, or None.
+
+    Free parts are etale: once a middle vertex v goes to w, each flag at v
+    goes to the flag at w over the same flag below, and its partner to
+    that flag's partner.  Walks start from the flags the generic parts
+    choose and check that partners (so ports) meet and that vertices keep
+    pieces and images below.  A component with no chosen flag lies in one
+    piece and takes the first unused vertex that completes it, which is
+    exact: component maps keeping pieces and images compose and invert."""
+    (r1, m1), (r2, m2) = (k1.generic, k1.free), (k2.generic, k2.free)
+    mid1, mid2 = r1.target, r2.target
+    (at1, partner1), (_, partner2) = flag_view(mid1), flag_view(mid2)
+    piece1 = {v: x for x, w in r1.vertex_map.items() for v in w}
+    piece2 = {v: x for x, w in r2.vertex_map.items() for v in w}
+    over = {(mid2.incidence[k], m2.flag_map[k]): k for k in mid2.flags}
+    fmap = {ref.flag: r2.flag_map[g].flag for g, ref in r1.flag_map.items()}
+    vmap: dict[str, str] = {}
+    used: set[str] = set()
+
+    def grow(stack: list[tuple[str, str]]) -> bool:
+        """Map the components the vertex pairs on the stack reach; False on a clash."""
+        while stack:
+            v, w = stack.pop()
+            if v in vmap:  # at w, since fmap sends its flag that led here into w
+                continue
+            if w in used or piece1.get(v) != piece2.get(w) or m1.vertex_map[v] != m2.vertex_map[w]:
+                return False
+            vmap[v] = w
+            used.add(w)
+            for h in at1[v]:
+                k = over.get((w, m1.flag_map[h]))
+                if k is None or fmap.setdefault(h, k) != k:
+                    return False
+                p, q = partner1[h], partner2[k]
+                if fmap.setdefault(p, q) != q:  # a port is its own partner
+                    return False
+                stack.append((mid1.incidence[p], mid2.incidence[q]))
+        return True
+
+    if not grow([(mid1.incidence[h], mid2.incidence[k]) for h, k in fmap.items()]):
+        return None
+    for v in sorted(mid1.vertices):
+        if v in vmap:
+            continue
+        for w in sorted(mid2.vertices - used):
+            before = set(vmap)
+            if grow([(v, w)]):
+                break
+            for u in vmap.keys() - before:  # no chosen flag here: undo the whole trial
+                used.discard(vmap.pop(u))
+                for h in at1[u]:
+                    fmap.pop(h, None)
+                    fmap.pop(partner1[h], None)
+        else:
+            return None
+    amap = {mid1.embed[h]: mid2.embed[k] for h, k in fmap.items()}
+    amap.update({mid1.involution[a]: mid2.involution[b] for a, b in amap.items()})
+    return GraphIso(amap, fmap, vmap)
 
 
 def kleisli_equal(k1: KleisliMorphism, k2: KleisliMorphism) -> bool:
-    """Equality of generic/free presentations: same endpoints, and an
-    isomorphism of middles commuting with both parts.
-
-    The search only tries isomorphisms that keep each middle vertex in
-    the same pieces over the same target vertex, and send each middle
-    flag to one with the same image below and the same source flags
-    choosing it; each candidate is then transported and compared in
-    full, so the colours only drop candidates that would fail."""
+    """Same endpoints, and the middle isomorphism that _middle_iso builds
+    commutes with both parts.  ValueError if a free part does not start
+    at its generic part's target or a middle has isolated edges."""
+    for k in (k1, k2):
+        if k.free.source is not k.generic.target and k.free.source != k.generic.target:
+            raise ValueError("the free part does not start at the generic part's target")
+        if isolated_edges(k.generic.target):
+            raise ValueError("middles of Kleisli morphisms have no isolated edges")
     if (k1.source is not k2.source and k1.source != k2.source) or (
         k1.target is not k2.target and k1.target != k2.target
     ):
         return False
-    (vc1, fc1), (vc2, fc2) = _middle_colours(k1), _middle_colours(k2)
-    for iso in _iso_gen(k1.generic.target, k2.generic.target, (vc1, vc2), (fc1, fc2)):
-        if transport_refinement(k1.generic, iso, k2.generic.target) != k2.generic:
-            continue
-        mid_iso = iso_etale(k1.generic.target, k2.generic.target, iso)
-        if compose_etale(mid_iso, k2.free) == k1.free:
-            return True
-    return False
+    iso = _middle_iso(k1, k2)
+    return (
+        iso is not None
+        and transport_refinement(k1.generic, iso, k2.generic.target) == k2.generic
+        and compose_etale(iso_etale(k1.generic.target, k2.generic.target, iso), k2.free) == k1.free
+    )

@@ -34,9 +34,9 @@ from .cospan_equiv import (
 from .etale import ReducedCover, replay_gluings
 from .graph_core import (
     JKGraph,
-    _flag_view,
     _UnionFind,
     canonical_key,
+    flag_view,
     graph_clauses,
     involutions,
     memoised,
@@ -224,7 +224,7 @@ def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
     r_vertices = sorted(r.vertices)
     s_vertices = sorted(s.vertices)
     rank = {x: i for i, x in enumerate(r_vertices)}
-    (_, r_partner), (_, s_partner) = _flag_view(r), _flag_view(s)
+    (_, r_partner), (_, s_partner) = flag_view(r), flag_view(s)
     leaders = [g for g in sorted(r.flags) if g <= r_partner[g]]
     s_flags = sorted(s.flags)
     on_port = [h for h in s_flags if s_partner[h] == h]

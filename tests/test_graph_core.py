@@ -303,12 +303,12 @@ def test_recompose_random(g):
     assert is_isomorphic(back, g)
 
 
-# -- coloured flag search -------------------------------------------------------------
+# -- flag search ---------------------------------------------------------------------
 
 
 def uncoloured_flag_isomorphisms(at1, partner1, at2, partner2):
-    """flag_isomorphisms without colours, written out on its own: the
-    reference for the uncoloured output and its order."""
+    """flag_isomorphisms written out on its own: the reference for its
+    output and its order."""
 
     def signature(at, partner, v):
         return len(at[v]), sum(1 for h in at[v] if partner[h] == h)
@@ -348,68 +348,21 @@ def uncoloured_flag_isomorphisms(at1, partner1, at2, partner2):
 
 
 def _flag_search_window():
-    """Each (2,4) vertex/flag graph as (at, partner), with a fixed
-    colouring of its vertices and flags by the parity of their rank."""
-    out = []
-    for g in enumerate_bm_graphs(2, 4):
-        at = flags_by_vertex(g.vertices, g.boundary)
-        vc = {v: i % 2 for i, v in enumerate(sorted(g.vertices))}
-        fc = {h: i % 2 for i, h in enumerate(sorted(g.flags))}
-        out.append((at, g.involution, vc, fc))
-    return out
+    """Each (2,4) vertex/flag graph as (at, partner)."""
+    return [
+        (flags_by_vertex(g.vertices, g.boundary), g.involution) for g in enumerate_bm_graphs(2, 4)
+    ]
 
 
 def test_uncoloured_flag_search_is_unchanged():
     window = _flag_search_window()
     found = 0
-    for at1, p1, _, _ in window:
-        for at2, p2, _, _ in window:
+    for at1, p1 in window:
+        for at2, p2 in window:
             isos = list(flag_isomorphisms(at1, p1, at2, p2))
             assert isos == list(uncoloured_flag_isomorphisms(at1, p1, at2, p2))
             found += len(isos)
     assert (len(window), found) == (33, 149)
-
-
-@pytest.mark.parametrize("use_vertices, use_flags", [(True, False), (False, True), (True, True)])
-def test_coloured_flag_search_keeps_the_colour_preserving_isomorphisms(use_vertices, use_flags):
-    window = _flag_search_window()
-    kept = total = 0
-    for at1, p1, vc1, fc1 in window:
-        for at2, p2, vc2, fc2 in window:
-            everything = list(flag_isomorphisms(at1, p1, at2, p2))
-            preserving = [
-                (vmap, fmap)
-                for vmap, fmap in everything
-                if (not use_vertices or all(vc2[vmap[v]] == c for v, c in vc1.items()))
-                and (not use_flags or all(fc2[fmap[h]] == c for h, c in fc1.items()))
-            ]
-            coloured = flag_isomorphisms(
-                at1,
-                p1,
-                at2,
-                p2,
-                vertex_colours=(vc1, vc2) if use_vertices else None,
-                flag_colours=(fc1, fc2) if use_flags else None,
-            )
-            assert list(coloured) == preserving
-            kept += len(preserving)
-            total += len(everything)
-    assert 0 < kept < total
-
-
-def test_vertex_and_flag_colours_stay_apart():
-    # a vertex and a flag share the label "x"; a missing colour is None
-    at = {"x": ["x", "y"]}
-    partner = {"x": "x", "y": "y"}
-    both = list(flag_isomorphisms(at, partner, at, partner))
-    assert len(both) == 2
-    pinned = flag_isomorphisms(
-        at, partner, at, partner, vertex_colours=({"x": 0}, {"x": 0}), flag_colours=({"x": 1},) * 2
-    )
-    assert list(pinned) == [({"x": "x"}, {"x": "x", "y": "y"})]
-    assert not list(
-        flag_isomorphisms(at, partner, at, partner, vertex_colours=({"x": 0}, {"x": 1}))
-    )
 
 
 # -- canonical key -------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -10,6 +12,7 @@ from grafcat.etale import (
     cut_edges,
     glue_ports,
     identity_cover,
+    identity_etale,
     is_reduced_cover,
     iso_etale,
     open_subgraph,
@@ -23,11 +26,15 @@ from grafcat.graph_core import (
     corolla,
     disjoint_union,
     find_isomorphisms,
+    flags_by_vertex,
+    graph_sum,
     inner_edges,
     is_effective,
     is_isomorphic,
     local_interface,
     ports,
+    prefix_graph,
+    unit_graph,
     validate_graph,
 )
 from grafcat.kleisli import (
@@ -332,8 +339,9 @@ def test_kleisli_equal_discriminates(L, PATH):
 
 
 def searched_kleisli_equal(k1: KleisliMorphism, k2: KleisliMorphism) -> bool:
-    """kleisli_equal without colours: every isomorphism of middles is
-    transported and compared.  The reference for the pruned search."""
+    """kleisli_equal by search: every isomorphism of middles is
+    transported and compared.  The reference for the isomorphism that
+    kleisli_equal constructs."""
     if k1.source != k2.source or k1.target != k2.target:
         return False
     for iso in _iso_gen(k1.generic.target, k2.generic.target):
@@ -345,7 +353,7 @@ def searched_kleisli_equal(k1: KleisliMorphism, k2: KleisliMorphism) -> bool:
     return False
 
 
-def test_pruned_kleisli_equal_matches_the_search_on_the_three_three_window():
+def test_kleisli_equal_matches_the_search_on_the_three_three_window():
     # every comparison the pushout acceptance test makes, on the (3,3)
     # pictures: cocones, their mediating refinements, and distinct
     # refinements after a cover; every composite is also checked against
@@ -383,6 +391,67 @@ def test_pruned_kleisli_equal_matches_the_search_on_the_three_three_window():
                     for k2 in ks[i + 1 :]:
                         agree(k, k2)
     assert (len(calls), sum(calls)) == (5528, 1214)
+
+
+def test_kleisli_equal_matches_the_search_on_etale_folds(L, CY):
+    # free parts that are not injective on vertices: every etale map of
+    # two 2-cycles and a loop onto the one-vertex loop, after every split
+    # of the three components between two flagless vertices; the loop
+    # sorts between the cycles, so a cycle vertex meets it as a candidate
+    parts = [prefix_graph(g, pfx)[0] for g, pfx in ((CY, "A."), (L, "B."), (CY, "C."))]
+    mid = graph_sum(parts)
+    at = flags_by_vertex(mid.vertices, mid.incidence)
+    frees = []
+    for images in itertools.product(*(itertools.permutations(sorted(L.flags)) for _ in at)):
+        fmap = {h: k for v, image in zip(sorted(at), images) for h, k in zip(at[v], image)}
+        arcs = {mid.embed[h]: L.embed[k] for h, k in fmap.items()}
+        m = EtaleMorphism(mid, L, arcs, fmap, {v: "v" for v in mid.vertices})
+        if validate_etale(m).ok:
+            frees.append(m)
+    source = JKGraph(set(), set(), {"x", "y"}, {}, {}, {})
+    gens = []
+    for sides in itertools.product("xy", repeat=3):
+        pieces_at = {
+            x: {v for p, side in zip(parts, sides) if side == x for v in p.vertices} for x in "xy"
+        }
+        if all(pieces_at.values()):
+            gens.append(Refinement(source, mid, {}, pieces_at, {}))
+    assert (len(frees), len(gens)) == (8, 6)
+    assert all(validate_refinement(r).ok for r in gens)
+    ks = [KleisliMorphism(r, m) for r in gens for m in frees]
+    same = [kleisli_equal(k1, k2) for k1 in ks for k2 in ks]
+    assert same == [searched_kleisli_equal(k1, k2) for k1 in ks for k2 in ks]
+    assert (len(same), sum(same)) == (2304, 640)
+
+
+def test_kleisli_equal_takes_only_isomorphisms_of_middles(L):
+    # a corolla's two ports over the loop's two flags, against the loop
+    # itself: every level agrees, but no isomorphism sends ports onto an
+    # inner edge (the corolla's generic part breaks the refinement
+    # clauses, which kleisli_equal does not check)
+    c2 = corolla(2)
+    fold = EtaleMorphism(
+        c2, L, {"1*": "l1", "1": "l2", "2*": "l2", "2": "l1"}, {"1*": "f1", "2*": "f2"}, {"v": "v"}
+    )
+    assert validate_etale(fold).ok
+    x = JKGraph(set(), set(), {"x"}, {}, {}, {})
+    k1 = KleisliMorphism(Refinement(x, c2, {}, {"x": {"v"}}, {}), fold)
+    k2 = KleisliMorphism(Refinement(x, L, {}, {"x": {"v"}}, {}), identity_etale(L))
+    assert not searched_kleisli_equal(k1, k2)
+    assert not kleisli_equal(k1, k2) and not kleisli_equal(k2, k1)
+
+
+def test_kleisli_equal_rejects_inputs_outside_its_domain(L, CY, PATH):
+    good = generic_kleisli(loop_to_cycle(L, PATH))
+    # a free part that does not start at its generic part's target
+    off = KleisliMorphism(identity_refinement(L), identity_etale(CY))
+    # a middle with an isolated edge
+    stray = graph_sum([L, unit_graph()])
+    lone = KleisliMorphism(identity_refinement(stray), identity_etale(stray))
+    for bad in (off, lone):
+        for pair in ((bad, bad), (bad, good), (good, bad)):
+            with pytest.raises(ValueError):
+                kleisli_equal(*pair)
 
 
 def test_open_inclusion_is_not_generic(CY):
