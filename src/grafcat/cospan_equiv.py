@@ -41,7 +41,6 @@ from .etale import (
 from .graph_core import JKGraph, ValidationReport, memoised
 from .kleisli import (
     Refinement,
-    FlaggedSubgraphRef,
     compose_refinements,
     identity_refinement,
     pushout_gen_rc,
@@ -130,41 +129,27 @@ def phi1_mor_inv(rc: ReducedCover) -> BMMorphism:
 
 def phi2_mor(m: BMMorphism) -> Refinement:
     """The arc picture of a compression sigma -> rho: a refinement
-    phi1(rho) -> phi1(sigma) whose piece at each rho-vertex is the
-    sigma-subgraph its fibre spans."""
+    phi1(rho) -> phi1(sigma) with the compression's own vertex and flag
+    maps, so the piece at each rho-vertex is the sigma-subgraph its
+    fibre spans and each rho-flag chooses the sigma-flag it comes from."""
     src_jk = phi1_graph(m.target)  # picture of rho
     tgt_jk = phi1_graph(m.source)  # picture of sigma
-    sigma, rho = m.source, m.target
-    comp_rho = tail_companions(rho)
-    comp_sigma = tail_companions(sigma)
-    vertex_map = {
-        x: frozenset(v for v in sigma.vertices if m.vertex_map[v] == x) for x in rho.vertices
-    }
-    flag_map = {
-        g: FlaggedSubgraphRef(vertex_map[rho.boundary[g]], m.flag_map[g]) for g in rho.flags
-    }
-    arc_map = {}
-    for g in rho.flags:
-        arc_map[g] = m.flag_map[g]
-    for t, c in comp_rho.items():
+    comp_sigma = tail_companions(m.source)
+    arc_map = dict(m.flag_map)
+    for t, c in tail_companions(m.target).items():
         arc_map[c] = comp_sigma[m.flag_map[t]]
-    return Refinement(src_jk, tgt_jk, arc_map, vertex_map, flag_map)
+    return Refinement(src_jk, tgt_jk, arc_map, m.vertex_map, m.flag_map)
 
 
 def phi2_mor_inv(r: Refinement) -> BMMorphism:
     """Read a compression off a refinement between arc pictures."""
     sigma = phi1_graph_inv(r.target)
     rho = phi1_graph_inv(r.source)
-    flag_map = {g: r.flag_map[g].flag for g in rho.flags}
-    vertex_map = {}
-    for x, w in r.vertex_map.items():
-        for v in w:
-            vertex_map[v] = x
-    image = set(flag_map.values())
+    image = set(r.flag_map.values())
     virtual = {
         f: sigma.involution[f] for f in sigma.flags if f not in image
     }
-    return BMMorphism(sigma, rho, flag_map, vertex_map, virtual)
+    return BMMorphism(sigma, rho, r.flag_map, r.vertex_map, virtual)
 
 
 @dataclass(frozen=True)
@@ -227,8 +212,8 @@ def cospan_key(c: GraphCospan) -> tuple:
     can commute with it.  Renaming every apex vertex and flag after its
     unique preimage, and every apex arc after its least preimage, makes
     that isomorphism the identity.  The key lists, after the renaming,
-    which arcs the cover glues and the right leg's three maps (each flag
-    by its chosen flag).  Raises ValueError if the left leg is not
+    which arcs the cover glues and the right leg's three maps (each apex
+    vertex by its piece, each flag by its chosen flag).  Raises ValueError if the left leg is not
     bijective on vertices and flags or not onto the apex arcs."""
     left, apex = c.left, c.apex
     vertex_name = {w: v for v, w in left.vertex_map.items()}
@@ -246,13 +231,8 @@ def cospan_key(c: GraphCospan) -> tuple:
     return (
         tuple(sorted((a, arc_name[b]) for a, b in left.arc_map.items())),
         tuple(sorted((a, arc_name[b]) for a, b in right.arc_map.items())),
-        tuple(
-            sorted(
-                (x, tuple(sorted(vertex_name[w] for w in ws)))
-                for x, ws in right.vertex_map.items()
-            )
-        ),
-        tuple(sorted((g, flag_name[ref.flag]) for g, ref in right.flag_map.items())),
+        tuple(sorted((vertex_name[w], x) for w, x in right.vertex_map.items())),
+        tuple(sorted((g, flag_name[h]) for g, h in right.flag_map.items())),
     )
 
 

@@ -178,9 +178,12 @@ def ports(g: JKGraph) -> set[str]:
     return {a for a in g.arcs if a not in im}
 
 
-def isolated_edges(g: JKGraph) -> set[frozenset[str]]:
+@memoised
+def isolated_edges(g: JKGraph) -> frozenset[frozenset[str]]:
+    """The edges with neither arc in the image of embed, found once per
+    graph."""
     im = embed_image(g)
-    return {e for e in edges(g) if all(a not in im for a in e)}
+    return frozenset(e for e in edges(g) if all(a not in im for a in e))
 
 
 def local_interface(g: JKGraph, v: str) -> set[str]:
@@ -532,8 +535,10 @@ def _isolated_maps(iso1: list[tuple[str, str]], iso2: list[tuple[str, str]]):
             yield {a: b for e1, e2 in zip(iso1, ends) for a, b in zip(e1, e2)}
 
 
+@memoised
 def flag_view(g: JKGraph) -> tuple[dict[str, list[str]], dict[str, str]]:
-    """The flags at each vertex and each flag's partner across its edge."""
+    """The flags at each vertex and each flag's partner across its edge,
+    found once per graph and shared by every caller."""
     flag_of_arc = {a: h for h, a in g.embed.items()}
     partner = {h: flag_of_arc.get(g.involution[a], h) for h, a in g.embed.items()}
     return flags_by_vertex(g.vertices, g.incidence), partner

@@ -5,7 +5,14 @@ Every document carries a "kind" discriminator: "jk-graph", "bm-graph",
 keys are rejected.  Where a morphism document embeds its source or
 target graph, the graph may be given inline or as {"$file": "path"}
 relative to the referring document.  Serialisation is deterministic:
-keys sorted, set-valued fields emitted as sorted lists."""
+keys sorted, set-valued fields emitted as sorted lists.
+
+A refinement document lists each source vertex's piece under
+"vertex_map" and gives each source flag its chosen "outer_flag" with a
+"subgraph": the piece of the flag's vertex.  A Refinement holds only
+the vertex map from target to source vertices, so on writing both are
+derived from it; on reading, a target vertex listed under two pieces,
+or a subgraph other than its flag's piece, is a format error."""
 
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ from .bm import BMGraph, BMMorphism
 from .cospan_equiv import GraphCospan
 from .etale import EtaleMorphism, ReducedCover
 from .graph_core import JKGraph
-from .kleisli import FlaggedSubgraphRef, Refinement
+from .kleisli import Refinement, piece_vertices
 from .species import GraphicalSpecies
 
 
@@ -208,15 +215,16 @@ def etale_from_json(doc, base_dir: str | None = None) -> EtaleMorphism:
 
 
 def refinement_to_json(r: Refinement) -> dict:
+    pieces = piece_vertices(r)
     return {
         "kind": "refinement",
         "source": graph_to_json(r.source),
         "target": graph_to_json(r.target),
         "arc_map": dict(r.arc_map),
-        "vertex_map": {x: sorted(w) for x, w in r.vertex_map.items()},
+        "vertex_map": pieces,
         "flag_map": {
-            g: {"subgraph": sorted(ref.vertex_set), "outer_flag": ref.flag}
-            for g, ref in r.flag_map.items()
+            g: {"subgraph": list(pieces.get(r.source.incidence.get(g), [])), "outer_flag": h}
+            for g, h in r.flag_map.items()
         },
     }
 
@@ -224,25 +232,35 @@ def refinement_to_json(r: Refinement) -> dict:
 def refinement_from_json(doc, base_dir: str | None = None) -> Refinement:
     _expect_kind(doc, "refinement", "refinement")
     _check_keys(doc, {"source", "target", "arc_map", "vertex_map", "flag_map"}, "refinement")
+    source = _graph_slot(doc["source"], "jk-graph", "refinement.source", base_dir, graph_from_json)
     if not isinstance(doc["vertex_map"], dict):
         raise JsonFormatError("refinement.vertex_map: expected an object")
-    vertex_map = {
-        x: frozenset(_str_list(w, f"refinement.vertex_map[{x!r}]"))
-        for x, w in doc["vertex_map"].items()
+    pieces = {
+        x: set(_str_list(w, f"refinement.vertex_map[{x!r}]")) for x, w in doc["vertex_map"].items()
     }
+    vertex_map: dict[str, str] = {}
+    for x, w in pieces.items():
+        for v in sorted(w):
+            if vertex_map.setdefault(v, x) != x:
+                raise JsonFormatError(
+                    f"refinement.vertex_map[{x!r}]: target vertex {v!r} is also in the piece "
+                    f"at {vertex_map[v]!r}"
+                )
     if not isinstance(doc["flag_map"], dict):
         raise JsonFormatError("refinement.flag_map: expected an object")
     flag_map = {}
     for g, entry in doc["flag_map"].items():
-        _check_keys(entry, {"subgraph", "outer_flag"}, f"refinement.flag_map[{g!r}]")
+        what = f"refinement.flag_map[{g!r}]"
+        _check_keys(entry, {"subgraph", "outer_flag"}, what)
         if not isinstance(entry["outer_flag"], str):
-            raise JsonFormatError(f"refinement.flag_map[{g!r}]: outer_flag must be a string")
-        flag_map[g] = FlaggedSubgraphRef(
-            frozenset(_str_list(entry["subgraph"], f"refinement.flag_map[{g!r}].subgraph")),
-            entry["outer_flag"],
-        )
+            raise JsonFormatError(f"{what}: outer_flag must be a string")
+        subgraph = set(_str_list(entry["subgraph"], what + ".subgraph"))
+        x = source.incidence.get(g)  # a flag outside the source fails validation instead
+        if x is not None and subgraph != pieces.get(x, set()):
+            raise JsonFormatError(f"{what}.subgraph: not the piece at the flag's vertex {x!r}")
+        flag_map[g] = entry["outer_flag"]
     return Refinement(
-        _graph_slot(doc["source"], "jk-graph", "refinement.source", base_dir, graph_from_json),
+        source,
         _graph_slot(doc["target"], "jk-graph", "refinement.target", base_dir, graph_from_json),
         _str_map(doc["arc_map"], "refinement.arc_map"),
         vertex_map,

@@ -4,12 +4,11 @@ A refinement R -> S exhibits S as the result of replacing every vertex
 of R by a graph (the piece at that vertex) and gluing the pieces along
 the edges of R.  It is recorded by three maps:
 
-    arc_map:     arcs of R    -> arcs of S
-    vertex_map:  vertices x   -> the nonempty set W_x of S-vertices the
-                                 piece at x occupies (the W_x partition
-                                 the vertices of S)
-    flag_map:    flags g at x -> a reference (W_x, h) naming the flag h
-                                 of S where the piece meets the slot of g
+    arc_map:     arcs of R     -> arcs of S
+    vertex_map:  vertices of S -> the vertex x of R whose piece contains
+                                  it (onto: every piece has a vertex)
+    flag_map:    flags g of R  -> the flag h of S where the piece at g's
+                                  vertex meets the slot of g
 
 Pieces may glue to themselves: an inner edge of S both of whose flags
 are chosen by flags at the same x comes from a loop edge of R, and the
@@ -32,7 +31,6 @@ factors through the target with the edges the cover glues cut open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .etale import (
     EtaleMorphism,
@@ -65,37 +63,39 @@ from .graph_core import (
 )
 
 
-class FlaggedSubgraphRef(NamedTuple):
-    """A vertex-spanned subgraph of the target together with one of its
-    flags: where a piece sits and where it meets one slot."""
-
-    vertex_set: frozenset[str]
-    flag: str
-
-
 @dataclass(frozen=True)
 class Refinement:
+    """A refinement source -> target by its three maps (module docstring).
+
+    The paper's W_x, the vertices of the piece at x, is the fibre of
+    vertex_map over x (piece_vertices lists them all), and the flagged
+    subgraph (W_x, h) of a flag g at x is that fibre together with
+    h = flag_map[g]."""
+
     source: JKGraph
     target: JKGraph
     arc_map: dict[str, str]
-    vertex_map: dict[str, frozenset[str]]
-    flag_map: dict[str, FlaggedSubgraphRef]
+    vertex_map: dict[str, str]
+    flag_map: dict[str, str]
 
     def __post_init__(self):
         object.__setattr__(self, "arc_map", dict(self.arc_map))
-        object.__setattr__(
-            self, "vertex_map", {x: frozenset(w) for x, w in self.vertex_map.items()}
-        )
-        object.__setattr__(
-            self,
-            "flag_map",
-            {g: FlaggedSubgraphRef(frozenset(ref[0]), ref[1]) for g, ref in self.flag_map.items()},
-        )
+        object.__setattr__(self, "vertex_map", dict(self.vertex_map))
+        object.__setattr__(self, "flag_map", dict(self.flag_map))
+
+
+def piece_vertices(r: Refinement) -> dict[str, list[str]]:
+    """x -> the sorted vertices W_x of the piece at x, for every source
+    vertex x and every other value of vertex_map."""
+    out: dict[str, list[str]] = {x: [] for x in sorted(r.source.vertices)}
+    for v in sorted(r.vertex_map):
+        out.setdefault(r.vertex_map[v], []).append(v)
+    return out
 
 
 def _chosen_flags(r: Refinement, x: str) -> dict[str, str]:
     """flag of R at x -> the chosen flag of the target."""
-    return {g: r.flag_map[g].flag for g in r.source.flags if r.source.incidence[g] == x}
+    return {g: r.flag_map[g] for g in r.source.flags if r.source.incidence[g] == x}
 
 
 def validate_refinement(r: Refinement) -> ValidationReport:
@@ -110,33 +110,19 @@ def validate_refinement(r: Refinement) -> ValidationReport:
     src, tgt = r.source, r.target
     if set(r.arc_map) != set(src.arcs) or not set(r.arc_map.values()) <= set(tgt.arcs):
         problems.append("arc-map: not a total map from source arcs to target arcs")
-    if set(r.vertex_map) != set(src.vertices) or not all(
-        w <= set(tgt.vertices) for w in r.vertex_map.values()
+    if set(r.vertex_map) != set(tgt.vertices) or not set(r.vertex_map.values()) <= set(
+        src.vertices
     ):
-        problems.append("vertex-map: not a total map from source vertices to target vertex sets")
-    if set(r.flag_map) != set(src.flags) or not all(
-        ref.flag in tgt.flags for ref in r.flag_map.values()
-    ):
-        problems.append("flag-map: not a total map from source flags to flagged subgraphs")
+        problems.append("vertex-map: not a total map from target vertices to source vertices")
+    if set(r.flag_map) != set(src.flags) or not set(r.flag_map.values()) <= set(tgt.flags):
+        problems.append("flag-map: not a total map from source flags to target flags")
     if problems:
         return ValidationReport(tuple(problems))
-    covered: dict[str, str] = {}
-    for x in sorted(src.vertices):
-        w = r.vertex_map[x]
-        if not w:
-            problems.append(f"pieces: the piece at {x!r} occupies no vertices")
-        for v in sorted(w):
-            if v in covered:
-                problems.append(f"partition: target vertex {v!r} lies in two pieces")
-            covered[v] = x
-    if set(covered) != set(tgt.vertices):
-        missing = sorted(set(tgt.vertices) - set(covered))
-        problems.append(f"partition: target vertices {missing} lie in no piece")
+    for x in sorted(src.vertices - set(r.vertex_map.values())):
+        problems.append(f"pieces: the piece at {x!r} occupies no vertices")
     for g in sorted(src.flags):
-        w, h = r.flag_map[g]
-        if w != r.vertex_map[src.incidence[g]]:
-            problems.append(f"right-square: flag {g!r} does not land in its vertex's piece")
-        if tgt.incidence[h] not in w:
+        h = r.flag_map[g]
+        if r.vertex_map[tgt.incidence[h]] != src.incidence[g]:
             problems.append(f"flag-in-piece: chosen flag for {g!r} sits outside the piece")
         if r.arc_map[src.embed[g]] != tgt.embed[h]:
             problems.append(f"left-square: embed squares do not commute at flag {g!r}")
@@ -154,9 +140,8 @@ def validate_refinement(r: Refinement) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
     for x in sorted(src.vertices):
-        w = r.vertex_map[x]
         chosen = set(_chosen_flags(r, x).values())
-        piece_flags = {h for h in tgt.flags if tgt.incidence[h] in w}
+        piece_flags = {h for h in tgt.flags if r.vertex_map[tgt.incidence[h]] == x}
         interior = piece_flags - chosen
         interior_arcs = {tgt.embed[h] for h in interior}
         for h in sorted(interior):
@@ -172,8 +157,8 @@ def identity_refinement(g: JKGraph) -> Refinement:
         g,
         g,
         {a: a for a in g.arcs},
-        {v: frozenset({v}) for v in g.vertices},
-        {h: FlaggedSubgraphRef(frozenset({g.incidence[h]}), h) for h in g.flags},
+        {v: v for v in g.vertices},
+        {h: h for h in g.flags},
     )
 
 
@@ -187,8 +172,8 @@ def pieces(r: Refinement) -> dict[str, tuple[JKGraph, dict[str, str]]]:
     """
     src, tgt = r.source, r.target
     out = {}
-    for x in sorted(src.vertices):
-        span, _ = open_subgraph(tgt, r.vertex_map[x])
+    for x, w in piece_vertices(r).items():
+        span, _ = open_subgraph(tgt, w)
         chosen = _chosen_flags(r, x)
         chosen_arcs = {tgt.embed[h] for h in chosen.values()}
         piece, _ = cut_edges(span, {e for e in inner_edges(span) if e <= chosen_arcs})
@@ -267,13 +252,12 @@ def _refine_with_cover(
     flag_of_arc = {a: h for h, a in total.embed.items()}
     for x in sorted(r.vertices):
         piece, _ = assignment[x]
-        vertex_map[x] = frozenset(x + "." + v for v in piece.vertices)
+        vertex_map.update((x + "." + v, x) for v in piece.vertices)
     for g in sorted(r.flags):
-        x = r.incidence[g]
         a = r.embed[g]
         q = slot[r.involution[a]]
         h = flag_of_arc[total.involution[q]]
-        flag_map[g] = FlaggedSubgraphRef(vertex_map[x], h)
+        flag_map[g] = h
         arc_map[a] = cover.arc_map[total.embed[h]]
         arc_map[r.involution[a]] = cover.arc_map[q]
     refinement = Refinement(r, glued, arc_map, vertex_map, flag_map)
@@ -285,16 +269,8 @@ def compose_refinements(r1: Refinement, r2: Refinement) -> Refinement:
     refined in turn by the pieces of r2 sitting over it."""
     if r1.target != r2.source:
         raise ValueError("refinements are not composable: middle graphs differ")
-    vertex_map = {
-        x: frozenset(v for w in r1.vertex_map[x] for v in r2.vertex_map[w])
-        for x in r1.vertex_map
-    }
-    flag_map = {
-        g: FlaggedSubgraphRef(
-            vertex_map[r1.source.incidence[g]], r2.flag_map[r1.flag_map[g].flag].flag
-        )
-        for g in r1.flag_map
-    }
+    vertex_map = {v: r1.vertex_map[w] for v, w in r2.vertex_map.items()}
+    flag_map = {g: r2.flag_map[h] for g, h in r1.flag_map.items()}
     arc_map = {a: r2.arc_map[b] for a, b in r1.arc_map.items()}
     return Refinement(r1.source, r2.target, arc_map, vertex_map, flag_map)
 
@@ -305,13 +281,8 @@ def transport_refinement(r: Refinement, iso: GraphIso, new_target: JKGraph) -> R
         r.source,
         new_target,
         {a: iso.arc_map[b] for a, b in r.arc_map.items()},
-        {x: frozenset(iso.vertex_map[v] for v in w) for x, w in r.vertex_map.items()},
-        {
-            g: FlaggedSubgraphRef(
-                frozenset(iso.vertex_map[v] for v in ref.vertex_set), iso.flag_map[ref.flag]
-            )
-            for g, ref in r.flag_map.items()
-        },
+        {iso.vertex_map[v]: x for v, x in r.vertex_map.items()},
+        {g: iso.flag_map[h] for g, h in r.flag_map.items()},
     )
 
 
@@ -342,8 +313,7 @@ def cover_to_refinement(rc: ReducedCover) -> Refinement:
     coarse, cover = replay_gluings(graph_sum(corollas), decompose_reduced_cover(rc))
 
     vertex_map = {
-        name: frozenset(rc.vertex_map[u] for u in comp.vertices)
-        for name, comp in comp_vertex.items()
+        rc.vertex_map[u]: name for name, comp in comp_vertex.items() for u in comp.vertices
     }
     ref_flag_map = {}
     arc_map = {}
@@ -351,7 +321,7 @@ def cover_to_refinement(rc: ReducedCover) -> Refinement:
         for p in sorted(ports(comp)):
             # the flag of the source across p's edge, and its image below
             h_p = next(h for h in comp.flags if comp.embed[h] == src.involution[p])
-            ref_flag_map[p + "*"] = FlaggedSubgraphRef(vertex_map[name], rc.flag_map[h_p])
+            ref_flag_map[p + "*"] = rc.flag_map[h_p]
             arc_map[cover.arc_map[p + "*"]] = rc.arc_map[src.embed[h_p]]
             arc_map[cover.arc_map[p]] = rc.arc_map[p]
     return Refinement(coarse, tgt, arc_map, vertex_map, ref_flag_map)
@@ -368,13 +338,8 @@ def pushout_gen_rc(gen: Refinement, rc: ReducedCover) -> tuple[Refinement, Reduc
     transported = [tuple(sorted((gen.arc_map[p], gen.arc_map[q]))) for p, q in steps]
     new_target, rc_out = replay_gluings(gen.target, transported)
 
-    vmap_inv = {w: v for v, w in rc.vertex_map.items()}
-    fmap_inv = {k: h for h, k in rc.flag_map.items()}
-    vertex_map = {w: gen.vertex_map[vmap_inv[w]] for w in rc.target.vertices}
-    flag_map = {
-        k: FlaggedSubgraphRef(vertex_map[rc.target.incidence[k]], gen.flag_map[fmap_inv[k]].flag)
-        for k in rc.target.flags
-    }
+    vertex_map = {rc_out.vertex_map[v]: rc.vertex_map[x] for v, x in gen.vertex_map.items()}
+    flag_map = {rc.flag_map[g]: rc_out.flag_map[h] for g, h in gen.flag_map.items()}
     arc_map = {}
     for a in rc.source.arcs:
         arc_map[rc.arc_map[a]] = rc_out.arc_map[gen.arc_map[a]]
@@ -434,12 +399,11 @@ def compose_cover_then_refinement(rc: ReducedCover, u: Refinement) -> KleisliMor
     kept = {frozenset(rc.arc_map[a] for a in e) for e in inner_edges(src)}
     cut = {frozenset(u.arc_map[a] for a in e) for e in inner_edges(u.source) - kept}
     mid, free = cut_edges(u.target, cut)
-    vertex_map = {x: u.vertex_map[rc.vertex_map[x]] for x in src.vertices}
-    flag_map = {}
+    vmap_inv = {y: x for x, y in rc.vertex_map.items()}
+    vertex_map = {v: vmap_inv[y] for v, y in u.vertex_map.items()}
+    flag_map = {g: u.flag_map[rc.flag_map[g]] for g in src.flags}
     arc_map = {}
-    for g in src.flags:
-        h = u.flag_map[rc.flag_map[g]].flag
-        flag_map[g] = FlaggedSubgraphRef(vertex_map[src.incidence[g]], h)
+    for g, h in flag_map.items():
         a = src.embed[g]
         arc_map[a] = mid.embed[h]
         arc_map[src.involution[a]] = mid.involution[mid.embed[h]]
@@ -460,10 +424,9 @@ def _middle_iso(k1: KleisliMorphism, k2: KleisliMorphism) -> GraphIso | None:
     (r1, m1), (r2, m2) = (k1.generic, k1.free), (k2.generic, k2.free)
     mid1, mid2 = r1.target, r2.target
     (at1, partner1), (_, partner2) = flag_view(mid1), flag_view(mid2)
-    piece1 = {v: x for x, w in r1.vertex_map.items() for v in w}
-    piece2 = {v: x for x, w in r2.vertex_map.items() for v in w}
+    piece1, piece2 = r1.vertex_map, r2.vertex_map
     over = {(mid2.incidence[k], m2.flag_map[k]): k for k in mid2.flags}
-    fmap = {ref.flag: r2.flag_map[g].flag for g, ref in r1.flag_map.items()}
+    fmap = {h: r2.flag_map[g] for g, h in r1.flag_map.items()}
     vmap: dict[str, str] = {}
     used: set[str] = set()
 

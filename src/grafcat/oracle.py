@@ -42,7 +42,7 @@ from .graph_core import (
     memoised,
     ports,
 )
-from .kleisli import FlaggedSubgraphRef, Refinement
+from .kleisli import Refinement
 
 
 @dataclass(frozen=True)
@@ -243,12 +243,8 @@ def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
             arc_map[r.embed[g]] = s.embed[h]
             arc_map.setdefault(r.involution[r.embed[g]], s.involution[s.embed[h]])
         for vm in _surjections(s_vertices, r_vertices, ties, forced):
-            vertex_map = {x: frozenset(v for v in s_vertices if vm[v] == x) for x in r_vertices}
-            flag_map = {
-                g: FlaggedSubgraphRef(vertex_map[r.incidence[g]], h) for g, h in chosen.items()
-            }
             key = tuple(rank[vm[v]] for v in s_vertices)
-            found.append((key, Refinement(r, s, arc_map, vertex_map, flag_map)))
+            found.append((key, Refinement(r, s, arc_map, vm, chosen)))
 
     def place(i: int):
         if i == len(leaders):

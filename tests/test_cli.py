@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_bm_loop, make_bm_two_corollas
+from conftest import make_bm_loop, make_bm_two_corollas, make_path_piece
 from grafcat import cli, jsonio
-from grafcat.bm import BMMorphism, bm_corolla, bm_identity, bm_point, compose_bm
+from grafcat.bm import BMGraph, BMMorphism, bm_corolla, bm_identity, bm_point, compose_bm
 from grafcat.cospan_equiv import identity_cospan, phi, phi1_graph, phi1_mor
-from grafcat.etale import identity_etale
-from grafcat.graph_core import corolla
-from grafcat.kleisli import identity_refinement
+from grafcat.etale import identity_etale, replay_gluings
+from grafcat.graph_core import corolla, graph_sum, prefix_graph
+from grafcat.kleisli import identity_refinement, refine
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 ENV = dict(os.environ, PYTHONPATH=SRC)
 
@@ -441,6 +442,73 @@ def test_pushout_identity(save, LOOP):
     proc = run("pushout", r, c)
     doc = json.loads(proc.stdout)
     assert jsonio.refinement_from_json(doc["refinement"]) == identity_refinement(jl)
+
+
+def _golden_span():
+    """A refinement whose piece at a.v has two vertices, and a cover
+    gluing a port of that piece's vertex to a port of b.v."""
+    two = graph_sum([prefix_graph(corolla(2), "a.")[0], prefix_graph(corolla(3), "b.")[0]])
+    gen = refine(
+        two,
+        {
+            "a.v": (make_path_piece(), {"p": "a.1", "q": "a.2"}),
+            "b.v": (corolla(3), {k: "b." + k for k in ("1", "2", "3")}),
+        },
+    )
+    _, rc = replay_gluings(two, [("a.2", "b.1")])
+    return gen, rc
+
+
+def _list_twice(doc):
+    doc["vertex_map"]["b.v"].append("a.v.m")
+
+
+def _wrong_subgraph(doc):
+    doc["flag_map"]["a.1*"]["subgraph"] = ["a.v.m"]
+
+
+def _empty_piece(doc):
+    doc["source"]["vertices"].append("c")
+    doc["vertex_map"]["c"] = []
+
+
+def _vertex_in_no_piece(doc):
+    doc["target"]["vertices"].append("z")
+
+
+@pytest.mark.parametrize(
+    "mutate, code, named",
+    [
+        (_list_twice, 2, "refinement.vertex_map['b.v']: target vertex 'a.v.m'"),
+        (_wrong_subgraph, 2, "refinement.flag_map['a.1*'].subgraph"),
+        (_empty_piece, 1, "pieces: the piece at 'c' occupies no vertices"),
+        (_vertex_in_no_piece, 1, "vertex-map: "),
+    ],
+)
+def test_refinement_pieces_keep_the_exit_code_contract(save, mutate, code, named):
+    # pieces that overlap, or a flag's subgraph that is not its vertex's
+    # piece, cannot be read; a piece or a vertex left out is a law problem
+    doc = jsonio.refinement_to_json(_golden_span()[0])
+    mutate(doc)
+    proc = run("validate", save("bad.json", doc), expect=code)
+    assert named in (proc.stderr if code == 2 else proc.stdout)
+
+
+def test_refinement_documents_match_the_golden_files(save, tmp_path):
+    # the phi image of a merger (two vertices in one piece) and the
+    # pushout of a span, byte for byte as the format was first pinned
+    merger = BMMorphism(BMGraph({"u", "w"}, set(), {}, {}), bm_point(), {}, {"u": "v", "w": "v"}, {})
+    gen, rc = _golden_span()
+    refinement = save("refinement.json", jsonio.refinement_to_json(gen))
+    cover = save("cover.json", jsonio.cover_to_json(rc))
+    runs = {
+        "phi-merger.json": ("phi", save("merger.json", jsonio.bm_morphism_to_json(merger))),
+        "pushout.json": ("pushout", refinement, cover),
+    }
+    assert Path(refinement).read_bytes() == (GOLDEN / "pushout-refinement.json").read_bytes()
+    for name, argv in runs.items():
+        run(*argv, "-o", str(tmp_path / name))
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 # -- enumeration and equivalence ------------------------------------------------------

@@ -16,6 +16,7 @@ from grafcat.graph_core import (
     elements,
     find_isomorphisms,
     flag_isomorphisms,
+    flag_view,
     flags_by_vertex,
     graph_sum,
     inner_edges,
@@ -95,6 +96,21 @@ def test_inner_edges_are_kept_on_the_graph_and_cannot_be_changed(CY):
     with pytest.raises(AttributeError):
         first.add(frozenset({"x", "y"}))
     assert isinstance(first, frozenset) and all(isinstance(e, frozenset) for e in first)
+
+
+def test_isolated_edges_are_a_frozenset_kept_on_the_graph():
+    g = graph_sum([unit_graph(), corolla(1)])
+    first = isolated_edges(g)
+    assert isolated_edges(g) is first
+    assert isinstance(first, frozenset) and first == {frozenset({"a1", "a2"})}
+
+
+def test_flag_view_is_kept_on_the_graph(CY):
+    first = flag_view(CY)
+    assert flag_view(CY) is first
+    at, partner = first
+    assert at == {"u": ["u1", "u2"], "w": ["w1", "w2"]}
+    assert partner == {"u1": "w1", "w1": "u1", "u2": "w2", "w2": "u2"}
 
 
 def test_local_interface_is_the_inward_arcs():

@@ -4,10 +4,16 @@ import pytest
 
 from grafcat import jsonio
 from grafcat.bm import BMMorphism, bm_corolla, bm_point
-from grafcat.cospan_equiv import phi
+from grafcat.cospan_equiv import phi, phi1_graph
 from grafcat.etale import identity_etale
-from grafcat.graph_core import corolla, unit_graph
-from grafcat.kleisli import identity_refinement
+from grafcat.graph_core import corolla, is_effective, unit_graph
+from grafcat.kleisli import (
+    compose_cover_then_refinement,
+    cover_to_refinement,
+    identity_refinement,
+    pushout_gen_rc,
+)
+from grafcat.oracle import covers_from, enumerate_bm_graphs, enumerate_refinements
 from grafcat.species import GraphicalSpecies
 
 
@@ -41,6 +47,27 @@ def test_etale_and_refinement_roundtrip():
     r = identity_refinement(corolla(2))
     doc = json.loads(jsonio.dumps(jsonio.refinement_to_json(r)))
     assert jsonio.refinement_from_json(doc) == r
+
+
+def test_refinements_of_the_pushout_window_roundtrip():
+    # every refinement the (2,4) pushout spans build: the spans' own, the
+    # pushed-out ones, the middles of cover-then-refinement composites
+    # and the refinements of the covers
+    jks = [g for g in map(phi1_graph, enumerate_bm_graphs(2, 4)) if is_effective(g)]
+    refs = []
+    for R in jks:
+        rcs = covers_from(R)
+        refs.extend(cover_to_refinement(rc) for rc in rcs)
+        for S in jks:
+            for gen in enumerate_refinements(R, S):
+                refs.append(gen)
+                for rc in rcs:
+                    gen2, _ = pushout_gen_rc(gen, rc)
+                    refs += [gen2, compose_cover_then_refinement(rc, gen2).generic]
+    assert len(refs) == 86 + 368 + 2 * 1718
+    for r in refs:
+        doc = json.loads(jsonio.dumps(jsonio.refinement_to_json(r)))
+        assert jsonio.refinement_from_json(doc) == r
 
 
 def test_cospan_roundtrip(LOOP):

@@ -38,7 +38,6 @@ from grafcat.graph_core import (
     validate_graph,
 )
 from grafcat.kleisli import (
-    FlaggedSubgraphRef,
     KleisliMorphism,
     Refinement,
     _disjoint_pieces,
@@ -72,8 +71,8 @@ def cut_piece(r: Refinement, x: str) -> tuple[JKGraph, dict[str, str], ReducedCo
     subgraph of the target spanned by W_x (whose arcs keep the target's
     names)."""
     src, tgt = r.source, r.target
-    span, _ = open_subgraph(tgt, r.vertex_map[x])
-    chosen = {g: r.flag_map[g].flag for g in src.flags if src.incidence[g] == x}
+    span, _ = open_subgraph(tgt, {v for v, y in r.vertex_map.items() if y == x})
+    chosen = {g: r.flag_map[g] for g in src.flags if src.incidence[g] == x}
     flag_of_arc = {a: h for h, a in span.embed.items()}
     self_glued = {
         e for e in inner_edges(span) if all(flag_of_arc[a] in chosen.values() for a in e)
@@ -176,7 +175,7 @@ def test_refine_loop_into_cycle(L, CY, PATH):
     r = loop_to_cycle(L, PATH)
     assert validate_refinement(r).ok
     assert is_isomorphic(r.target, CY)
-    assert r.vertex_map["v"] == frozenset({"v.m", "v.n"})
+    assert r.vertex_map == {"v.m": "v", "v.n": "v"}
 
 
 def test_pieces_cut_self_glued_edge(L, PATH):
@@ -195,19 +194,21 @@ def test_refine_by_identity_pieces(L, CY):
         assert is_isomorphic(r.target, g)
 
 
-def test_wrong_piece_rejected(L, CY, PATH):
-    r = loop_to_cycle(L, PATH)
+def test_wrong_piece_rejected(CY):
+    # the ends of one edge swapped: each of its flags chooses the flag in
+    # the other vertex's piece, while every arc square still commutes
+    r = identity_refinement(CY)
     bad = Refinement(
-        L,
-        r.target,
-        dict(r.arc_map),
-        {"v": frozenset({"v.m", "v.n"})},
-        {
-            "f1": FlaggedSubgraphRef(frozenset({"v.m"}), r.flag_map["f1"].flag),
-            "f2": r.flag_map["f2"],
-        },
+        CY,
+        CY,
+        {**r.arc_map, "a1": "a2", "a2": "a1"},
+        r.vertex_map,
+        {**r.flag_map, "u1": "w1", "w1": "u1"},
     )
-    assert not validate_refinement(bad).ok
+    assert validate_refinement(bad).problems == (
+        "flag-in-piece: chosen flag for 'u1' sits outside the piece",
+        "flag-in-piece: chosen flag for 'w1' sits outside the piece",
+    )
 
 
 def test_refine_needs_matching_interface(L):
@@ -411,11 +412,9 @@ def test_kleisli_equal_matches_the_search_on_etale_folds(L, CY):
     source = JKGraph(set(), set(), {"x", "y"}, {}, {}, {})
     gens = []
     for sides in itertools.product("xy", repeat=3):
-        pieces_at = {
-            x: {v for p, side in zip(parts, sides) if side == x for v in p.vertices} for x in "xy"
-        }
-        if all(pieces_at.values()):
-            gens.append(Refinement(source, mid, {}, pieces_at, {}))
+        if set(sides) == {"x", "y"}:
+            piece_of = {v: side for p, side in zip(parts, sides) for v in p.vertices}
+            gens.append(Refinement(source, mid, {}, piece_of, {}))
     assert (len(frees), len(gens)) == (8, 6)
     assert all(validate_refinement(r).ok for r in gens)
     ks = [KleisliMorphism(r, m) for r in gens for m in frees]
@@ -435,8 +434,8 @@ def test_kleisli_equal_takes_only_isomorphisms_of_middles(L):
     )
     assert validate_etale(fold).ok
     x = JKGraph(set(), set(), {"x"}, {}, {}, {})
-    k1 = KleisliMorphism(Refinement(x, c2, {}, {"x": {"v"}}, {}), fold)
-    k2 = KleisliMorphism(Refinement(x, L, {}, {"x": {"v"}}, {}), identity_etale(L))
+    k1 = KleisliMorphism(Refinement(x, c2, {}, {"v": "x"}, {}), fold)
+    k2 = KleisliMorphism(Refinement(x, L, {}, {"v": "x"}, {}), identity_etale(L))
     assert not searched_kleisli_equal(k1, k2)
     assert not kleisli_equal(k1, k2) and not kleisli_equal(k2, k1)
 

@@ -14,7 +14,7 @@ from grafcat.bm import (
     validate_bm_morphism,
 )
 from grafcat.cospan_equiv import phi1_graph
-from grafcat.kleisli import FlaggedSubgraphRef, Refinement, validate_refinement
+from grafcat.kleisli import Refinement, validate_refinement
 from grafcat.oracle import (
     check_equivalence,
     check_pair,
@@ -254,10 +254,7 @@ def filtered_refinements(r, s):
         if set(values) == set(r_vertices)
     ]
     for vm in surjections:
-        vertex_map = {x: frozenset(v for v, y in vm.items() if y == x) for x in r_vertices}
-        in_piece = {
-            x: [h for h in sorted(s.flags) if s.incidence[h] in vertex_map[x]] for x in r_vertices
-        }
+        in_piece = {x: [h for h in sorted(s.flags) if vm[s.incidence[h]] == x] for x in r_vertices}
 
         def build(idx, chosen):
             if idx == len(leaders):
@@ -269,10 +266,7 @@ def filtered_refinements(r, s):
                         return
                 if set(arc_map) != set(r.arcs):
                     return
-                flag_map = {
-                    g: FlaggedSubgraphRef(vertex_map[r.incidence[g]], h) for g, h in chosen.items()
-                }
-                ref = Refinement(r, s, arc_map, vertex_map, flag_map)
+                ref = Refinement(r, s, arc_map, vm, chosen)
                 if validate_refinement(ref).ok:
                     out.append(ref)
                 return
