@@ -193,49 +193,16 @@ def compose_covers(c1: ReducedCover, c2: ReducedCover) -> ReducedCover:
 
 
 def glue_ports(g: JKGraph, a: str, b: str) -> tuple[JKGraph, ReducedCover]:
-    """Identify ports a and b, merging their edges into one inner edge.
-
-    The two new arc classes are {a, i(b)} and {i(a), b}, each named by
-    its lexicographically least member.  The quotient map is a reduced
-    cover.
-    """
-    im = embed_image(g)
-    for x in (a, b):
-        if x not in g.arcs or x in im:
-            raise ValueError(f"not a port: {x!r}")
-    ia, ib = g.involution[a], g.involution[b]
-    if b in (a, ia):
-        raise ValueError("ports must lie on two distinct edges")
-    for x, px in ((a, ia), (b, ib)):
-        if px not in im:
-            raise ValueError(f"port {x!r} lies on an isolated edge")
-    rename = {a: min(a, ib), ib: min(a, ib), ia: min(ia, b), b: min(ia, b)}
-    ra = lambda x: rename.get(x, x)
-    arcs = {ra(x) for x in g.arcs}
-    involution = {ra(x): ra(y) for x, y in g.involution.items()}
-    quotient = JKGraph(
-        arcs,
-        g.flags,
-        g.vertices,
-        involution,
-        {h: ra(x) for h, x in g.embed.items()},
-        dict(g.incidence),
-    )
-    q = EtaleMorphism(
-        g,
-        quotient,
-        {x: ra(x) for x in g.arcs},
-        {h: h for h in g.flags},
-        {v: v for v in g.vertices},
-    )
-    return quotient, ReducedCover(q)
+    """Identify ports a and b, merging their edges into one inner edge:
+    replay_gluings with the single step (a, b)."""
+    return replay_gluings(g, [(a, b)])
 
 
 def decompose_reduced_cover(rc: ReducedCover) -> list[tuple[str, str]]:
     """The port gluings that rebuild the cover, one per target inner edge
-    hit twice, ordered by the edge's sorted arc labels.  Replaying
-    glue_ports over the list reconstructs the cover up to isomorphism of
-    the target."""
+    hit twice, ordered by the edge's sorted arc labels.  replay_gluings
+    over the list reconstructs the cover up to isomorphism of the
+    target."""
     m = rc.morphism
     src, tgt = m.source, m.target
     flag_of_arc_t = {a: h for h, a in tgt.embed.items()}
@@ -253,13 +220,41 @@ def decompose_reduced_cover(rc: ReducedCover) -> list[tuple[str, str]]:
 
 
 def replay_gluings(g: JKGraph, steps: list[tuple[str, str]]) -> tuple[JKGraph, ReducedCover]:
-    """Apply a sequence of port gluings, composing the quotient maps."""
-    current = g
-    cover = identity_cover(g)
-    for p, q in steps:
-        current, step = glue_ports(current, cover.arc_map[p], cover.arc_map[q])
-        cover = compose_covers(cover, step)
-    return current, cover
+    """Glue the steps' ports, distinct free ports of g, in one quotient,
+    a reduced cover.  A step (a, b) merges the edges of a and b into one
+    inner edge with arc classes {a, i(b)} and {i(a), b}, each named by
+    its least member.  ValueError at the first step that names a
+    non-port or a port used before (by its glued name), two ports of one
+    edge, or a port on an isolated edge."""
+    if not steps:
+        return g, identity_cover(g)
+    im = embed_image(g)
+    rename: dict[str, str] = {}
+    for a, b in steps:
+        for x in (a, b):
+            if x in rename or x not in g.arcs or x in im:
+                raise ValueError(f"not a port: {rename.get(x, x)!r}")
+        ia, ib = g.involution[a], g.involution[b]
+        if b in (a, ia):
+            raise ValueError("ports must lie on two distinct edges")
+        for x, px in ((a, ia), (b, ib)):
+            if px not in im:
+                raise ValueError(f"port {x!r} lies on an isolated edge")
+        rename[a] = rename[ib] = min(a, ib)
+        rename[ia] = rename[b] = min(ia, b)
+    arc_map = {x: rename.get(x, x) for x in g.arcs}
+    quotient = JKGraph(
+        set(arc_map.values()),
+        g.flags,
+        g.vertices,
+        {arc_map[x]: arc_map[y] for x, y in g.involution.items()},
+        {h: arc_map[x] for h, x in g.embed.items()},
+        dict(g.incidence),
+    )
+    q = EtaleMorphism(
+        g, quotient, arc_map, {h: h for h in g.flags}, {v: v for v in g.vertices}
+    )
+    return quotient, ReducedCover(q)
 
 
 def fresh_label(label: str, used: set[str]) -> str:

@@ -58,7 +58,6 @@ from .graph_core import (
     isolated_edges,
     local_interface,
     ports,
-    prefix_graph,
     relabel,
 )
 
@@ -186,17 +185,25 @@ def pieces(r: Refinement) -> dict[str, tuple[JKGraph, dict[str, str]]]:
 
 def _disjoint_pieces(
     assignment: dict[str, tuple[JKGraph, dict[str, str]]],
-) -> tuple[JKGraph, dict[str, dict[str, str]]]:
-    """Sum the pieces with per-vertex prefixes; returns the sum and, for
-    each x, the prefixed copy of its port interface."""
-    copies = []
-    interfaces: dict[str, dict[str, str]] = {}
+) -> tuple[JKGraph, dict[str, str]]:
+    """Sum the pieces with per-vertex prefixes in one pass; returns the
+    sum and the slot map, from each incoming arc of a vertex x to the
+    prefixed port of x's piece occupying that slot.  ValueError if two
+    prefixed labels collide."""
+    involution, embed, incidence, vertices, slot = {}, {}, {}, set(), {}
+    size = 0
     for x in sorted(assignment):
         piece, bij = assignment[x]
-        copy, maps = prefix_graph(piece, x + ".")
-        copies.append(copy)
-        interfaces[x] = {maps.arc_map[q]: a for q, a in bij.items()}
-    return graph_sum(copies), interfaces
+        pfx = x + "."
+        involution.update((pfx + a, pfx + b) for a, b in piece.involution.items())
+        embed.update((pfx + h, pfx + a) for h, a in piece.embed.items())
+        incidence.update((pfx + h, pfx + v) for h, v in piece.incidence.items())
+        vertices.update(pfx + v for v in piece.vertices)
+        slot.update((a, pfx + q) for q, a in bij.items())
+        size += len(piece.arcs) + len(piece.flags) + len(piece.vertices)
+    if len(involution) + len(embed) + len(vertices) != size:
+        raise ValueError("summed graphs share a label")
+    return JKGraph(set(involution), set(embed), vertices, involution, embed, incidence), slot
 
 
 def refine(r: JKGraph, assignment: dict[str, tuple[JKGraph, dict[str, str]]]) -> Refinement:
@@ -234,25 +241,16 @@ def _refine_with_cover(
         if len(set(bij.values())) != len(bij) or set(bij.values()) != local_interface(r, x):
             raise ValueError(f"interface at {x!r} is not a bijection onto the incoming arcs")
 
-    total, interfaces = _disjoint_pieces(assignment)
-    slot = {}  # incoming arc of r -> prefixed piece port occupying that slot
-    for x, iface in interfaces.items():
-        for q, a in iface.items():
-            slot[a] = q
-
+    total, slot = _disjoint_pieces(assignment)
     steps = [
         (slot[r.involution[a1]], slot[r.involution[a2]])
         for a1, a2 in sorted(tuple(sorted(e)) for e in inner_edges(r))
     ]
     glued, cover = replay_gluings(total, steps)
 
-    vertex_map = {}
-    flag_map = {}
-    arc_map = {}
+    vertex_map = {x + "." + v: x for x in sorted(r.vertices) for v in assignment[x][0].vertices}
+    flag_map, arc_map = {}, {}
     flag_of_arc = {a: h for h, a in total.embed.items()}
-    for x in sorted(r.vertices):
-        piece, _ = assignment[x]
-        vertex_map.update((x + "." + v, x) for v in piece.vertices)
     for g in sorted(r.flags):
         a = r.embed[g]
         q = slot[r.involution[a]]

@@ -175,8 +175,18 @@ class VertexLabel(NamedTuple):
 
 
 def canonical_label(sp: GraphicalSpecies, operation: str, arcs_by_slot: Iterable[str]) -> VertexLabel:
+    """The least (name, arcs) in the orbit under slot permutations.  For
+    a free species a bare generator sorts before every gen@p, so the
+    least of the orbit of (gen@q, arcs) is (gen, arcs reordered by q^-1:
+    slot q[j] holds arcs[j]).  Explicit actions, and tails that do not
+    permute the slots, take the minimum over every permutation."""
     arcs = tuple(arcs_by_slot)
     n = len(arcs)
+    if sp.action is None:
+        base, at, tail = operation.partition("@")
+        q = [int(k) - 1 for k in tail.split(",")] if at else list(range(n))
+        if sorted(q) == list(range(n)):
+            return VertexLabel(base, tuple(a for _, a in sorted(zip(q, arcs))))
     best = min(
         (act(sp, operation, p), tuple(arcs[p[i]] for i in range(n)))
         for p in itertools.permutations(range(n))
@@ -474,17 +484,12 @@ def monad_mult_element(
                 )
     refinement, cover = _refine_with_cover(r, assignment)
     colouring: dict[str, str] = {}
-    for x in sorted(assignment):
-        piece, _ = assignment[x]
-        dec = decorations[x]
-        for a, c in dec.arc_colouring.items():
-            target = cover.arc_map[x + "." + a]
-            if colouring.setdefault(target, c) != c:
-                raise ValueError("glued arcs received conflicting colours")
     labels = {}
     for x in sorted(assignment):
-        piece, _ = assignment[x]
         dec = decorations[x]
+        for a, c in dec.arc_colouring.items():
+            if colouring.setdefault(cover.arc_map[x + "." + a], c) != c:
+                raise ValueError("glued arcs received conflicting colours")
         for w, label in dec.vertex_labels.items():
             arcs = tuple(cover.arc_map[x + "." + a] for a in label.arcs_by_slot)
             labels[x + "." + w] = canonical_label(sp, label.operation, arcs)

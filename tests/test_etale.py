@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import jk_graphs, make_cycle, make_loop
+from grafcat.cospan_equiv import phi1_graph
 from grafcat.etale import (
     EtaleMorphism,
+    ReducedCover,
     compose_covers,
     compose_etale,
     cut_edges,
@@ -24,7 +26,9 @@ from grafcat.graph_core import (
     JKGraph,
     corolla,
     disjoint_union,
+    embed_image,
     find_isomorphisms,
+    graph_sum,
     inner_edges,
     is_effective,
     is_isomorphic,
@@ -32,6 +36,7 @@ from grafcat.graph_core import (
     unit_graph,
     validate_graph,
 )
+from grafcat.oracle import covers_from, enumerate_bm_graphs
 
 
 # -- etale validation -----------------------------------------------------------
@@ -120,6 +125,87 @@ def test_glue_rejects_non_ports(L):
         glue_ports(L, "l1", "l2")
     with pytest.raises(ValueError):
         glue_ports(corolla(2), "1", "1")
+
+
+# -- reference: the gluings one at a time, each quotient composed onto the last ---
+
+def glue_one(g: JKGraph, a: str, b: str) -> tuple[JKGraph, ReducedCover]:
+    """A single gluing of ports a and b as a quotient of g."""
+    im = embed_image(g)
+    for x in (a, b):
+        if x not in g.arcs or x in im:
+            raise ValueError(f"not a port: {x!r}")
+    ia, ib = g.involution[a], g.involution[b]
+    if b in (a, ia):
+        raise ValueError("ports must lie on two distinct edges")
+    for x, px in ((a, ia), (b, ib)):
+        if px not in im:
+            raise ValueError(f"port {x!r} lies on an isolated edge")
+    rename = {a: min(a, ib), ib: min(a, ib), ia: min(ia, b), b: min(ia, b)}
+    ra = lambda x: rename.get(x, x)
+    quotient = JKGraph(
+        {ra(x) for x in g.arcs},
+        g.flags,
+        g.vertices,
+        {ra(x): ra(y) for x, y in g.involution.items()},
+        {h: ra(x) for h, x in g.embed.items()},
+        dict(g.incidence),
+    )
+    q = EtaleMorphism(
+        g, quotient, {x: ra(x) for x in g.arcs}, {h: h for h in g.flags}, {v: v for v in g.vertices}
+    )
+    return quotient, ReducedCover(q)
+
+
+def sequential_gluings(g: JKGraph, steps) -> tuple[JKGraph, ReducedCover]:
+    """replay_gluings as a chain of single gluings, each step's ports
+    renamed by the cover so far."""
+    current, cover = g, identity_cover(g)
+    for p, q in steps:
+        current, step = glue_one(current, cover.arc_map[p], cover.arc_map[q])
+        cover = compose_covers(cover, step)
+    return current, cover
+
+
+def test_one_quotient_matches_the_sequential_gluings_on_the_two_four_window():
+    covers = 0
+    for b in enumerate_bm_graphs(2, 4):
+        g = phi1_graph(b)
+        if not is_effective(g):
+            continue
+        # the covers onto g and the covers out of g
+        for rc in reduced_covers_of(g) + covers_from(g):
+            steps = decompose_reduced_cover(rc)
+            for order in (steps, [(q, p) for p, q in reversed(steps)]):
+                glued, cover = replay_gluings(rc.source, order)
+                ref_glued, ref_cover = sequential_gluings(rc.source, order)
+                assert glued == ref_glued
+                assert cover.arc_map == ref_cover.arc_map
+                assert cover.morphism == ref_cover.morphism
+            covers += 1
+    assert covers == 60 + 86
+
+
+def raised(f, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        f(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ([("L.1", "R.1"), ("R.1", "L.2")], "not a port: 'L.1*'"),  # reused, named as renamed
+        ([("L.1", "R.2"), ("a1", "a2")], "ports must lie on two distinct edges"),
+        ([("L.1", "L.1")], "ports must lie on two distinct edges"),
+        ([("L.1", "a1")], "port 'a1' lies on an isolated edge"),
+        ([("L.1", "R.1"), ("R.1*", "L.2")], "not a port: 'L.1'"),  # an arc under a flag
+    ],
+)
+def test_one_quotient_rejects_bad_steps_as_the_sequential_gluings_do(steps, message):
+    total, _, _ = disjoint_union(corolla(2), corolla(2))
+    g = graph_sum([total, unit_graph()])
+    assert raised(replay_gluings, g, steps) == raised(sequential_gluings, g, steps) == message
 
 
 def replays_to(rc, rc2, back) -> bool:

@@ -34,6 +34,7 @@ from grafcat.graph_core import (
     local_interface,
     ports,
     prefix_graph,
+    relabel,
     unit_graph,
     validate_graph,
 )
@@ -215,6 +216,25 @@ def test_refine_needs_matching_interface(L):
     # the path piece has two ports but the bijection misses one
     with pytest.raises(ValueError):
         refine(L, {"v": (make_path_piece(), {"p": "l2"})})
+
+
+def test_refine_rejects_colliding_prefixed_labels():
+    # vertex "a" refined by a corolla at "b.c" and vertex "a.b" by one at
+    # "c": both prefixed piece vertices are "a.b.c"
+    r = JKGraph(
+        {"ea", "eb"}, {"fa", "fb"}, {"a", "a.b"},
+        {"ea": "eb", "eb": "ea"}, {"fa": "ea", "fb": "eb"}, {"fa": "a", "fb": "a.b"},
+    )
+    assignment = {
+        "a": (relabel(corolla(1), vertex_map={"v": "b.c"}), {"1": "eb"}),
+        "a.b": (relabel(corolla(1), vertex_map={"v": "c"}), {"1": "ea"}),
+    }
+    with pytest.raises(ValueError, match="summed graphs share a label"):
+        _refine_with_cover(r, assignment)
+    # the same pieces under vertex names whose prefixes cannot meet glue fine
+    renamed = relabel(r, vertex_map={"a.b": "w"})
+    refinement, _ = _refine_with_cover(renamed, {"a": assignment["a"], "w": assignment["a.b"]})
+    assert validate_refinement(refinement).ok
 
 
 # -- composition ----------------------------------------------------------------

@@ -153,6 +153,67 @@ def test_canonical_label_is_orbit_invariant():
         assert moved == base
 
 
+def orbit_least_label(sp, operation, arcs):
+    """canonical_label as the minimum over every slot permutation."""
+    n = len(arcs)
+    return VertexLabel(
+        *min(
+            (act(sp, operation, p), tuple(arcs[p[i]] for i in range(n)))
+            for p in itertools.permutations(range(n))
+        )
+    )
+
+
+def label_outcome(f, sp, operation, arcs):
+    """The label, or the type of the exception raised instead."""
+    try:
+        return f(sp, operation, arcs)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_free_label_closed_form_matches_the_orbit_minimum():
+    checked = 0
+    for sp in (SP, SP2):
+        for gen, profile in sp.operations.items():
+            n = len(profile)
+            names = [gen] + [
+                f"{gen}@{','.join(str(i + 1) for i in p)}"  # identity tails too
+                for p in itertools.permutations(range(n))
+            ]
+            for name in names:
+                for arcs in itertools.permutations("xyz"[:n]):
+                    assert canonical_label(sp, name, arcs) == orbit_least_label(sp, name, arcs)
+                    checked += 1
+    assert checked == 42 + 6 + 42
+
+
+def test_explicit_action_labels_keep_the_orbit_minimum():
+    # the species of the command-line documents: a symmetric binary
+    # operation, whose swap is a stabiliser
+    symmetric = GraphicalSpecies(
+        frozenset({"c"}), {"c": "c"}, {"m": ("c", "c")},
+        {("m", (0, 1)): "m", ("m", (1, 0)): "m"},
+    )
+    for sp in (symmetric, CSP):
+        for name, profile in sp.operations.items():
+            for arcs in itertools.permutations("xyz"[: len(profile)]):
+                assert canonical_label(sp, name, arcs) == orbit_least_label(sp, name, arcs)
+    assert canonical_label(symmetric, "m", ("y", "x")) == VertexLabel("m", ("x", "y"))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["m@1,1,2", "m@2,3", "m@1,2,3,4", "m@0,1,2", "m@2,3,4", "m@a,b,c", "m@", "m@1,2,3,", "m@3,1,2@1"],
+)
+def test_malformed_free_tails_behave_as_the_orbit_minimum(name):
+    for n in range(5):
+        arcs = tuple("wxyz"[:n])
+        assert label_outcome(canonical_label, SP, name, arcs) == label_outcome(
+            orbit_least_label, SP, name, arcs
+        )
+
+
 # -- decorations ----------------------------------------------------------------------
 
 def test_corolla_evaluation_counts():
