@@ -6,39 +6,28 @@ every vertex of the source it restricts to a valence-preserving bijection
 of flags.  Reduced covers are the etale maps that are jointly surjective
 on edges and vertices and bijective on vertices; they are exactly the
 quotient maps that glue ports together in pairs.
+
+The EtaleMorphism class lives in graph_core, whose isomorphism search
+returns it; the etale clauses are checked here.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graph_core import (
+    EtaleMorphism,
     JKGraph,
     ValidationReport,
     edges,
     embed_image,
     endpoint_problems,
+    flag_view,
     graph_clauses,
     inner_edges,
     spanned_subgraph,
 )
-
-
-@dataclass(frozen=True)
-class EtaleMorphism:
-    """Levelwise maps from source to target."""
-
-    source: JKGraph
-    target: JKGraph
-    arc_map: dict[str, str]
-    flag_map: dict[str, str]
-    vertex_map: dict[str, str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "arc_map", dict(self.arc_map))
-        object.__setattr__(self, "flag_map", dict(self.flag_map))
-        object.__setattr__(self, "vertex_map", dict(self.vertex_map))
 
 
 def validate_etale(m: EtaleMorphism) -> ValidationReport:
@@ -63,10 +52,10 @@ def validate_etale(m: EtaleMorphism) -> ValidationReport:
             problems.append(f"left-square: embed squares do not commute at flag {h!r}")
         if m.vertex_map[src.incidence[h]] != tgt.incidence[m.flag_map[h]]:
             problems.append(f"right-square: incidence squares do not commute at flag {h!r}")
+    at_src, at_tgt = flag_view(src)[0], flag_view(tgt)[0]
     for v in sorted(src.vertices):
-        image = [m.flag_map[h] for h in src.flags_at(v)]
-        expected = tgt.flags_at(m.vertex_map[v])
-        if sorted(image) != expected:
+        image = [m.flag_map[h] for h in at_src[v]]
+        if sorted(image) != at_tgt[m.vertex_map[v]]:
             problems.append(
                 f"pullback: flags at {v!r} do not map bijectively onto flags at {m.vertex_map[v]!r}"
             )
@@ -76,14 +65,6 @@ def validate_etale(m: EtaleMorphism) -> ValidationReport:
 def identity_etale(g: JKGraph) -> EtaleMorphism:
     return EtaleMorphism(
         g, g, {a: a for a in g.arcs}, {h: h for h in g.flags}, {v: v for v in g.vertices}
-    )
-
-
-def iso_etale(source: JKGraph, target: JKGraph, iso) -> EtaleMorphism:
-    """An isomorphism (a GraphIso or anything with the three maps),
-    repackaged as an etale morphism."""
-    return EtaleMorphism(
-        source, target, dict(iso.arc_map), dict(iso.flag_map), dict(iso.vertex_map)
     )
 
 
@@ -117,10 +98,7 @@ def open_subgraph(g: JKGraph, vertex_set) -> tuple[JKGraph, EtaleMorphism]:
     if not W <= set(g.vertices):
         raise ValueError(f"not a vertex subset: {sorted(W - set(g.vertices))}")
     sub = spanned_subgraph(g, W)
-    incl = EtaleMorphism(
-        sub, g, {a: a for a in sub.arcs}, {h: h for h in sub.flags}, {v: v for v in W}
-    )
-    return sub, incl
+    return sub, replace(identity_etale(sub), target=g)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,17 @@ image is isolated.
 All identifiers are opaque strings and all maps are explicit finite
 dicts.  Values are treated as immutable after construction, which is
 what lets memoised keep per-value results on the value itself.
+
+Isomorphisms (find_isomorphisms), the renaming prefix_graph returns and
+the inclusions into a disjoint_union are EtaleMorphisms: levelwise maps
+whose etale clauses the etale module checks.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 
@@ -59,14 +63,6 @@ class ValidationReport:
         return self.ok
 
 
-class LevelMaps(NamedTuple):
-    """A levelwise assignment of arcs, flags and vertices (three dicts)."""
-
-    arc_map: dict[str, str]
-    flag_map: dict[str, str]
-    vertex_map: dict[str, str]
-
-
 @dataclass(frozen=True)
 class JKGraph:
     """An arc/flag/vertex diagram.
@@ -90,11 +86,24 @@ class JKGraph:
         object.__setattr__(self, "embed", dict(self.embed))
         object.__setattr__(self, "incidence", dict(self.incidence))
 
-    def flags_at(self, v: str) -> list[str]:
-        return sorted(h for h in self.flags if self.incidence[h] == v)
-
 
 EMPTY_GRAPH = JKGraph(frozenset(), frozenset(), frozenset(), {}, {}, {})
+
+
+@dataclass(frozen=True)
+class EtaleMorphism:
+    """Levelwise maps from source to target (see etale.validate_etale)."""
+
+    source: JKGraph
+    target: JKGraph
+    arc_map: dict[str, str]
+    flag_map: dict[str, str]
+    vertex_map: dict[str, str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "arc_map", dict(self.arc_map))
+        object.__setattr__(self, "flag_map", dict(self.flag_map))
+        object.__setattr__(self, "vertex_map", dict(self.vertex_map))
 
 
 def validate_graph(g: JKGraph) -> ValidationReport:
@@ -322,17 +331,16 @@ def relabel(
     )
 
 
-def prefix_graph(g: JKGraph, pfx: str) -> tuple[JKGraph, LevelMaps]:
+def prefix_graph(g: JKGraph, pfx: str) -> tuple[JKGraph, EtaleMorphism]:
     """Prepend pfx to every label; returns the copy and the renaming."""
-    maps = LevelMaps(
-        {a: pfx + a for a in g.arcs},
-        {h: pfx + h for h in g.flags},
-        {v: pfx + v for v in g.vertices},
-    )
-    return relabel(g, *maps), maps
+    am = {a: pfx + a for a in g.arcs}
+    fm = {h: pfx + h for h in g.flags}
+    vm = {v: pfx + v for v in g.vertices}
+    copy = relabel(g, am, fm, vm)
+    return copy, EtaleMorphism(g, copy, am, fm, vm)
 
 
-def disjoint_union(g1: JKGraph, g2: JKGraph) -> tuple[JKGraph, LevelMaps, LevelMaps]:
+def disjoint_union(g1: JKGraph, g2: JKGraph) -> tuple[JKGraph, EtaleMorphism, EtaleMorphism]:
     """Sum of two graphs; labels get L. and R. prefixes.
 
     Returns the sum together with the two levelwise inclusions, which
@@ -340,7 +348,8 @@ def disjoint_union(g1: JKGraph, g2: JKGraph) -> tuple[JKGraph, LevelMaps, LevelM
     """
     left, lm = prefix_graph(g1, "L.")
     right, rm = prefix_graph(g2, "R.")
-    return graph_sum([left, right]), lm, rm
+    total = graph_sum([left, right])
+    return total, replace(lm, target=total), replace(rm, target=total)
 
 
 def graph_sum(parts: Iterable[JKGraph]) -> JKGraph:
@@ -452,15 +461,6 @@ def recompose_elements(recipe: GluingRecipe) -> JKGraph:
     return JKGraph(arcs, flags, vertices, involution, embed, incidence)
 
 
-@dataclass(frozen=True)
-class GraphIso:
-    """A levelwise bijection commuting with involution, embed and incidence."""
-
-    arc_map: dict[str, str]
-    flag_map: dict[str, str]
-    vertex_map: dict[str, str]
-
-
 def flags_by_vertex(vertices: Iterable[str], incidence: dict[str, str]) -> dict[str, list[str]]:
     """Each vertex's flags, sorted; incidence maps every flag to its vertex."""
     at: dict[str, list[str]] = {v: [] for v in vertices}
@@ -544,7 +544,7 @@ def flag_view(g: JKGraph) -> tuple[dict[str, list[str]], dict[str, str]]:
     return flags_by_vertex(g.vertices, g.incidence), partner
 
 
-def _iso_gen(g1: JKGraph, g2: JKGraph) -> Iterator[GraphIso]:
+def _iso_gen(g1: JKGraph, g2: JKGraph) -> Iterator[EtaleMorphism]:
     """The flag-level isomorphisms, each with the arc map they force,
     combined with every pairing of the isolated edges."""
     if (
@@ -565,10 +565,11 @@ def _iso_gen(g1: JKGraph, g2: JKGraph) -> Iterator[GraphIso]:
             amap[a] = b
             amap[g1.involution[a]] = g2.involution[b]
         for extra in isolated:
-            yield GraphIso({**amap, **extra}, dict(fmap), dict(vmap))
+            amap.update(extra)  # the same keys each time; the constructor copies
+            yield EtaleMorphism(g1, g2, amap, fmap, vmap)
 
 
-def find_isomorphisms(g1: JKGraph, g2: JKGraph) -> list[GraphIso]:
+def find_isomorphisms(g1: JKGraph, g2: JKGraph) -> list[EtaleMorphism]:
     """All isomorphisms g1 -> g2, in a deterministic order."""
     return list(_iso_gen(g1, g2))
 

@@ -39,13 +39,11 @@ from .etale import (
     cut_edges,
     decompose_reduced_cover,
     identity_etale,
-    iso_etale,
     open_subgraph,
     replay_gluings,
     validate_etale,
 )
 from .graph_core import (
-    GraphIso,
     JKGraph,
     ValidationReport,
     components,
@@ -273,11 +271,11 @@ def compose_refinements(r1: Refinement, r2: Refinement) -> Refinement:
     return Refinement(r1.source, r2.target, arc_map, vertex_map, flag_map)
 
 
-def transport_refinement(r: Refinement, iso: GraphIso, new_target: JKGraph) -> Refinement:
+def transport_refinement(r: Refinement, iso: EtaleMorphism) -> Refinement:
     """Push a refinement forward along an isomorphism of its target."""
     return Refinement(
         r.source,
-        new_target,
+        iso.target,
         {a: iso.arc_map[b] for a, b in r.arc_map.items()},
         {iso.vertex_map[v]: x for v, x in r.vertex_map.items()},
         {g: iso.flag_map[h] for g, h in r.flag_map.items()},
@@ -409,7 +407,7 @@ def compose_cover_then_refinement(rc: ReducedCover, u: Refinement) -> KleisliMor
     return KleisliMorphism(refinement, free.morphism)
 
 
-def _middle_iso(k1: KleisliMorphism, k2: KleisliMorphism) -> GraphIso | None:
+def _middle_iso(k1: KleisliMorphism, k2: KleisliMorphism) -> EtaleMorphism | None:
     """The isomorphism of middles that both parts force, or None.
 
     Free parts are etale: once a middle vertex v goes to w, each flag at v
@@ -466,7 +464,7 @@ def _middle_iso(k1: KleisliMorphism, k2: KleisliMorphism) -> GraphIso | None:
             return None
     amap = {mid1.embed[h]: mid2.embed[k] for h, k in fmap.items()}
     amap.update({mid1.involution[a]: mid2.involution[b] for a, b in amap.items()})
-    return GraphIso(amap, fmap, vmap)
+    return EtaleMorphism(mid1, mid2, amap, fmap, vmap)
 
 
 def kleisli_equal(k1: KleisliMorphism, k2: KleisliMorphism) -> bool:
@@ -485,6 +483,6 @@ def kleisli_equal(k1: KleisliMorphism, k2: KleisliMorphism) -> bool:
     iso = _middle_iso(k1, k2)
     return (
         iso is not None
-        and transport_refinement(k1.generic, iso, k2.generic.target) == k2.generic
-        and compose_etale(iso_etale(k1.generic.target, k2.generic.target, iso), k2.free) == k1.free
+        and transport_refinement(k1.generic, iso) == k2.generic
+        and compose_etale(iso, k2.free) == k1.free
     )

@@ -11,10 +11,10 @@ the graph is in.  No apex bound is needed: a reduced cover is bijective
 on vertices, so every apex has its source's vertex count.
 Cospans are compared through their normal form (cospan_key): the cover
 leg forces the apex isomorphism, so equal cospans have equal keys and
-deduplication and the bijection checks are set operations.  The main
-entry point check_equivalence compares, for every ordered pair of
-graphs within bounds, the morphisms of the vertex/flag encoding against
-the cover/refinement cospans of the arc encoding, and verifies that the
+the bijection checks are set operations.  The main entry point
+check_equivalence compares, for every ordered pair of graphs within
+bounds, the morphisms of the vertex/flag encoding against the
+cover/refinement cospans of the arc encoding, and verifies that the
 translation phi is a bijection between the two."""
 
 from __future__ import annotations
@@ -282,18 +282,16 @@ def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
     return [ref for _, ref in found]
 
 
-def enumerate_cospans(t: BMGraph, r: BMGraph) -> dict[tuple, GraphCospan]:
-    """All cover/refinement cospans from the picture of t to the picture
-    of r, one per equality class, by cospan_key: the first cospan found
-    with each key.  Each of t's covers is paired with every refinement of
-    r's picture into the cover's apex, which has t's vertex count."""
-    found: dict[tuple, GraphCospan] = {}
+def enumerate_cospans(t: BMGraph, r: BMGraph) -> list[GraphCospan]:
+    """Every cover/refinement cospan from the picture of t to the picture
+    of r, none dropped: each of t's covers paired with every refinement
+    of r's picture into the cover's apex, which has t's vertex count."""
     picture = phi1_graph(r)
-    for cover in _covers(phi1_graph(t)):
-        for ref in enumerate_refinements(picture, cover.target):
-            c = GraphCospan(cover, ref)
-            found.setdefault(cospan_key(c), c)
-    return found
+    return [
+        GraphCospan(cover, ref)
+        for cover in _covers(phi1_graph(t))
+        for ref in enumerate_refinements(picture, cover.target)
+    ]
 
 
 @dataclass(frozen=True)
@@ -340,9 +338,12 @@ class EquivalenceReport:
 def check_pair(tau: BMGraph, rho: BMGraph, ti: int, ri: int) -> PairResult:
     """Count both hom-sets and check that phi is a bijection between
     them.  An image that is not a valid cospan fails the roundtrip and
-    gets no key, so the pair also fails injectivity."""
+    gets no key, so the pair also fails injectivity.  Two enumerated
+    cospans with one key fail it too: the images must have exactly the
+    enumerated keys, and the cospan count is the raw count."""
     homs = enumerate_bm_morphisms(tau, rho)
     cospans = enumerate_cospans(tau, rho)
+    cospan_keys = {cospan_key(c) for c in cospans}
     keys = set()
     roundtrip = True
     for h in homs:
@@ -354,7 +355,7 @@ def check_pair(tau: BMGraph, rho: BMGraph, ti: int, ri: int) -> PairResult:
             roundtrip = False
         keys.add(cospan_key(c))
     injective = len(keys) == len(homs)
-    surjective = keys >= cospans.keys()
+    surjective = keys == cospan_keys
     return PairResult(
         ti, ri, len(homs), len(cospans), injective, surjective, roundtrip
     )

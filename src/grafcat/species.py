@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .graph_core import (
-    GraphIso,
+    EtaleMorphism,
     JKGraph,
     ValidationReport,
     _UnionFind,
@@ -287,7 +287,7 @@ def evaluate_species(sp: GraphicalSpecies, g: JKGraph) -> list[Decoration]:
     return out
 
 
-def transport_decoration(sp: GraphicalSpecies, dec: Decoration, iso: GraphIso) -> Decoration:
+def transport_decoration(sp: GraphicalSpecies, dec: Decoration, iso: EtaleMorphism) -> Decoration:
     colouring = {iso.arc_map[a]: c for a, c in dec.arc_colouring.items()}
     labels = {}
     for v, label in dec.vertex_labels.items():

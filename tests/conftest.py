@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from grafcat.bm import BMGraph
-from grafcat.graph_core import JKGraph
+from grafcat.graph_core import JKGraph, relabel
 
 
 # -- arc/flag/vertex examples ------------------------------------------------
@@ -39,6 +39,19 @@ def make_path_piece():
         {"m_p": "pm", "m_e": "e1", "n_e": "e2", "n_q": "qn"},
         {"m_p": "m", "m_e": "m", "n_e": "n", "n_q": "n"},
     )
+
+
+def make_two_isolated_edges():
+    # two edges and nothing else
+    return JKGraph(
+        {"a", "b", "c", "d"}, set(), set(), {"a": "b", "b": "a", "c": "d", "d": "c"}, {}, {}
+    )
+
+
+def shuffled(g):
+    """g with the labels of each level renamed in reverse sorted order."""
+    rev = lambda xs: dict(zip(sorted(xs), sorted(xs, reverse=True)))
+    return relabel(g, rev(g.arcs), rev(g.flags), rev(g.vertices))
 
 
 @pytest.fixture

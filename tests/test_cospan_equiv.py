@@ -39,11 +39,9 @@ from grafcat.etale import (
     ReducedCover,
     compose_etale,
     identity_cover,
-    iso_etale,
     validate_reduced_cover,
 )
 from grafcat.graph_core import (
-    GraphIso,
     JKGraph,
     edges,
     find_isomorphisms,
@@ -197,10 +195,9 @@ def search_equal(c1, c2):
     if c1.source != c2.source or c1.target != c2.target:
         return False
     for iso in find_isomorphisms(c1.apex, c2.apex):
-        mid = iso_etale(c1.apex, c2.apex, iso)
-        if compose_etale(c1.left.morphism, mid) != c2.left.morphism:
+        if compose_etale(c1.left.morphism, iso) != c2.left.morphism:
             continue
-        if transport_refinement(c1.right, iso, c2.apex) == c2.right:
+        if transport_refinement(c1.right, iso) == c2.right:
             return True
     return False
 
@@ -239,14 +236,14 @@ def relabelled(c, arc_perm, flag_perm, vertex_perm):
     """c with its apex renamed by the given permutations of the apex's
     own labels, both legs transported along the renaming."""
     apex = c.apex
-    iso = GraphIso(
+    maps = (
         dict(zip(sorted(apex.arcs), arc_perm)),
         dict(zip(sorted(apex.flags), flag_perm)),
         dict(zip(sorted(apex.vertices), vertex_perm)),
     )
-    new_apex = relabel(apex, iso.arc_map, iso.flag_map, iso.vertex_map)
-    left = ReducedCover(compose_etale(c.left.morphism, iso_etale(apex, new_apex, iso)))
-    return GraphCospan(left, transport_refinement(c.right, iso, new_apex))
+    iso = EtaleMorphism(apex, relabel(apex, *maps), *maps)
+    left = ReducedCover(compose_etale(c.left.morphism, iso))
+    return GraphCospan(left, transport_refinement(c.right, iso))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import jk_graphs, make_cycle, make_loop
+from conftest import jk_graphs, make_cycle, make_loop, make_two_isolated_edges, shuffled
 from grafcat.cospan_equiv import phi1_graph
 from grafcat.etale import (
     EtaleMorphism,
@@ -33,6 +33,7 @@ from grafcat.graph_core import (
     is_effective,
     is_isomorphic,
     ports,
+    prefix_graph,
     unit_graph,
     validate_graph,
 )
@@ -100,6 +101,41 @@ def test_covering_family(CY):
     _, i2 = open_subgraph(CY, {"w"})
     assert is_covering_family([i1, i2])
     assert not is_covering_family([i1])
+
+
+# -- isomorphisms, renamings and inclusions are etale maps -------------------------
+
+def small_graphs():
+    """The (2,4) pictures, the unit graph and two isolated edges."""
+    pictures = [phi1_graph(b) for b in enumerate_bm_graphs(2, 4)]
+    return pictures + [unit_graph(), make_two_isolated_edges()]
+
+
+def test_isomorphisms_are_etale_bijections_between_their_ends():
+    checked = 0
+    for g in small_graphs():
+        for h in (g, shuffled(g)):
+            for iso in find_isomorphisms(g, h):
+                assert iso.source is g and iso.target is h
+                assert validate_etale(iso).ok and is_injective_etale(iso)
+                assert set(iso.arc_map.values()) == h.arcs
+                assert set(iso.flag_map.values()) == h.flags
+                assert set(iso.vertex_map.values()) == h.vertices
+                checked += 1
+    assert checked == 318
+
+
+def test_renamings_and_sum_inclusions_are_injective_etale():
+    gs = small_graphs()
+    checked = 0
+    for g, h in zip(gs, gs[1:] + gs[:1]):
+        copy, renaming = prefix_graph(g, "x.")
+        total, left, right = disjoint_union(g, h)
+        for m, source, target in ((renaming, g, copy), (left, g, total), (right, h, total)):
+            assert m.source is source and m.target is target
+            assert validate_etale(m).ok and is_injective_etale(m)
+            checked += 1
+    assert checked == 105
 
 
 # -- gluing ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from conftest import jk_graphs, make_path_piece
+from conftest import jk_graphs, make_path_piece, shuffled
 from grafcat.cospan_equiv import phi1_graph
 from grafcat.etale import (
     EtaleMorphism,
@@ -14,7 +14,6 @@ from grafcat.etale import (
     identity_cover,
     identity_etale,
     is_reduced_cover,
-    iso_etale,
     open_subgraph,
     reduced_covers_of,
     validate_etale,
@@ -26,6 +25,7 @@ from grafcat.graph_core import (
     corolla,
     disjoint_union,
     find_isomorphisms,
+    flag_view,
     flags_by_vertex,
     graph_sum,
     inner_edges,
@@ -168,7 +168,7 @@ def test_pieces_of_identity(CY):
     for v, (piece, bij) in ps.items():
         assert is_isomorphic(piece, corolla(2))
         assert set(bij.values()) == {
-            CY.involution[CY.embed[h]] for h in CY.flags_at(v)
+            CY.involution[CY.embed[h]] for h in flag_view(CY)[0][v]
         }
 
 
@@ -251,6 +251,23 @@ def test_two_step_composite_validates(L, PATH):
     two = compose_refinements(r, again)
     assert validate_refinement(two).ok
     assert two.source == L
+
+
+def test_transport_lands_on_the_isomorphism_target():
+    # every refinement between (2,4) pictures, transported along every
+    # isomorphism of its target onto a shuffled copy
+    pictures = [phi1_graph(b) for b in enumerate_bm_graphs(2, 4)]
+    checked = 0
+    for a in pictures:
+        for b in pictures:
+            refs = enumerate_refinements(a, b)
+            for iso in find_isomorphisms(b, shuffled(b)):
+                for r in refs:
+                    moved = transport_refinement(r, iso)
+                    assert moved.target is iso.target
+                    assert validate_refinement(moved).ok
+                    checked += 1
+    assert checked == 3193
 
 
 # -- duality with reduced covers ---------------------------------------------------
@@ -366,10 +383,9 @@ def searched_kleisli_equal(k1: KleisliMorphism, k2: KleisliMorphism) -> bool:
     if k1.source != k2.source or k1.target != k2.target:
         return False
     for iso in _iso_gen(k1.generic.target, k2.generic.target):
-        if transport_refinement(k1.generic, iso, k2.generic.target) != k2.generic:
+        if transport_refinement(k1.generic, iso) != k2.generic:
             continue
-        mid_iso = iso_etale(k1.generic.target, k2.generic.target, iso)
-        if compose_etale(mid_iso, k2.free) == k1.free:
+        if compose_etale(iso, k2.free) == k1.free:
             return True
     return False
 

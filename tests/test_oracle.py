@@ -94,6 +94,16 @@ def test_check_pair_spot_checks(LOOP, E2, CC):
         assert res.ok, (res.bm_count, res.cospan_count)
 
 
+def test_check_pair_fails_repeated_cospans(monkeypatch, LOOP):
+    # every refinement built twice: each cospan is enumerated twice
+    real = oracle.enumerate_refinements
+    assert check_pair(LOOP, P, 0, 0).ok
+    monkeypatch.setattr(oracle, "enumerate_refinements", lambda r, s: 2 * real(r, s))
+    res = check_pair(LOOP, P, 0, 0)
+    assert not res.ok
+    assert (res.bm_count, res.cospan_count) == (1, 2)
+
+
 def test_cospans_match_homs_on_an_interesting_pair(LOOP):
     homs = enumerate_bm_morphisms(LOOP, P)
     cospans = enumerate_cospans(LOOP, P)
