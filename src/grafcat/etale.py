@@ -14,7 +14,7 @@ returns it; the etale clauses are checked here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .graph_core import (
     EtaleMorphism,
@@ -72,13 +72,10 @@ def compose_etale(m1: EtaleMorphism, m2: EtaleMorphism) -> EtaleMorphism:
     """The composite m2 after m1 (m1 first)."""
     if m1.target is not m2.source and m1.target != m2.source:
         raise ValueError("etale maps are not composable: middle graphs differ")
-    return EtaleMorphism(
-        m1.source,
-        m2.target,
-        {a: m2.arc_map[b] for a, b in m1.arc_map.items()},
-        {h: m2.flag_map[k] for h, k in m1.flag_map.items()},
-        {v: m2.vertex_map[w] for v, w in m1.vertex_map.items()},
-    )
+    arc_map = {a: m2.arc_map[b] for a, b in m1.arc_map.items()}
+    flag_map = {h: m2.flag_map[k] for h, k in m1.flag_map.items()}
+    vertex_map = {v: m2.vertex_map[w] for v, w in m1.vertex_map.items()}
+    return tuple.__new__(EtaleMorphism, (m1.source, m2.target, arc_map, flag_map, vertex_map))
 
 
 def is_injective_etale(m: EtaleMorphism) -> bool:
@@ -98,12 +95,13 @@ def open_subgraph(g: JKGraph, vertex_set) -> tuple[JKGraph, EtaleMorphism]:
     if not W <= set(g.vertices):
         raise ValueError(f"not a vertex subset: {sorted(W - set(g.vertices))}")
     sub = spanned_subgraph(g, W)
-    return sub, replace(identity_etale(sub), target=g)
+    return sub, identity_etale(sub)._replace(target=g)
 
 
 @dataclass(frozen=True)
 class ReducedCover:
-    """A covering etale map that is bijective on vertices."""
+    """A covering etale map that is bijective on vertices.  A dataclass,
+    not a tuple, so that memoised can keep per-cover data on it."""
 
     morphism: EtaleMorphism
 
@@ -229,8 +227,9 @@ def replay_gluings(g: JKGraph, steps: list[tuple[str, str]]) -> tuple[JKGraph, R
         {h: arc_map[x] for h, x in g.embed.items()},
         dict(g.incidence),
     )
-    q = EtaleMorphism(
-        g, quotient, arc_map, {h: h for h in g.flags}, {v: v for v in g.vertices}
+    q = tuple.__new__(
+        EtaleMorphism,
+        (g, quotient, arc_map, {h: h for h in g.flags}, {v: v for v in g.vertices}),
     )
     return quotient, ReducedCover(q)
 
@@ -250,26 +249,25 @@ def cut_edges(g: JKGraph, cut: set[frozenset[str]]) -> tuple[JKGraph, ReducedCov
     for e in cut:
         if e not in inner:
             raise ValueError(f"not an inner edge: {tuple(sorted(e))}")
-    used = set(g.arcs)
-    involution = dict(g.involution)
     arcs = set(g.arcs)
+    involution = dict(g.involution)
     arc_map = {x: x for x in g.arcs}
     for e in sorted(cut, key=lambda e: tuple(sorted(e))):
         a1, a2 = sorted(e)
-        c1 = fresh_label(a1, used)
-        used.add(c1)
-        c2 = fresh_label(a2, used)
-        used.add(c2)
-        arcs |= {c1, c2}
+        c1 = fresh_label(a1, arcs)
+        arcs.add(c1)
+        c2 = fresh_label(a2, arcs)
+        arcs.add(c2)
         involution[a1] = c1
         involution[c1] = a1
         involution[a2] = c2
         involution[c2] = a2
         arc_map[c1] = a2
         arc_map[c2] = a1
-    source = JKGraph(arcs, g.flags, g.vertices, involution, dict(g.embed), dict(g.incidence))
-    m = EtaleMorphism(
-        source, g, arc_map, {h: h for h in g.flags}, {v: v for v in g.vertices}
+    source = JKGraph(arcs, g.flags, g.vertices, involution, g.embed, g.incidence)
+    m = tuple.__new__(
+        EtaleMorphism,
+        (source, g, arc_map, {h: h for h in g.flags}, {v: v for v in g.vertices}),
     )
     return source, ReducedCover(m)
 

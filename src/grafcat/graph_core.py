@@ -14,7 +14,10 @@ image is isolated.
 
 All identifiers are opaque strings and all maps are explicit finite
 dicts.  Values are treated as immutable after construction, which is
-what lets memoised keep per-value results on the value itself.
+what lets memoised keep per-value results on the value itself.  Graphs
+(and the dataclass values built on them) carry such a memo in their
+__dict__; the tuple-backed morphisms, EtaleMorphism here and
+kleisli.Refinement, have no __dict__ and carry none.
 
 Isomorphisms (find_isomorphisms), the renaming prefix_graph returns and
 the inclusions into a disjoint_union are EtaleMorphisms: levelwise maps
@@ -25,14 +28,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 def memoised(fn):
     """fn(value), computed once per value object and stored in the
     value's __dict__ (under a dotted name no attribute can have).  The
-    stored result is shared by every caller, who must not change it."""
+    stored result is shared by every caller, who must not change it.
+    Only values with a __dict__ take a memo: graphs and the dataclass
+    values such as etale.ReducedCover, not the tuple-backed
+    EtaleMorphism and kleisli.Refinement."""
     key = f"{fn.__module__}.{fn.__qualname__}"
     missing = object()
 
@@ -90,20 +96,29 @@ class JKGraph:
 EMPTY_GRAPH = JKGraph(frozenset(), frozenset(), frozenset(), {}, {}, {})
 
 
-@dataclass(frozen=True)
-class EtaleMorphism:
-    """Levelwise maps from source to target (see etale.validate_etale)."""
-
+class _EtaleMorphismFields(NamedTuple):
     source: JKGraph
     target: JKGraph
     arc_map: dict[str, str]
     flag_map: dict[str, str]
     vertex_map: dict[str, str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "arc_map", dict(self.arc_map))
-        object.__setattr__(self, "flag_map", dict(self.flag_map))
-        object.__setattr__(self, "vertex_map", dict(self.vertex_map))
+
+class EtaleMorphism(_EtaleMorphismFields):
+    """Levelwise maps from source to target (see etale.validate_etale).
+
+    An immutable value that compares as the tuple of its five fields.
+    The constructor copies the three maps, so no caller's dict is
+    aliased; the library's builders hand over maps they have just built
+    in one tuple.__new__ call, and may share a map between the values
+    they return.  Callers must not write into the maps.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, source, target, arc_map, flag_map, vertex_map):
+        maps = dict(arc_map), dict(flag_map), dict(vertex_map)
+        return tuple.__new__(cls, (source, target, *maps))
 
 
 def validate_graph(g: JKGraph) -> ValidationReport:
@@ -169,9 +184,11 @@ def embed_image(g: JKGraph) -> set[str]:
     return set(g.embed.values())
 
 
-def edges(g: JKGraph) -> set[frozenset[str]]:
-    """The involution orbits, as unordered arc pairs."""
-    return {frozenset((a, g.involution[a])) for a in g.arcs}
+@memoised
+def edges(g: JKGraph) -> frozenset[frozenset[str]]:
+    """The involution orbits, as unordered arc pairs, found once per
+    graph."""
+    return frozenset(frozenset((a, g.involution[a])) for a in g.arcs)
 
 
 @memoised
@@ -349,7 +366,7 @@ def disjoint_union(g1: JKGraph, g2: JKGraph) -> tuple[JKGraph, EtaleMorphism, Et
     left, lm = prefix_graph(g1, "L.")
     right, rm = prefix_graph(g2, "R.")
     total = graph_sum([left, right])
-    return total, replace(lm, target=total), replace(rm, target=total)
+    return total, lm._replace(target=total), rm._replace(target=total)
 
 
 def graph_sum(parts: Iterable[JKGraph]) -> JKGraph:
@@ -565,8 +582,8 @@ def _iso_gen(g1: JKGraph, g2: JKGraph) -> Iterator[EtaleMorphism]:
             amap[a] = b
             amap[g1.involution[a]] = g2.involution[b]
         for extra in isolated:
-            amap.update(extra)  # the same keys each time; the constructor copies
-            yield EtaleMorphism(g1, g2, amap, fmap, vmap)
+            amap.update(extra)  # the same keys each time, so each value gets a copy
+            yield tuple.__new__(EtaleMorphism, (g1, g2, dict(amap), fmap, vmap))
 
 
 def find_isomorphisms(g1: JKGraph, g2: JKGraph) -> list[EtaleMorphism]:

@@ -31,6 +31,7 @@ factors through the target with the edges the cover glues cut open.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .etale import (
     EtaleMorphism,
@@ -55,30 +56,39 @@ from .graph_core import (
     inner_edges,
     isolated_edges,
     local_interface,
+    memoised,
     ports,
     relabel,
 )
 
 
-@dataclass(frozen=True)
-class Refinement:
-    """A refinement source -> target by its three maps (module docstring).
-
-    The paper's W_x, the vertices of the piece at x, is the fibre of
-    vertex_map over x (piece_vertices lists them all), and the flagged
-    subgraph (W_x, h) of a flag g at x is that fibre together with
-    h = flag_map[g]."""
-
+class _RefinementFields(NamedTuple):
     source: JKGraph
     target: JKGraph
     arc_map: dict[str, str]
     vertex_map: dict[str, str]
     flag_map: dict[str, str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "arc_map", dict(self.arc_map))
-        object.__setattr__(self, "vertex_map", dict(self.vertex_map))
-        object.__setattr__(self, "flag_map", dict(self.flag_map))
+
+class Refinement(_RefinementFields):
+    """A refinement source -> target by its three maps (module docstring).
+
+    The paper's W_x, the vertices of the piece at x, is the fibre of
+    vertex_map over x (piece_vertices lists them all), and the flagged
+    subgraph (W_x, h) of a flag g at x is that fibre together with
+    h = flag_map[g].
+
+    An immutable value that compares as the tuple of its five fields.
+    The constructor copies the three maps, so no caller's dict is
+    aliased; the library's builders hand over maps they have just built
+    in one tuple.__new__ call, and may share a map between the values
+    they return.  Callers must not write into the maps."""
+
+    __slots__ = ()
+
+    def __new__(cls, source, target, arc_map, vertex_map, flag_map):
+        maps = dict(arc_map), dict(vertex_map), dict(flag_map)
+        return tuple.__new__(cls, (source, target, *maps))
 
 
 def piece_vertices(r: Refinement) -> dict[str, list[str]]:
@@ -256,8 +266,7 @@ def _refine_with_cover(
         flag_map[g] = h
         arc_map[a] = cover.arc_map[total.embed[h]]
         arc_map[r.involution[a]] = cover.arc_map[q]
-    refinement = Refinement(r, glued, arc_map, vertex_map, flag_map)
-    return refinement, cover
+    return tuple.__new__(Refinement, (r, glued, arc_map, vertex_map, flag_map)), cover
 
 
 def compose_refinements(r1: Refinement, r2: Refinement) -> Refinement:
@@ -268,18 +277,15 @@ def compose_refinements(r1: Refinement, r2: Refinement) -> Refinement:
     vertex_map = {v: r1.vertex_map[w] for v, w in r2.vertex_map.items()}
     flag_map = {g: r2.flag_map[h] for g, h in r1.flag_map.items()}
     arc_map = {a: r2.arc_map[b] for a, b in r1.arc_map.items()}
-    return Refinement(r1.source, r2.target, arc_map, vertex_map, flag_map)
+    return tuple.__new__(Refinement, (r1.source, r2.target, arc_map, vertex_map, flag_map))
 
 
 def transport_refinement(r: Refinement, iso: EtaleMorphism) -> Refinement:
     """Push a refinement forward along an isomorphism of its target."""
-    return Refinement(
-        r.source,
-        iso.target,
-        {a: iso.arc_map[b] for a, b in r.arc_map.items()},
-        {iso.vertex_map[v]: x for v, x in r.vertex_map.items()},
-        {g: iso.flag_map[h] for g, h in r.flag_map.items()},
-    )
+    arc_map = {a: iso.arc_map[b] for a, b in r.arc_map.items()}
+    vertex_map = {iso.vertex_map[v]: x for v, x in r.vertex_map.items()}
+    flag_map = {g: iso.flag_map[h] for g, h in r.flag_map.items()}
+    return tuple.__new__(Refinement, (r.source, iso.target, arc_map, vertex_map, flag_map))
 
 
 def refinement_to_cover(r: Refinement) -> ReducedCover:
@@ -339,7 +345,7 @@ def pushout_gen_rc(gen: Refinement, rc: ReducedCover) -> tuple[Refinement, Reduc
     arc_map = {}
     for a in rc.source.arcs:
         arc_map[rc.arc_map[a]] = rc_out.arc_map[gen.arc_map[a]]
-    gen_out = Refinement(rc.target, new_target, arc_map, vertex_map, flag_map)
+    gen_out = tuple.__new__(Refinement, (rc.target, new_target, arc_map, vertex_map, flag_map))
     return gen_out, rc_out
 
 
@@ -392,10 +398,9 @@ def compose_cover_then_refinement(rc: ReducedCover, u: Refinement) -> KleisliMor
     if rc.target is not u.source and rc.target != u.source:
         raise ValueError("cover and refinement are not composable")
     src = rc.source
-    kept = {frozenset(rc.arc_map[a] for a in e) for e in inner_edges(src)}
+    kept, vmap_inv = _cover_layout(rc)
     cut = {frozenset(u.arc_map[a] for a in e) for e in inner_edges(u.source) - kept}
     mid, free = cut_edges(u.target, cut)
-    vmap_inv = {y: x for x, y in rc.vertex_map.items()}
     vertex_map = {v: vmap_inv[y] for v, y in u.vertex_map.items()}
     flag_map = {g: u.flag_map[rc.flag_map[g]] for g in src.flags}
     arc_map = {}
@@ -403,8 +408,17 @@ def compose_cover_then_refinement(rc: ReducedCover, u: Refinement) -> KleisliMor
         a = src.embed[g]
         arc_map[a] = mid.embed[h]
         arc_map[src.involution[a]] = mid.involution[mid.embed[h]]
-    refinement = Refinement(src, mid, arc_map, vertex_map, flag_map)
+    refinement = tuple.__new__(Refinement, (src, mid, arc_map, vertex_map, flag_map))
     return KleisliMorphism(refinement, free.morphism)
+
+
+@memoised
+def _cover_layout(rc: ReducedCover) -> tuple[frozenset[frozenset[str]], dict[str, str]]:
+    """The inner edges of rc's target that inner edges of its source
+    provide, and the inverse of its vertex bijection, found once per
+    cover."""
+    kept = frozenset(frozenset(rc.arc_map[a] for a in e) for e in inner_edges(rc.source))
+    return kept, {y: x for x, y in rc.vertex_map.items()}
 
 
 def _middle_iso(k1: KleisliMorphism, k2: KleisliMorphism) -> EtaleMorphism | None:
@@ -464,13 +478,14 @@ def _middle_iso(k1: KleisliMorphism, k2: KleisliMorphism) -> EtaleMorphism | Non
             return None
     amap = {mid1.embed[h]: mid2.embed[k] for h, k in fmap.items()}
     amap.update({mid1.involution[a]: mid2.involution[b] for a, b in amap.items()})
-    return EtaleMorphism(mid1, mid2, amap, fmap, vmap)
+    return tuple.__new__(EtaleMorphism, (mid1, mid2, amap, fmap, vmap))
 
 
 def kleisli_equal(k1: KleisliMorphism, k2: KleisliMorphism) -> bool:
-    """Same endpoints, and the middle isomorphism that _middle_iso builds
-    commutes with both parts.  ValueError if a free part does not start
-    at its generic part's target or a middle has isolated edges."""
+    """Same endpoints, the same composite on flags, and the middle
+    isomorphism that _middle_iso builds commutes with both parts.
+    ValueError if a free part does not start at its generic part's
+    target or a middle has isolated edges."""
     for k in (k1, k2):
         if k.free.source is not k.generic.target and k.free.source != k.generic.target:
             raise ValueError("the free part does not start at the generic part's target")
@@ -479,6 +494,11 @@ def kleisli_equal(k1: KleisliMorphism, k2: KleisliMorphism) -> bool:
     if (k1.source is not k2.source and k1.source != k2.source) or (
         k1.target is not k2.target and k1.target != k2.target
     ):
+        return False
+    # equal morphisms send each source flag to one target flag, and most
+    # unequal ones already differ there, before any middle is looked at
+    f1, f2, chosen2 = k1.free.flag_map, k2.free.flag_map, k2.generic.flag_map
+    if any(f1[h] != f2[chosen2[g]] for g, h in k1.generic.flag_map.items()):
         return False
     iso = _middle_iso(k1, k2)
     return (

@@ -5,9 +5,9 @@ involutions), morphisms by building only the triples the morphism
 clauses allow, and cospans by pairing each reduced cover of the
 source's picture (one per port matching) with each refinement into its
 apex, again built only as the refinement clauses allow.  A graph's
-picture, the covers out of it and its graph clauses are memoised on
-the graph and the picture, so each is built once however many pairs
-the graph is in.  No apex bound is needed: a reduced cover is bijective
+picture, the covers out of it, its graph clauses and the layout the
+refinement enumerator reads are memoised on the graph and the picture,
+so each is built once however many pairs the graph is in.  No apex bound is needed: a reduced cover is bijective
 on vertices, so every apex has its source's vertex count.
 Cospans are compared through their normal form (cospan_key): the cover
 leg forces the apex isomorphism, so equal cospans have equal keys and
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bm import BMGraph, BMMorphism
 from .cospan_equiv import (
@@ -202,6 +203,41 @@ def _covers(picture: JKGraph) -> tuple[ReducedCover, ...]:
     return tuple(covers_from(picture))
 
 
+class _Layout(NamedTuple):
+    """What enumerate_refinements reads of a graph at either end."""
+
+    ports: int
+    vertices: list[str]  # sorted
+    rank: dict[str, int]  # of each vertex in vertices
+    partner: dict[str, str]  # as in flag_view
+    flags: list[str]  # sorted
+    leaders: list[str]  # the flags no greater than their partner
+    on_port: list[str]  # the flags that are their own partner
+    on_edge: list[str]  # the others
+
+
+@memoised
+def _layout(g: JKGraph) -> _Layout | None:
+    """g's layout, or None if g is invalid or has isolated edges; found
+    once per graph."""
+    c = graph_clauses(g)
+    if c.problems or c.isolated:
+        return None
+    vertices = sorted(g.vertices)
+    partner = flag_view(g)[1]
+    flags = sorted(g.flags)
+    return _Layout(
+        len(ports(g)),
+        vertices,
+        {x: i for i, x in enumerate(vertices)},
+        partner,
+        flags,
+        [h for h in flags if h <= partner[h]],
+        [h for h in flags if partner[h] == h],
+        [h for h in flags if partner[h] != h],
+    )
+
+
 def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
     """All refinements r -> s, built clause by clause; none unless both
     graphs are valid and without isolated edges.  The flags of r, in
@@ -216,35 +252,29 @@ def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
     the flag choices."""
     if len(r.vertices) > len(s.vertices) or len(r.flags) > len(s.flags):
         return []
-    if len(ports(r)) != len(ports(s)):
+    lr, ls = _layout(r), _layout(s)
+    if lr is None or ls is None or lr.ports != ls.ports:
         return []
-    for c in (graph_clauses(r), graph_clauses(s)):
-        if c.problems or c.isolated:
-            return []
-    r_vertices = sorted(r.vertices)
-    s_vertices = sorted(s.vertices)
-    rank = {x: i for i, x in enumerate(r_vertices)}
-    (_, r_partner), (_, s_partner) = flag_view(r), flag_view(s)
-    leaders = [g for g in sorted(r.flags) if g <= r_partner[g]]
-    s_flags = sorted(s.flags)
-    on_port = [h for h in s_flags if s_partner[h] == h]
-    on_edge = [h for h in s_flags if s_partner[h] != h]
+    r_vertices, rank, r_partner, leaders = lr.vertices, lr.rank, lr.partner, lr.leaders
+    s_vertices, s_partner, s_flags = ls.vertices, ls.partner, ls.flags
+    on_port, on_edge = ls.on_port, ls.on_edge
     found: list[tuple[tuple[int, ...], Refinement]] = []
     chosen: dict[str, str] = {}  # flag of r -> flag of s, partners after leaders
+    taken: set[str] = set()  # the values of chosen
     forced: dict[str, str] = {}  # vertex of s -> vertex of r
 
     def complete():
         # Every flag of s on a port is taken, so the untaken flags are
         # whole inner edges, and each lies in one piece.
-        taken = set(chosen.values())
         ties = [(s.incidence[h], s.incidence[s_partner[h]]) for h in s_flags if h not in taken]
         arc_map: dict[str, str] = {}
         for g, h in chosen.items():
             arc_map[r.embed[g]] = s.embed[h]
             arc_map.setdefault(r.involution[r.embed[g]], s.involution[s.embed[h]])
+        flag_map = dict(chosen)  # the search goes on changing chosen
         for vm in _surjections(s_vertices, r_vertices, ties, forced):
             key = tuple(rank[vm[v]] for v in s_vertices)
-            found.append((key, Refinement(r, s, arc_map, vm, chosen)))
+            found.append((key, tuple.__new__(Refinement, (r, s, arc_map, vm, flag_map))))
 
     def place(i: int):
         if i == len(leaders):
@@ -253,12 +283,12 @@ def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
         g = leaders[i]
         g2 = r_partner[g]
         for h in on_port if g2 == g else on_edge:
-            if h in chosen.values():
+            if h in taken:
                 continue
             step = {g: h}
             if g2 != g:
                 h2 = s_partner[h]
-                if h2 in chosen.values():
+                if h2 in taken:
                     continue
                 step[g2] = h2
             fresh = []
@@ -271,9 +301,11 @@ def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
                     break
             else:
                 chosen.update(step)
+                taken.update(step.values())
                 place(i + 1)
-                for a in step:
+                for a, b in step.items():
                     del chosen[a]
+                    taken.discard(b)
             for v in fresh:
                 del forced[v]
 

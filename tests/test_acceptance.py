@@ -7,6 +7,8 @@ test finishes by printing one PASS line with the verified counts, so
 `pytest -s tests/test_acceptance.py` reads as a scoreboard.
 """
 
+import collections
+import contextlib
 import functools
 import itertools
 import json
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from grafcat import etale, kleisli, oracle
 from grafcat.bm import (
     bm_tails,
     classify_bm,
@@ -38,20 +41,26 @@ from grafcat.cospan_equiv import (
     phi2_mor_inv,
     phi_inv,
 )
-from grafcat.etale import reduced_covers_of
+from grafcat.etale import ReducedCover, reduced_covers_of
 from grafcat.graph_core import (
+    EtaleMorphism,
     corolla,
+    edges,
     find_isomorphisms,
+    flag_view,
+    graph_clauses,
     inner_edges,
     is_connected,
     is_effective,
     is_isomorphic,
+    isolated_edges,
     local_interface,
     ports,
     relabel,
 )
 from grafcat.kleisli import (
     KleisliMorphism,
+    Refinement,
     _refine_with_cover,
     compose_cover_then_refinement,
     compose_refinements,
@@ -85,7 +94,7 @@ from grafcat.species import (
     validate_decoration,
 )
 
-from test_kleisli import covers_agree, summed_refinement_to_cover
+from test_kleisli import covers_agree, in_order, summed_refinement_to_cover
 from test_oracle import _refinements_in_order, filtered_refinements
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -370,42 +379,61 @@ def test_duality_roundtrips(bm_world, jk_world, ref_matrix):
     )
 
 
-def test_pushouts_mediate_uniquely(jk_world):
-    jks = jk_world
+def pushout_squares(jks, scope=contextlib.nullcontext):
+    """Push out every refinement R -> S against every reduced cover of R
+    and assert that exactly one refinement mediates each cocone over the
+    square; returns (squares, cocones).  scope() wraps the work for each
+    R and for each square."""
     squares = cocones = 0
     for R in jks:
-        rcs = covers_from(R)
-        for S in jks:
-            refs = enumerate_refinements(R, S)
-            if not refs:
+        with scope():
+            rcs = covers_from(R)
+            for S in jks:
+                refs = enumerate_refinements(R, S)
+                if not refs:
+                    continue
+                covers_S = covers_from(S)
+                for gen in refs:
+                    for rc in rcs:
+                        with scope():
+                            squares += 1
+                            cocones += _mediate_cocones(gen, rc, covers_S)
+    return squares, cocones
+
+
+def _mediate_cocones(gen, rc, covers_S) -> int:
+    """The cocones over the pushout square of gen and rc whose free leg
+    is a cover in covers_S, each with its one mediating refinement."""
+    gen2, rc2 = pushout_gen_rc(gen, rc)
+    cocones = 0
+    for w in covers_S:
+        T = w.target
+        pool = None
+        for v in enumerate_refinements(rc.target, T):
+            if not kleisli_equal(
+                compose_cover_then_refinement(rc, v),
+                KleisliMorphism(gen, w.morphism),
+            ):
                 continue
-            covers_S = covers_from(S)
-            for gen in refs:
-                for rc in rcs:
-                    squares += 1
-                    gen2, rc2 = pushout_gen_rc(gen, rc)
-                    for w in covers_S:
-                        T = w.target
-                        pool = None
-                        for v in enumerate_refinements(rc.target, T):
-                            if not kleisli_equal(
-                                compose_cover_then_refinement(rc, v),
-                                KleisliMorphism(gen, w.morphism),
-                            ):
-                                continue
-                            cocones += 1
-                            if pool is None:
-                                pool = enumerate_refinements(rc2.target, T)
-                            count = sum(
-                                1
-                                for m in pool
-                                if compose_refinements(gen2, m) == v
-                                and kleisli_equal(
-                                    compose_cover_then_refinement(rc2, m),
-                                    free_kleisli(w.morphism),
-                                )
-                            )
-                            assert count == 1
+            cocones += 1
+            if pool is None:
+                pool = enumerate_refinements(rc2.target, T)
+            count = sum(
+                1
+                for m in pool
+                if compose_refinements(gen2, m) == v
+                and kleisli_equal(
+                    compose_cover_then_refinement(rc2, m),
+                    free_kleisli(w.morphism),
+                )
+            )
+            assert count == 1
+    return cocones
+
+
+def test_pushouts_mediate_uniquely(jk_world):
+    jks = jk_world
+    squares, cocones = pushout_squares(jks)
     assert (squares, cocones) == (1718, 1718)
 
     # uniqueness rests on covers being epi: distinct refinements out of
@@ -427,6 +455,115 @@ def test_pushouts_mediate_uniquely(jk_world):
         f"PASS pushout: {squares} spans, {cocones} cocones with exactly one "
         f"mediating refinement; epi check on {pairs} pairs"
     )
+
+
+# -- handed-over maps -------------------------------------------------------------------
+#
+# These builders pass the maps they have just built straight to the
+# tuple of an EtaleMorphism or a Refinement, and may share one map
+# between the values they return.  The copying constructor is the
+# reference: each value is rebuilt through it as it is returned, as the
+# builders first built it, and must still equal that copy, field for
+# field, when the scope it was made in ends.  The layouts memoised on
+# the graphs and covers that the enumerator and the cover composite read
+# must equal a fresh recomputation then, and so must each list of
+# enumerated refinements.
+
+HANDING_OVER = {
+    etale: ("compose_etale", "cut_edges", "replay_gluings"),
+    kleisli: (
+        "_middle_iso",
+        "compose_refinements",
+        "transport_refinement",
+        "pushout_gen_rc",
+        "_refine_with_cover",
+        "compose_cover_then_refinement",
+    ),
+    oracle: ("enumerate_refinements",),
+}
+GRAPH_MEMOS = (edges, inner_edges, isolated_edges, graph_clauses, flag_view, oracle._layout)
+
+
+def handed_over(result):
+    """The EtaleMorphisms and Refinements in a builder's result."""
+    if isinstance(result, (EtaleMorphism, Refinement)):
+        yield result
+    elif isinstance(result, ReducedCover):
+        yield result.morphism
+    elif isinstance(result, KleisliMorphism):
+        yield from (result.generic, result.free)
+    elif isinstance(result, (tuple, list)):
+        for x in result:
+            yield from handed_over(x)
+
+
+class Recorder:
+    """Wraps every module binding of the HANDING_OVER builders; scope()
+    checks what was recorded inside it, then forgets it, which keeps the
+    records of a long loop small."""
+
+    def __init__(self, monkeypatch):
+        self.records = []  # (kind, object, reference)
+        self.compared = collections.Counter()
+        for module, names in HANDING_OVER.items():
+            for name in names:
+                fn = getattr(module, name)
+                recorded = self._recording(name, fn)
+                for mod in list(sys.modules.values()):
+                    if getattr(mod, "__dict__", {}).get(name) is fn:
+                        monkeypatch.setattr(mod, name, recorded)
+
+    def _recording(self, name, fn):
+        @functools.wraps(fn)
+        def recorded(*args):
+            result = fn(*args)
+            for value in handed_over(result):
+                self.records.append(("value", value, in_order(type(value)(*value))))
+            if name == "enumerate_refinements":
+                self.records.append(("enumerated", (fn, args), result))
+                self.records.extend(("graph", g, None) for g in args)
+            elif name == "compose_cover_then_refinement":
+                self.records.append(("cover", args[0], None))
+            return result
+
+        return recorded
+
+    @contextlib.contextmanager
+    def scope(self):
+        mark = len(self.records)
+        yield
+        seen = set()
+        for kind, obj, ref in self.records[mark:]:
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if kind == "value":
+                assert in_order(obj) == ref
+            elif kind == "enumerated":
+                fn, args = obj
+                assert [in_order(r) for r in ref] == [in_order(r) for r in fn(*args)]
+            elif kind == "graph":
+                for memo in GRAPH_MEMOS:
+                    assert memo(obj) == memo.__wrapped__(obj), memo.__name__
+            else:
+                assert kleisli._cover_layout(obj) == kleisli._cover_layout.__wrapped__(obj)
+            self.compared[kind] += 1
+        del self.records[mark:]
+
+
+def test_pushout_values_keep_their_copying_construction(jk_world, monkeypatch):
+    rec = Recorder(monkeypatch)
+    assert pushout_squares(jk_world, rec.scope) == (1718, 1718)
+    assert not rec.records
+    assert dict(rec.compared) == {"value": 130238, "enumerated": 16964, "graph": 18166, "cover": 3436}
+    print(f"PASS handed-over maps on the pushout loop: {dict(rec.compared)}")
+
+
+def test_composite_values_keep_their_copying_construction(ref_matrix, monkeypatch):
+    rec = Recorder(monkeypatch)
+    assert associative_triples(ref_matrix, rec.scope) == 123550
+    assert dict(rec.compared) == {"value": 376426}
+    print(f"PASS handed-over maps on the associativity loop: {dict(rec.compared)}")
 
 
 # -- monad law helpers ----------------------------------------------------------------
@@ -574,6 +711,28 @@ def bounded_combos(options, budget):
                 yield (opt, *rest)
 
 
+def associative_triples(ref_matrix, scope=contextlib.nullcontext) -> int:
+    """Assert (r1 r2) r3 == r1 (r2 r3) for every composable triple of
+    the matrix; returns the number of triples.  scope() wraps the work
+    for each composable pair (r1, r2)."""
+    jk_index = sorted({a for a, _ in ref_matrix} | {b for _, b in ref_matrix})
+    triples = 0
+    for a in jk_index:
+        for b in jk_index:
+            for r1 in ref_matrix[(a, b)]:
+                for c in jk_index:
+                    for r2 in ref_matrix[(b, c)]:
+                        with scope():
+                            left = compose_refinements(r1, r2)
+                            for d in jk_index:
+                                for r3 in ref_matrix[(c, d)]:
+                                    assert compose_refinements(left, r3) == compose_refinements(
+                                        r1, compose_refinements(r2, r3)
+                                    )
+                                    triples += 1
+    return triples
+
+
 def test_monad_laws_hold_at_small_scale(ref_matrix):
     # unit laws, exactly, over every truncated element of two species
     unit_configs = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)]
@@ -589,20 +748,7 @@ def test_monad_laws_hold_at_small_scale(ref_matrix):
                 rights += 1
 
     # associativity of refinement composition over the full matrix
-    jk_index = sorted({a for a, _ in ref_matrix} | {b for _, b in ref_matrix})
-    triples = 0
-    for a in jk_index:
-        for b in jk_index:
-            for r1 in ref_matrix[(a, b)]:
-                for c in jk_index:
-                    for r2 in ref_matrix[(b, c)]:
-                        left = compose_refinements(r1, r2)
-                        for d in jk_index:
-                            for r3 in ref_matrix[(c, d)]:
-                                assert compose_refinements(left, r3) == compose_refinements(
-                                    r1, compose_refinements(r2, r3)
-                                )
-                                triples += 1
+    triples = associative_triples(ref_matrix)
     assert triples == 123550
 
     # flattening associativity over every three-layer stack built from

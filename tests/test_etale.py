@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -115,7 +117,9 @@ def test_isomorphisms_are_etale_bijections_between_their_ends():
     checked = 0
     for g in small_graphs():
         for h in (g, shuffled(g)):
-            for iso in find_isomorphisms(g, h):
+            isos = find_isomorphisms(g, h)
+            assert all(i1 != i2 for i1, i2 in itertools.combinations(isos, 2))
+            for iso in isos:
                 assert iso.source is g and iso.target is h
                 assert validate_etale(iso).ok and is_injective_etale(iso)
                 assert set(iso.arc_map.values()) == h.arcs

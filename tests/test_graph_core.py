@@ -98,6 +98,13 @@ def test_inner_edges_are_kept_on_the_graph_and_cannot_be_changed(CY):
     assert isinstance(first, frozenset) and all(isinstance(e, frozenset) for e in first)
 
 
+def test_edges_are_a_frozenset_kept_on_the_graph(CY):
+    first = edges(CY)
+    assert edges(CY) is first
+    assert isinstance(first, frozenset)
+    assert first == {frozenset((a, CY.involution[a])) for a in CY.arcs}
+
+
 def test_isolated_edges_are_a_frozenset_kept_on_the_graph():
     g = graph_sum([unit_graph(), corolla(1)])
     first = isolated_edges(g)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,54 @@ def test_refine_rejects_colliding_prefixed_labels():
     renamed = relabel(r, vertex_map={"a.b": "w"})
     refinement, _ = _refine_with_cover(renamed, {"a": assignment["a"], "w": assignment["a.b"]})
     assert validate_refinement(refinement).ok
+
+
+# -- tuple-backed values ------------------------------------------------------------
+
+def value_maps(g: JKGraph) -> dict[str, dict[str, str]]:
+    """Identity maps on g, by field name, for either value type."""
+    return {
+        "arc_map": {a: a for a in g.arcs},
+        "flag_map": {h: h for h in g.flags},
+        "vertex_map": {v: v for v in g.vertices},
+    }
+
+
+def in_order(value):
+    """A value's fields, each map with its insertion order."""
+    return tuple(tuple(f.items()) if isinstance(f, dict) else f for f in value)
+
+
+VALUE_TYPES = pytest.mark.parametrize("kind", [EtaleMorphism, Refinement])
+
+
+@VALUE_TYPES
+def test_value_fields_cannot_be_assigned(kind, PATH):
+    value = kind(PATH, PATH, **value_maps(PATH))
+    for name in (*kind._fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, {})
+    assert value == kind(PATH, PATH, **value_maps(PATH))
+
+
+@VALUE_TYPES
+def test_value_constructor_copies_and_repr_names_the_fields(kind, PATH):
+    maps = value_maps(PATH)
+    value = kind(PATH, PATH, **maps)
+    for d in maps.values():
+        d["x"] = "y"
+    assert value == kind(PATH, PATH, **value_maps(PATH))
+    assert all(getattr(value, name) is not d for name, d in maps.items())
+    assert value == tuple(value)
+    assert repr(value).startswith(f"{kind.__name__}(source=")
+
+
+@VALUE_TYPES
+def test_values_survive_copy_and_pickle(kind, PATH):
+    value = kind(PATH, PATH, **value_maps(PATH))
+    for again in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert type(again) is kind
+        assert in_order(again) == in_order(value)
 
 
 # -- composition ----------------------------------------------------------------
