@@ -244,7 +244,10 @@ def fresh_label(label: str, used: set[str]) -> str:
 
 def cut_edges(g: JKGraph, cut: set[frozenset[str]]) -> tuple[JKGraph, ReducedCover]:
     """Sever the given inner edges of g into pairs of ports; the map
-    back to g is a reduced cover hitting each cut edge twice."""
+    back to g is a reduced cover hitting each cut edge twice.  With
+    nothing to cut, g itself and its identity cover."""
+    if not cut:
+        return g, identity_cover(g)
     inner = inner_edges(g)
     for e in cut:
         if e not in inner:

@@ -595,76 +595,17 @@ def is_isomorphic(g1: JKGraph, g2: JKGraph) -> bool:
     return next(_iso_gen(g1, g2), None) is not None
 
 
-def canonical_key(g: JKGraph, fixed: Iterable[str] = frozenset()) -> tuple:
-    """A hashable key such that two graphs get equal keys iff some
-    isomorphism between them maps every arc in fixed to the arc of the
-    same name.
-
-    Arcs are numbered in traversal order: first the sorted fixed arcs,
-    then, for each numbered arc in turn, its partner and, on reaching a
-    new vertex, that vertex's other flag arcs in every possible order; a
-    fresh start arc is chosen in every possible way when arcs are left
-    unnumbered.  An arc is encoded by its partner's number and its
-    vertex's number (-1 for a port); the key holds the least encoding.
-    ValueError if a fixed label is not an arc of g."""
-    anchors = sorted(fixed)
-    if not set(anchors) <= g.arcs:
-        raise ValueError(f"fixed labels are not arcs: {sorted(set(anchors) - g.arcs)}")
-    vertex_of = {g.embed[h]: g.incidence[h] for h in g.flags}
-    arcs_at: dict[str, list[str]] = {}
-    for a, v in vertex_of.items():
-        arcs_at.setdefault(v, []).append(a)
-    number = {a: k for k, a in enumerate(anchors)}
-    order = list(anchors)
-    vertex_number: dict[str, int] = {}
-    code: list[tuple[int, int]] = []
-    best: list[tuple[int, int]] | None = None
-
-    def extend(i: int) -> None:
-        # order[:i] is processed and code[:i] holds its final encoding,
-        # which is no greater than the same prefix of best
-        nonlocal best
-        if i == len(order):
-            if len(order) == len(g.arcs):
-                best = list(code)
-                return
-            for a in g.arcs - number.keys():
-                number[a] = i
-                order.append(a)
-                extend(i)
-                order.pop()
-                del number[a]
-            return
-        a = order[i]
-        partner = g.involution[a]
-        new_partner = partner not in number
-        if new_partner:
-            number[partner] = len(order)
-            order.append(partner)
-        v = vertex_of.get(a)
-        new_vertex = v is not None and v not in vertex_number
-        if new_vertex:
-            vertex_number[v] = len(vertex_number)
-        code.append((number[partner], -1 if v is None else vertex_number[v]))
-        if best is None or code <= best[: i + 1]:
-            if new_vertex:
-                rest = [b for b in arcs_at[v] if b not in number]
-                for perm in itertools.permutations(rest):
-                    for k, b in enumerate(perm, start=len(order)):
-                        number[b] = k
-                    order.extend(perm)
-                    extend(i + 1)
-                    del order[len(order) - len(perm) :]
-                    for b in perm:
-                        del number[b]
-            else:
-                extend(i + 1)
-        code.pop()
-        if new_vertex:
-            del vertex_number[v]
-        if new_partner:
-            order.pop()
-            del number[partner]
-
-    extend(0)
-    return tuple(anchors), len(g.vertices), tuple(best)
+def multigraph_key(labels: list, links: list[tuple[int, int]]) -> tuple:
+    """A key of the vertex multigraph whose vertex i carries labels[i]
+    and whose links join vertex pairs, (i, i) for a loop: two get equal
+    keys iff some vertex bijection keeping labels maps one link multiset
+    onto the other.  The key is the sorted labels and the least sorted
+    link list over the vertex orders that sort the labels, that is over
+    the permutations within each class of equal label."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    classes = [list(c) for _, c in itertools.groupby(order, key=labels.__getitem__)]
+    keys = []
+    for perms in itertools.product(*map(itertools.permutations, classes)):
+        pos = {v: k for k, v in enumerate(itertools.chain.from_iterable(perms))}
+        keys.append(sorted((min(pos[i], pos[j]), max(pos[i], pos[j])) for i, j in links))
+    return tuple(sorted(labels)), tuple(min(keys))

@@ -1,25 +1,27 @@
 """Exhaustive small-scale enumeration and the equivalence check.
 
 Graphs are generated from raw combinatorial data (valence lists and
-involutions), morphisms by building only the triples the morphism
-clauses allow, and cospans by pairing each reduced cover of the
-source's picture (one per port matching) with each refinement into its
-apex, again built only as the refinement clauses allow.  A graph's
+involutions), one per class of their vertex multigraphs, so on the
+vertex/flag side alone; morphisms by building only the triples the
+morphism clauses allow, and cospans by pairing each reduced cover of
+the source's picture (one per port matching) with each refinement into
+its apex, again built only as the refinement clauses allow.  A graph's
 picture, the covers out of it, its graph clauses and the layout the
 refinement enumerator reads are memoised on the graph and the picture,
-so each is built once however many pairs the graph is in.  No apex bound is needed: a reduced cover is bijective
-on vertices, so every apex has its source's vertex count.
-Cospans are compared through their normal form (cospan_key): the cover
-leg forces the apex isomorphism, so equal cospans have equal keys and
-the bijection checks are set operations.  The main entry point
-check_equivalence compares, for every ordered pair of graphs within
-bounds, the morphisms of the vertex/flag encoding against the
-cover/refinement cospans of the arc encoding, and verifies that the
-translation phi is a bijection between the two."""
+so each is built once however many pairs the graph is in.  No apex
+bound is needed: a reduced cover is bijective on vertices, so every
+apex has its source's vertex count.  Cospans are compared through their
+normal form (cospan_key): the cover leg forces the apex isomorphism, so
+equal cospans have equal keys and the bijection checks are set
+operations.  The main entry point check_equivalence compares, for every
+ordered pair of graphs within bounds, the morphisms of the vertex/flag
+encoding against the cover/refinement cospans of the arc encoding, and
+verifies that the translation phi is a bijection between the two."""
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,11 +38,11 @@ from .etale import ReducedCover, replay_gluings
 from .graph_core import (
     JKGraph,
     _UnionFind,
-    canonical_key,
     flag_view,
     graph_clauses,
     involutions,
     memoised,
+    multigraph_key,
     ports,
 )
 from .kleisli import Refinement
@@ -68,24 +70,24 @@ def _valence_lists(n_vertices: int, max_flags: int):
 
 def enumerate_bm_graphs(max_vertices: int, max_flags: int) -> list[BMGraph]:
     """All vertex/flag graphs within the bounds, one per isomorphism
-    class: the first raw graph with each canonical key of its arc
-    picture, in a deterministic order."""
+    class: the first raw graph of each, in a deterministic order.  The
+    flags at a vertex permute freely, so raw graphs are isomorphic iff
+    their vertex multigraphs, labelled by valence and tail count, have
+    the same multigraph_key."""
     found: dict[tuple, BMGraph] = {}
     for n_v in range(max_vertices + 1):
         vertices = [f"v{i}" for i in range(1, n_v + 1)]
         for valences in _valence_lists(n_v, max_flags):
-            flags = []
-            boundary = {}
-            k = 0
-            for v, d in zip(vertices, valences):
-                for _ in range(d):
-                    k += 1
-                    f = f"f{k}"
-                    flags.append(f)
-                    boundary[f] = v
+            owner = [i for i, d in enumerate(valences) for _ in range(d)]
+            at = {f"f{k}": i for k, i in enumerate(owner, start=1)}
+            flags = list(at)
+            boundary = {f: vertices[i] for f, i in at.items()}
             for involution in involutions(flags):
-                g = BMGraph(set(vertices), set(flags), boundary, involution)
-                found.setdefault(canonical_key(phi1_graph(g)), g)
+                tails = Counter(at[f] for f, f2 in involution.items() if f == f2)
+                links = [(at[f], at[f2]) for f, f2 in involution.items() if f < f2]
+                key = multigraph_key([(d, tails[i]) for i, d in enumerate(valences)], links)
+                if key not in found:
+                    found[key] = BMGraph(set(vertices), set(flags), boundary, involution)
     return list(found.values())
 
 

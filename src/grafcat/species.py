@@ -32,11 +32,11 @@ from .graph_core import (
     ValidationReport,
     _UnionFind,
     _iso_gen,
-    canonical_key,
     corolla,
     edges,
     find_isomorphisms,
     local_interface,
+    multigraph_key,
     ports,
     validate_graph,
 )
@@ -121,6 +121,18 @@ def _render_perm(p: tuple[int, ...]) -> str:
     return ",".join(str(i + 1) for i in p)
 
 
+def _relabelled(sp: GraphicalSpecies, name: str) -> tuple[str, tuple[int, ...]]:
+    """A free species' name gen@p as gen and the zero-based p; KeyError
+    unless gen is a generator of some arity n and p lists 1..n once
+    each."""
+    base, _, tail = name.partition("@")
+    digits = tail.split(",") if tail else []
+    slots = [str(k) for k in range(1, len(sp.operations.get(base, ())) + 1)]
+    if base not in sp.operations or sorted(digits) != sorted(slots):
+        raise KeyError(name)
+    return base, tuple(int(k) - 1 for k in digits)
+
+
 def act(sp: GraphicalSpecies, name: str, p: tuple[int, ...]) -> str:
     """The operation name behind slot i of the permuted operation is
     slot p[i] of the original: profiles satisfy
@@ -129,8 +141,7 @@ def act(sp: GraphicalSpecies, name: str, p: tuple[int, ...]) -> str:
     if sp.action is not None:
         return sp.action[(name, p)]
     if "@" in name:
-        base, tail = name.split("@", 1)
-        q = tuple(int(k) - 1 for k in tail.split(","))
+        base, q = _relabelled(sp, name)
         p = tuple(q[p[i]] for i in range(len(p)))
     else:
         base = name
@@ -143,10 +154,8 @@ def operation_profile(sp: GraphicalSpecies, name: str) -> tuple[str, ...]:
     if name in sp.operations:
         return sp.operations[name]
     if sp.action is None and "@" in name:
-        base, tail = name.split("@", 1)
-        q = tuple(int(k) - 1 for k in tail.split(","))
-        profile = sp.operations[base]
-        return tuple(profile[q[i]] for i in range(len(q)))
+        base, q = _relabelled(sp, name)
+        return tuple(sp.operations[base][i] for i in q)
     raise KeyError(name)
 
 
@@ -178,13 +187,13 @@ def canonical_label(sp: GraphicalSpecies, operation: str, arcs_by_slot: Iterable
     """The least (name, arcs) in the orbit under slot permutations.  For
     a free species a bare generator sorts before every gen@p, so the
     least of the orbit of (gen@q, arcs) is (gen, arcs reordered by q^-1:
-    slot q[j] holds arcs[j]).  Explicit actions, and tails that do not
-    permute the slots, take the minimum over every permutation."""
+    slot q[j] holds arcs[j]); KeyError if gen@q is not an operation.
+    Explicit actions, and arcs that do not fill the slots, take the
+    minimum over every permutation."""
     arcs = tuple(arcs_by_slot)
     n = len(arcs)
     if sp.action is None:
-        base, at, tail = operation.partition("@")
-        q = [int(k) - 1 for k in tail.split(",")] if at else list(range(n))
+        base, q = _relabelled(sp, operation) if "@" in operation else (operation, range(n))
         if sorted(q) == list(range(n)):
             return VertexLabel(base, tuple(a for _, a in sorted(zip(q, arcs))))
     best = min(
@@ -350,17 +359,18 @@ def _pairings(residual: list[int], i: int = 0):
 
 def _multigraphs(allowed_valences: list[int], n_ports: int, n_vertices: int):
     """Connected graphs with ports 1..n and n_vertices vertices whose
-    valences are allowed, one per vertex multigraph: a non-decreasing
-    valence tuple, the vertex of each port, and each vertex's loops and
-    edge multiplicities to later vertices.  Permuting the flags at a
-    vertex fixes every port, so stub matchings with equal multiplicities
-    lie in one class; relabeling vertices of equal valence can still
-    give duplicates.  At each vertex the stubs go, in flag order, to its
-    ports, its loops and its edges."""
+    valences are allowed, one per port-fixing isomorphism class.  Each
+    comes from a vertex multigraph: a non-decreasing valence tuple, the
+    vertex of each port, and each vertex's loops and edge multiplicities
+    to later vertices.  The flags at a vertex permute fixing every port,
+    so the first graph per multigraph_key is kept, each vertex labelled
+    by its valence and ports.  At each vertex the stubs go, in flag
+    order, to its ports, its loops and its edges."""
     vertices = [f"v{i}" for i in range(1, n_vertices + 1)]
     valence_tuples = itertools.combinations_with_replacement(
         sorted(set(allowed_valences)), n_vertices
     )
+    seen = set()
     for valences in valence_tuples:
         spare = sum(valences) - n_ports
         if spare < 0 or spare % 2:
@@ -372,24 +382,29 @@ def _multigraphs(allowed_valences: list[int], n_ports: int, n_vertices: int):
                 residual[i] -= 1
             if min(residual) < 0:
                 continue
+            labels = [
+                (d, tuple(p for p, j in enumerate(port_at) if j == i))
+                for i, d in enumerate(valences)
+            ]
             for pairing in _pairings(residual):
+                # a loop is listed twice in its vertex's targets, an edge once
+                links = [(i, j) for i, ts in enumerate(pairing) for j in ts[ts.count(i) // 2 :]]
                 uf = _UnionFind(range(n_vertices))
-                for i, targets in enumerate(pairing):
-                    for j in targets:
-                        uf.union(i, j)
+                for i, j in links:
+                    uf.union(i, j)
                 if len({uf.find(i) for i in range(n_vertices)}) > 1:
                     continue
+                key = multigraph_key(labels, links)
+                if key in seen:
+                    continue
+                seen.add(key)
                 stubs = [
                     iter([f"{v}.{j}*" for j in range(1, d + 1)])
                     for v, d in zip(vertices, valences)
                 ]
                 # ports first; a loop's first stub takes a second one
                 ends = [(next(stubs[i]), str(p)) for p, i in enumerate(port_at, start=1)]
-                ends += [
-                    (next(stubs[i]), next(stubs[j]))
-                    for i, targets in enumerate(pairing)
-                    for j in targets[targets.count(i) // 2 :]
-                ]
+                ends += [(next(stubs[i]), next(stubs[j])) for i, j in links]
                 involution = {a: b for end in ends for a, b in (end, end[::-1])}
                 yield JKGraph(
                     set(involution),
@@ -407,19 +422,18 @@ def graphs_with_ports(
     """Connected graphs with ports 1..n and at most max_vertices
     vertices of allowed valences, one per port-fixing isomorphism class,
     in a deterministic order: by number of vertices, the vertexless unit
-    graph first for two ports.  Vertices are v1, v2, ..., the flags at
-    vi are vi.1, vi.2, ... and each flag's arc is its name with a '*'.
-    ValueError for a negative valence or port count."""
+    graph first for two ports, then the classes _multigraphs keeps.
+    Vertices are v1, v2, ..., the flags at vi are vi.1, vi.2, ... and
+    each flag's arc is its name with a '*'.  ValueError for a negative
+    valence or port count."""
     if n_ports < 0 or any(d < 0 for d in allowed_valences):
         raise ValueError("valences and the port count must be non-negative")
-    out: dict[tuple, JKGraph] = {}
+    out = []
     if n_ports == 2:
-        unit = JKGraph({"1", "2"}, set(), set(), {"1": "2", "2": "1"}, {}, {})
-        out[canonical_key(unit, ports(unit))] = unit
+        out.append(JKGraph({"1", "2"}, set(), set(), {"1": "2", "2": "1"}, {}, {}))
     for n_v in range(1, max_vertices + 1):
-        for g in _multigraphs(allowed_valences, n_ports, n_v):
-            out.setdefault(canonical_key(g, ports(g)), g)
-    return list(out.values())
+        out.extend(_multigraphs(allowed_valences, n_ports, n_v))
+    return out
 
 
 def truncated_free(

@@ -520,6 +520,12 @@ def test_enumerate_deterministic():
     assert proc.stdout == again.stdout
 
 
+@pytest.mark.parametrize("max_vertices, max_flags, count", [(4, 6, 372), (3, 7, 352)])
+def test_enumerate_counts_the_classes(max_vertices, max_flags, count):
+    proc = run("enumerate", "--max-vertices", str(max_vertices), "--max-flags", str(max_flags))
+    assert len(json.loads(proc.stdout)) == count
+
+
 def test_enumerate_rejects_a_negative_bound():
     argv = ("enumerate", "--max-vertices", "-1", "--max-flags", "2")
     assert "--max-vertices" in run(*argv, expect=2).stderr

@@ -283,6 +283,12 @@ def test_cut_edge_with_clashing_arc_names():
     assert validate_reduced_cover(rc).ok
 
 
+def test_cutting_nothing_gives_the_graph_and_its_identity_cover(CY):
+    cut, rc = cut_edges(CY, set())
+    assert cut is CY
+    assert rc == identity_cover(CY)
+
+
 def test_decompose_replay_on_cycle(CY):
     cut, rc = cut_edges(CY, inner_edges(CY))
     assert len(cut.vertices) == 2

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import jk_graphs, make_cycle, make_loop, make_path_piece
+from conftest import jk_graphs, make_cycle, make_path_piece
 from grafcat.graph_core import (
     EMPTY_GRAPH,
     JKGraph,
-    canonical_key,
     components,
     corolla,
     disjoint_union,
@@ -26,6 +25,7 @@ from grafcat.graph_core import (
     is_isomorphic,
     isolated_edges,
     local_interface,
+    multigraph_key,
     ports,
     prefix_graph,
     recompose_elements,
@@ -388,46 +388,52 @@ def test_uncoloured_flag_search_is_unchanged():
     assert (len(window), found) == (33, 149)
 
 
-# -- canonical key -------------------------------------------------------------------
+# -- multigraph key -----------------------------------------------------------------
 
-def test_canonical_key_fixes_named_arcs():
-    # corolla(2) has an automorphism swapping its ports, which fixing
-    # one port forbids
-    swapped = relabel(corolla(2), {"1": "2", "2": "1", "1*": "2*", "2*": "1*"})
-    assert canonical_key(swapped) == canonical_key(corolla(2))
-    assert canonical_key(swapped, {"1"}) == canonical_key(corolla(2), {"1"})
-    assert canonical_key(corolla(2), {"1"}) != canonical_key(corolla(2), {"2"})
-    assert canonical_key(make_loop()) != canonical_key(corolla(2))
-    assert canonical_key(EMPTY_GRAPH) != canonical_key(corolla(0))
-    with pytest.raises(ValueError):
-        canonical_key(corolla(2), {"nope"})
+@st.composite
+def vertex_multigraphs(draw, n_vertices):
+    """Labels in {0, 1} on n_vertices vertices and up to five links
+    between them, loops included."""
+    labels = draw(st.lists(st.integers(0, 1), min_size=n_vertices, max_size=n_vertices))
+    if not n_vertices:
+        return labels, []
+    ends = st.integers(0, n_vertices - 1)
+    return labels, draw(st.lists(st.tuples(ends, ends), max_size=5))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_canonical_key_ignores_names_of_unfixed_labels(data):
-    g = data.draw(jk_graphs())
-    arcs = sorted(g.arcs)
-    fixed = set(data.draw(st.lists(st.sampled_from(arcs), unique=True))) if arcs else set()
-    free = [a for a in arcs if a not in fixed]
-    flags, vertices = sorted(g.flags), sorted(g.vertices)
-    moved = relabel(
-        g,
-        dict(zip(free, data.draw(st.permutations(free)))),
-        dict(zip(flags, data.draw(st.permutations(flags)))),
-        dict(zip(vertices, data.draw(st.permutations(vertices)))),
+def same_multigraph(labels1, links1, labels2, links2) -> bool:
+    """Reference: some vertex bijection keeping labels maps the links of
+    one onto the links of the other, as multisets."""
+    n = len(labels1)
+    if len(labels2) != n:
+        return False
+    target = sorted(tuple(sorted(link)) for link in links2)
+    return any(
+        all(labels2[perm[i]] == labels1[i] for i in range(n))
+        and sorted(tuple(sorted((perm[i], perm[j]))) for i, j in links1) == target
+        for perm in itertools.permutations(range(n))
     )
-    assert validate_graph(moved).ok
-    assert canonical_key(moved, fixed) == canonical_key(g, fixed)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    jk_graphs(max_vertices=2, max_valence=2, max_ports=2),
-    jk_graphs(max_vertices=2, max_valence=2, max_ports=2),
-)
-def test_canonical_key_agrees_with_the_isomorphism_search(g, h):
-    assert (canonical_key(g) == canonical_key(h)) == is_isomorphic(g, h)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_multigraph_key_agrees_with_brute_force(data):
+    n = data.draw(st.integers(0, 4))
+    labels, links = data.draw(vertex_multigraphs(n))
+    key = multigraph_key(labels, links)
+    # a relabelled copy, its links listed in another order and each
+    # link's ends in either order
+    perm = data.draw(st.permutations(range(n)))
+    moved_labels = [None] * n
+    for i, x in enumerate(labels):
+        moved_labels[perm[i]] = x
+    moved_links = [
+        (perm[j], perm[i]) if data.draw(st.booleans()) else (perm[i], perm[j]) for i, j in links
+    ]
+    moved_links = data.draw(st.permutations(moved_links))
+    assert multigraph_key(moved_labels, moved_links) == key
+    other = data.draw(vertex_multigraphs(data.draw(st.integers(max(n - 1, 0), n))))
+    assert (multigraph_key(*other) == key) == same_multigraph(labels, links, *other)
 
 
 # -- involutions ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings
 
 from conftest import bm_graphs
@@ -10,6 +11,7 @@ from grafcat.bm import (
     bm_corolla,
     bm_point,
     bm_tails,
+    find_bm_isomorphisms,
     validate_bm_graph,
     validate_bm_morphism,
 )
@@ -48,6 +50,45 @@ def test_graph_classes_grow():
     assert len(enumerate_bm_graphs(2, 5)) == 51
     assert len(enumerate_bm_graphs(2, 6)) == 83
     assert len(enumerate_bm_graphs(3, 5)) == 112
+
+
+def raw_bm_graphs(max_vertices, max_flags):
+    """Reference: every valence list and every involution of its flags,
+    with no deduplication."""
+    for n_v in range(max_vertices + 1):
+        vertices = {f"v{i}" for i in range(1, n_v + 1)}
+        for valences in oracle._valence_lists(n_v, max_flags):
+            owners = [f"v{i}" for i, d in enumerate(valences, start=1) for _ in range(d)]
+            boundary = {f"f{k}": v for k, v in enumerate(owners, start=1)}
+            for involution in involutions(list(boundary)):
+                yield BMGraph(vertices, set(boundary), boundary, involution)
+
+
+def bm_bucket(g):
+    """What every isomorphism keeps: the valence multiset and the tail count."""
+    valences = sorted(sum(1 for f in g.flags if g.boundary[f] == v) for v in g.vertices)
+    return tuple(valences), len(bm_tails(g))
+
+
+@pytest.mark.parametrize(
+    "window, raw_count, classes",
+    [((2, 4), 63, 33), ((2, 5), 167, 51), ((3, 5), 355, 112), ((2, 6), 547, 83)],
+)
+def test_graph_classes_match_the_bm_isomorphism_search(window, raw_count, classes):
+    """The classes are decided on the vertex/flag side: every raw graph
+    is isomorphic to exactly one representative of its bucket, and no
+    two representatives are isomorphic."""
+    reps = enumerate_bm_graphs(*window)
+    buckets = {}
+    for h in reps:
+        buckets.setdefault(bm_bucket(h), []).append(h)
+    raw = list(raw_bm_graphs(*window))
+    for g in raw:
+        assert sum(bool(find_bm_isomorphisms(g, h)) for h in buckets[bm_bucket(g)]) == 1
+    for group in buckets.values():
+        for h1, h2 in itertools.combinations(group, 2):
+            assert not find_bm_isomorphisms(h1, h2)
+    assert (len(raw), len(reps)) == (raw_count, classes)
 
 
 def test_hom_counts_frozen(LOOP, E2, CC):
