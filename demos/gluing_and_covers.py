@@ -33,7 +33,7 @@ print("ports before gluing:", sorted(ports(pair)))
 glued, cover = glue_ports(pair, "L.1", "R.1")
 print("ports after gluing:", sorted(ports(glued)))
 print("inner edges created:", len(inner_edges(glued)))
-print("cover is etale:", validate_etale(cover.morphism).ok)
+print("cover is etale:", validate_etale(cover).ok)
 
 # the cover remembers which ports were identified; the history can be
 # decomposed into single weld steps and replayed

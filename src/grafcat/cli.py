@@ -15,7 +15,6 @@ from . import jsonio
 from .bm import classify_bm, compose_bm, factorise_bm, validate_bm_graph, validate_bm_morphism
 from .cospan_equiv import compose_cospan, phi, phi1_graph, validate_cospan
 from .etale import (
-    ReducedCover,
     compose_etale,
     is_injective_etale,
     is_reduced_cover,
@@ -128,17 +127,16 @@ def _cmd_phi(args) -> int:
 def _cmd_pushout(args) -> int:
     _, gen = _load_checked(args.refinement, {"refinement"})
     _, cover = _load_checked(args.cover, {"etale"})
-    rc = ReducedCover(cover)
-    report = validate_reduced_cover(rc)
+    report = validate_reduced_cover(cover)
     if not report.ok:
         raise _Failure([f"{args.cover}: {p}" for p in report.problems])
     try:
-        gen_out, rc_out = pushout_gen_rc(gen, rc)
+        gen_out, rc_out = pushout_gen_rc(gen, cover)
     except ValueError as exc:
         raise _Failure([str(exc)])
     doc = {
         "refinement": jsonio.refinement_to_json(gen_out),
-        "cover": jsonio.cover_to_json(rc_out),
+        "cover": jsonio.etale_to_json(rc_out),
     }
     _write(jsonio.dumps(doc), args.output)
     return 0

@@ -31,7 +31,6 @@ from .bm import (
     factorise_bm,
 )
 from .etale import (
-    EtaleMorphism,
     ReducedCover,
     compose_covers,
     fresh_label,
@@ -116,7 +115,7 @@ def phi1_mor(m: BMMorphism) -> ReducedCover:
         arc_map[c] = comp_tgt[u] if tgt_inv[u] == u else tgt_inv[u]
     flag_map = {f: inv[f] for f in m.source.flags}
     vertex_map = dict(m.vertex_map)
-    return ReducedCover(EtaleMorphism(src_jk, tgt_jk, arc_map, flag_map, vertex_map))
+    return tuple.__new__(ReducedCover, (src_jk, tgt_jk, arc_map, flag_map, vertex_map))
 
 
 def phi1_mor_inv(rc: ReducedCover) -> BMMorphism:

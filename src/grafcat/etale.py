@@ -8,13 +8,14 @@ on edges and vertices and bijective on vertices; they are exactly the
 quotient maps that glue ports together in pairs.
 
 The EtaleMorphism class lives in graph_core, whose isomorphism search
-returns it; the etale clauses are checked here.
+returns it; the etale clauses are checked here.  A reduced cover is an
+EtaleMorphism too: the cover builders return ReducedCover, its subclass,
+and validate_reduced_cover accepts any EtaleMorphism.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .graph_core import (
     EtaleMorphism,
@@ -98,32 +99,15 @@ def open_subgraph(g: JKGraph, vertex_set) -> tuple[JKGraph, EtaleMorphism]:
     return sub, identity_etale(sub)._replace(target=g)
 
 
-@dataclass(frozen=True)
-class ReducedCover:
-    """A covering etale map that is bijective on vertices.  A dataclass,
-    not a tuple, so that memoised can keep per-cover data on it."""
-
-    morphism: EtaleMorphism
+class ReducedCover(EtaleMorphism):
+    """A covering etale map that is bijective on vertices: an
+    EtaleMorphism with its fields, constructor and equality.  It
+    declares no __slots__, so memoised can keep per-cover data on it."""
 
     @property
-    def source(self) -> JKGraph:
-        return self.morphism.source
-
-    @property
-    def target(self) -> JKGraph:
-        return self.morphism.target
-
-    @property
-    def arc_map(self) -> dict[str, str]:
-        return self.morphism.arc_map
-
-    @property
-    def flag_map(self) -> dict[str, str]:
-        return self.morphism.flag_map
-
-    @property
-    def vertex_map(self) -> dict[str, str]:
-        return self.morphism.vertex_map
+    def morphism(self) -> EtaleMorphism:
+        """The cover itself, as the etale map it is."""
+        return self
 
 
 def is_covering_family(ms: list[EtaleMorphism]) -> bool:
@@ -141,31 +125,31 @@ def is_covering_family(ms: list[EtaleMorphism]) -> bool:
     return hit_vertices == set(tgt.vertices) and hit_edges == edges(tgt)
 
 
-def validate_reduced_cover(rc: ReducedCover) -> ValidationReport:
-    rep = validate_etale(rc.morphism)
+def validate_reduced_cover(rc: EtaleMorphism) -> ValidationReport:
+    rep = validate_etale(rc)
     if not rep.ok:
         return rep
     problems = []
     if graph_clauses(rc.source).isolated or graph_clauses(rc.target).isolated:
         problems.append("isolated-edges: reduced covers live between graphs without isolated edges")
-    if not is_covering_family([rc.morphism]):
+    if not is_covering_family([rc]):
         problems.append("covering: not jointly surjective on edges and vertices")
-    vm = rc.morphism.vertex_map
+    vm = rc.vertex_map
     if len(set(vm.values())) != len(vm):
         problems.append("reduced: vertex map is not injective")
     return ValidationReport(tuple(problems))
 
 
 def is_reduced_cover(m: EtaleMorphism) -> bool:
-    return validate_reduced_cover(ReducedCover(m)).ok
+    return validate_reduced_cover(m).ok
 
 
 def identity_cover(g: JKGraph) -> ReducedCover:
-    return ReducedCover(identity_etale(g))
+    return tuple.__new__(ReducedCover, identity_etale(g))
 
 
 def compose_covers(c1: ReducedCover, c2: ReducedCover) -> ReducedCover:
-    return ReducedCover(compose_etale(c1.morphism, c2.morphism))
+    return tuple.__new__(ReducedCover, compose_etale(c1, c2))
 
 
 def glue_ports(g: JKGraph, a: str, b: str) -> tuple[JKGraph, ReducedCover]:
@@ -174,12 +158,11 @@ def glue_ports(g: JKGraph, a: str, b: str) -> tuple[JKGraph, ReducedCover]:
     return replay_gluings(g, [(a, b)])
 
 
-def decompose_reduced_cover(rc: ReducedCover) -> list[tuple[str, str]]:
+def decompose_reduced_cover(m: EtaleMorphism) -> list[tuple[str, str]]:
     """The port gluings that rebuild the cover, one per target inner edge
     hit twice, ordered by the edge's sorted arc labels.  replay_gluings
     over the list reconstructs the cover up to isomorphism of the
     target."""
-    m = rc.morphism
     src, tgt = m.source, m.target
     flag_of_arc_t = {a: h for h, a in tgt.embed.items()}
     preimage_flag = {m.flag_map[h]: h for h in src.flags}
@@ -227,11 +210,10 @@ def replay_gluings(g: JKGraph, steps: list[tuple[str, str]]) -> tuple[JKGraph, R
         {h: arc_map[x] for h, x in g.embed.items()},
         dict(g.incidence),
     )
-    q = tuple.__new__(
-        EtaleMorphism,
+    return quotient, tuple.__new__(
+        ReducedCover,
         (g, quotient, arc_map, {h: h for h in g.flags}, {v: v for v in g.vertices}),
     )
-    return quotient, ReducedCover(q)
 
 
 def fresh_label(label: str, used: set[str]) -> str:
@@ -268,11 +250,10 @@ def cut_edges(g: JKGraph, cut: set[frozenset[str]]) -> tuple[JKGraph, ReducedCov
         arc_map[c1] = a2
         arc_map[c2] = a1
     source = JKGraph(arcs, g.flags, g.vertices, involution, g.embed, g.incidence)
-    m = tuple.__new__(
-        EtaleMorphism,
+    return source, tuple.__new__(
+        ReducedCover,
         (source, g, arc_map, {h: h for h in g.flags}, {v: v for v in g.vertices}),
     )
-    return source, ReducedCover(m)
 
 
 def reduced_covers_of(x: JKGraph) -> list[ReducedCover]:

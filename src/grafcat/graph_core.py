@@ -14,10 +14,11 @@ image is isolated.
 
 All identifiers are opaque strings and all maps are explicit finite
 dicts.  Values are treated as immutable after construction, which is
-what lets memoised keep per-value results on the value itself.  Graphs
-(and the dataclass values built on them) carry such a memo in their
-__dict__; the tuple-backed morphisms, EtaleMorphism here and
-kleisli.Refinement, have no __dict__ and carry none.
+what lets memoised keep per-value results on the value itself.  Graphs,
+the dataclass values built on them and etale.ReducedCover (the one
+tuple-backed morphism that declares no __slots__) carry such a memo in
+their __dict__; EtaleMorphism here and kleisli.Refinement have no
+__dict__ and carry none.
 
 Isomorphisms (find_isomorphisms), the renaming prefix_graph returns and
 the inclusions into a disjoint_union are EtaleMorphisms: levelwise maps
@@ -36,9 +37,9 @@ def memoised(fn):
     """fn(value), computed once per value object and stored in the
     value's __dict__ (under a dotted name no attribute can have).  The
     stored result is shared by every caller, who must not change it.
-    Only values with a __dict__ take a memo: graphs and the dataclass
-    values such as etale.ReducedCover, not the tuple-backed
-    EtaleMorphism and kleisli.Refinement."""
+    Only values with a __dict__ take a memo: graphs, the dataclass
+    values and etale.ReducedCover, not EtaleMorphism itself and
+    kleisli.Refinement, whose __slots__ are empty."""
     key = f"{fn.__module__}.{fn.__qualname__}"
     missing = object()
 

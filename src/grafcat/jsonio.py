@@ -198,10 +198,6 @@ def etale_to_json(m: EtaleMorphism) -> dict:
     }
 
 
-def cover_to_json(rc: ReducedCover) -> dict:
-    return etale_to_json(rc.morphism)
-
-
 def etale_from_json(doc, base_dir: str | None = None) -> EtaleMorphism:
     _expect_kind(doc, "etale", "etale")
     _check_keys(doc, {"source", "target", "arc_map", "flag_map", "vertex_map"}, "etale")
@@ -271,7 +267,7 @@ def refinement_from_json(doc, base_dir: str | None = None) -> Refinement:
 def cospan_to_json(c: GraphCospan) -> dict:
     return {
         "kind": "cospan",
-        "left": cover_to_json(c.left),
+        "left": etale_to_json(c.left),
         "right": refinement_to_json(c.right),
     }
 
@@ -281,7 +277,7 @@ def cospan_from_json(doc, base_dir: str | None = None) -> GraphCospan:
     _check_keys(doc, {"left", "right"}, "cospan")
     left = etale_from_json(doc["left"], base_dir)
     right = refinement_from_json(doc["right"], base_dir)
-    return GraphCospan(ReducedCover(left), right)
+    return GraphCospan(tuple.__new__(ReducedCover, left), right)
 
 
 # ---------------------------------------------------------------------------

@@ -329,7 +329,7 @@ def cover_to_refinement(rc: ReducedCover) -> Refinement:
     return Refinement(coarse, tgt, arc_map, vertex_map, ref_flag_map)
 
 
-def pushout_gen_rc(gen: Refinement, rc: ReducedCover) -> tuple[Refinement, ReducedCover]:
+def pushout_gen_rc(gen: Refinement, rc: EtaleMorphism) -> tuple[Refinement, ReducedCover]:
     """Push out a refinement gen: R -> S against a reduced cover
     rc: R -> R' sharing its source.  Returns (gen': R' -> S',
     rc': S -> S') closing the square; when rc is an identity the inputs
@@ -409,7 +409,7 @@ def compose_cover_then_refinement(rc: ReducedCover, u: Refinement) -> KleisliMor
         arc_map[a] = mid.embed[h]
         arc_map[src.involution[a]] = mid.involution[mid.embed[h]]
     refinement = tuple.__new__(Refinement, (src, mid, arc_map, vertex_map, flag_map))
-    return KleisliMorphism(refinement, free.morphism)
+    return KleisliMorphism(refinement, free)
 
 
 @memoised

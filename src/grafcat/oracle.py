@@ -48,12 +48,6 @@ from .graph_core import (
 from .kleisli import Refinement
 
 
-@dataclass(frozen=True)
-class EnumBounds:
-    max_vertices: int
-    max_flags: int
-
-
 def _valence_lists(n_vertices: int, max_flags: int):
     """Weakly decreasing valence assignments with a bounded total."""
     def rec(i: int, cap: int, budget: int, acc: list[int]):
@@ -352,7 +346,6 @@ class PairResult:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    bounds: EnumBounds
     graphs: tuple[BMGraph, ...]
     pairs: tuple[PairResult, ...] = field(default_factory=tuple)
 
@@ -399,7 +392,6 @@ def check_equivalence(max_vertices: int, max_flags: int, progress=None) -> Equiv
     """Compare the two encodings over every ordered pair of graphs in
     bounds.  progress, if given, is called with each PairResult as it is
     produced."""
-    bounds = EnumBounds(max_vertices, max_flags)
     graphs = enumerate_bm_graphs(max_vertices, max_flags)
     results = []
     for ti, tau in enumerate(graphs):
@@ -408,4 +400,4 @@ def check_equivalence(max_vertices: int, max_flags: int, progress=None) -> Equiv
             results.append(res)
             if progress is not None:
                 progress(res)
-    return EquivalenceReport(bounds, tuple(graphs), tuple(results))
+    return EquivalenceReport(tuple(graphs), tuple(results))

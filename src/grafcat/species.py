@@ -122,13 +122,17 @@ def _render_perm(p: tuple[int, ...]) -> str:
 
 
 def _relabelled(sp: GraphicalSpecies, name: str) -> tuple[str, tuple[int, ...]]:
-    """A free species' name gen@p as gen and the zero-based p; KeyError
-    unless gen is a generator of some arity n and p lists 1..n once
-    each."""
-    base, _, tail = name.partition("@")
+    """A free species' name, gen or gen@p, as gen and the zero-based p
+    (the identity for a bare gen); KeyError unless gen is a generator of
+    some arity n and p lists 1..n once each."""
+    base, at, tail = name.partition("@")
+    if base not in sp.operations:
+        raise KeyError(name)
+    n = len(sp.operations[base])
+    if not at:
+        return base, tuple(range(n))
     digits = tail.split(",") if tail else []
-    slots = [str(k) for k in range(1, len(sp.operations.get(base, ())) + 1)]
-    if base not in sp.operations or sorted(digits) != sorted(slots):
+    if sorted(digits) != sorted(str(k) for k in range(1, n + 1)):
         raise KeyError(name)
     return base, tuple(int(k) - 1 for k in digits)
 
@@ -136,15 +140,15 @@ def _relabelled(sp: GraphicalSpecies, name: str) -> tuple[str, tuple[int, ...]]:
 def act(sp: GraphicalSpecies, name: str, p: tuple[int, ...]) -> str:
     """The operation name behind slot i of the permuted operation is
     slot p[i] of the original: profiles satisfy
-    profile(act(name, p))[i] == profile(name)[p[i]]."""
+    profile(act(name, p))[i] == profile(name)[p[i]].  KeyError unless
+    name is an operation and p permutes its slots."""
     p = tuple(p)
     if sp.action is not None:
         return sp.action[(name, p)]
-    if "@" in name:
-        base, q = _relabelled(sp, name)
-        p = tuple(q[p[i]] for i in range(len(p)))
-    else:
-        base = name
+    base, q = _relabelled(sp, name)
+    if sorted(p) != list(range(len(q))):
+        raise KeyError((name, p))
+    p = tuple(q[i] for i in p)
     if p == tuple(range(len(p))):
         return base
     return f"{base}@{_render_perm(p)}"
@@ -187,15 +191,16 @@ def canonical_label(sp: GraphicalSpecies, operation: str, arcs_by_slot: Iterable
     """The least (name, arcs) in the orbit under slot permutations.  For
     a free species a bare generator sorts before every gen@p, so the
     least of the orbit of (gen@q, arcs) is (gen, arcs reordered by q^-1:
-    slot q[j] holds arcs[j]); KeyError if gen@q is not an operation.
-    Explicit actions, and arcs that do not fill the slots, take the
-    minimum over every permutation."""
+    slot q[j] holds arcs[j]); KeyError if gen@q is not an operation or
+    the arcs do not fill its slots.  Explicit actions take the minimum
+    over every permutation."""
     arcs = tuple(arcs_by_slot)
     n = len(arcs)
     if sp.action is None:
-        base, q = _relabelled(sp, operation) if "@" in operation else (operation, range(n))
-        if sorted(q) == list(range(n)):
-            return VertexLabel(base, tuple(a for _, a in sorted(zip(q, arcs))))
+        base, q = _relabelled(sp, operation)
+        if len(q) != n:
+            raise KeyError(operation)
+        return VertexLabel(base, tuple(a for _, a in sorted(zip(q, arcs))))
     best = min(
         (act(sp, operation, p), tuple(arcs[p[i]] for i in range(n)))
         for p in itertools.permutations(range(n))

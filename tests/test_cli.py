@@ -251,7 +251,7 @@ def _fuzz_files():
         "id-cospan.json": jsonio.cospan_to_json(identity_cospan(jp)),
         "ref-c2.json": jsonio.refinement_to_json(identity_refinement(jc)),
         "cover-point.json": jsonio.etale_to_json(identity_etale(jp)),
-        "cover.json": jsonio.cover_to_json(graft),
+        "cover.json": jsonio.etale_to_json(graft),
         "ref.json": jsonio.refinement_to_json(contract.right),
         "cospan.json": jsonio.cospan_to_json(contract),
     }
@@ -500,7 +500,7 @@ def test_refinement_documents_match_the_golden_files(save, tmp_path):
     merger = BMMorphism(BMGraph({"u", "w"}, set(), {}, {}), bm_point(), {}, {"u": "v", "w": "v"}, {})
     gen, rc = _golden_span()
     refinement = save("refinement.json", jsonio.refinement_to_json(gen))
-    cover = save("cover.json", jsonio.cover_to_json(rc))
+    cover = save("cover.json", jsonio.etale_to_json(rc))
     runs = {
         "phi-merger.json": ("phi", save("merger.json", jsonio.bm_morphism_to_json(merger))),
         "pushout.json": ("pushout", refinement, cover),

@@ -242,7 +242,7 @@ def relabelled(c, arc_perm, flag_perm, vertex_perm):
         dict(zip(sorted(apex.vertices), vertex_perm)),
     )
     iso = EtaleMorphism(apex, relabel(apex, *maps), *maps)
-    left = ReducedCover(compose_etale(c.left.morphism, iso))
+    left = ReducedCover(*compose_etale(c.left, iso))
     return GraphCospan(left, transport_refinement(c.right, iso))
 
 
@@ -278,8 +278,8 @@ def not_onto_apex(level):
             {**g.incidence, "hx": "v", "hy": "v"},
         )
     m = identity_cover(g).morphism
-    left = EtaleMorphism(g, apex, m.arc_map, m.flag_map, m.vertex_map)
-    return GraphCospan(ReducedCover(left), identity_refinement(apex))
+    left = ReducedCover(g, apex, m.arc_map, m.flag_map, m.vertex_map)
+    return GraphCospan(left, identity_refinement(apex))
 
 
 @pytest.mark.parametrize("level", ["vertices", "arcs"])
@@ -312,7 +312,7 @@ def broken_cospans():
     out = [not_onto_apex("vertices"), not_onto_apex("arcs")]
     for apex in (fixed_arc, with_edge):
         m = c.left.morphism
-        left = ReducedCover(EtaleMorphism(g, apex, m.arc_map, m.flag_map, m.vertex_map))
+        left = ReducedCover(g, apex, m.arc_map, m.flag_map, m.vertex_map)
         out.append(GraphCospan(left, identity_refinement(apex)))
         out.append(GraphCospan(left, c.right))
         out.append(GraphCospan(c.left, identity_refinement(apex)))

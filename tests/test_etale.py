@@ -191,10 +191,9 @@ def glue_one(g: JKGraph, a: str, b: str) -> tuple[JKGraph, ReducedCover]:
         {h: ra(x) for h, x in g.embed.items()},
         dict(g.incidence),
     )
-    q = EtaleMorphism(
+    return quotient, ReducedCover(
         g, quotient, {x: ra(x) for x in g.arcs}, {h: h for h in g.flags}, {v: v for v in g.vertices}
     )
-    return quotient, ReducedCover(q)
 
 
 def sequential_gluings(g: JKGraph, steps) -> tuple[JKGraph, ReducedCover]:

@@ -1,11 +1,14 @@
 """The benchmark under perfbench/ still finds every library name it
-uses: its workloads import, and every traced module.function resolves.
-A name removed from grafcat fails here, not only in a traced run."""
+uses: its workloads import, every traced module.function resolves, and
+every workload passes its gate at size tiny.  A name or attribute
+removed from grafcat fails here, not only in a benchmark run."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -29,3 +32,13 @@ def test_traced_names_resolve():
     for name in names:
         mod, fn = name.split(".")
         assert callable(getattr(importlib.import_module("grafcat." + mod), fn, None)), name
+
+
+@pytest.mark.parametrize("name", ["equivalence", "bm-laws", "pushout", "monad"])
+def test_tiny_workload_passes_its_gate(name, tmp_path):
+    workloads = load("workloads")
+    cls = workloads.WORKLOADS[name]
+    gate = workloads.Gate()
+    counts = cls("tiny", 3, str(tmp_path)).run(workloads.Probe(), gate)
+    assert (gate.failed, gate.problems) == (0, [])
+    assert {k: counts[k] for k in cls.EXPECT["tiny"]} == cls.EXPECT["tiny"]

@@ -261,6 +261,26 @@ def test_names_that_are_not_operations_are_reported(name):
         canonical_label(SP, name, ("1", "2", "3"))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: act(SP, "zz", (1, 0)),
+        lambda: act(SP, "m", (1, 0)),
+        lambda: act(SP, "m@2,1,3", (1, 0)),
+        lambda: act(SP, "m", (0, 0, 1)),
+        lambda: canonical_label(SP, "zz", ("x", "y")),
+        lambda: canonical_label(SP, "m", ("x", "y")),
+        lambda: canonical_label(SP, "m@2,1,3", ("x", "y")),
+        lambda: canonical_label(SP, "m", ("w", "x", "y", "z")),
+    ],
+)
+def test_free_species_calls_that_name_no_operation_raise(call):
+    # a free species' operations are its generators, each relabelled only
+    # by permutations of its own slots
+    with pytest.raises(KeyError):
+        call()
+
+
 def test_transport_decoration_roundtrip():
     c3 = corolla(3)
     dec = evaluate_species(SP, c3)[0]
