@@ -35,6 +35,7 @@ from .graph_core import (
     corolla,
     edges,
     find_isomorphisms,
+    graph_clauses,
     local_interface,
     multigraph_key,
     ports,
@@ -166,17 +167,10 @@ def operation_profile(sp: GraphicalSpecies, name: str) -> tuple[str, ...]:
 def operations_of_arity(sp: GraphicalSpecies, n: int) -> dict[str, tuple[str, ...]]:
     """Every operation of arity n (for a free species: all relabelings
     of the generators)."""
-    out = {}
-    for name, profile in sp.operations.items():
-        if len(profile) != n:
-            continue
-        if sp.action is not None:
-            out[name] = profile
-            continue
-        for p in itertools.permutations(range(n)):
-            m = act(sp, name, p)
-            out[m] = operation_profile(sp, m)
-    return out
+    names = [name for name, profile in sp.operations.items() if len(profile) == n]
+    if sp.action is None:
+        names = [act(sp, name, p) for name in names for p in itertools.permutations(range(n))]
+    return {m: operation_profile(sp, m) for m in names}
 
 
 class VertexLabel(NamedTuple):
@@ -221,6 +215,8 @@ class Decoration:
 
 
 def validate_decoration(sp: GraphicalSpecies, g: JKGraph, dec: Decoration) -> ValidationReport:
+    if bad := graph_clauses(g).problems:
+        return ValidationReport(("graph-invalid: " + "; ".join(bad),))
     problems = []
     if set(dec.arc_colouring) != set(g.arcs):
         problems.append("colouring-domain: colouring must be defined on exactly the arcs")
@@ -232,7 +228,6 @@ def validate_decoration(sp: GraphicalSpecies, g: JKGraph, dec: Decoration) -> Va
                 problems.append(f"colouring: edge of {a!r} is not colour-paired")
     if set(dec.vertex_labels) != set(g.vertices):
         problems.append("labels-domain: one label per vertex required")
-        return ValidationReport(tuple(problems))
     if problems:
         return ValidationReport(tuple(problems))
     for v in sorted(g.vertices):
@@ -269,16 +264,17 @@ def _vertex_label_options(
     sp: GraphicalSpecies, g: JKGraph, v: str, colouring: dict[str, str]
 ) -> list[VertexLabel]:
     interface = sorted(local_interface(g, v))
-    n = len(interface)
-    seen = []
-    for name, profile in sorted(operations_of_arity(sp, n).items()):
+    # every orbit of labels holds a listed operation (a generator of a
+    # free species, any listed name under an explicit action), so the
+    # listed ones over every slot order reach each canonical label
+    seen = {}
+    for name, profile in sorted(sp.operations.items()):
+        if len(profile) != len(interface):
+            continue
         for arcs in itertools.permutations(interface):
-            if tuple(colouring[a] for a in arcs) != profile:
-                continue
-            label = canonical_label(sp, name, arcs)
-            if label not in seen:
-                seen.append(label)
-    return seen
+            if tuple(colouring[a] for a in arcs) == profile:
+                seen.setdefault(canonical_label(sp, name, arcs))
+    return list(seen)
 
 
 def evaluate_species(sp: GraphicalSpecies, g: JKGraph) -> list[Decoration]:
@@ -311,22 +307,11 @@ def transport_decoration(sp: GraphicalSpecies, dec: Decoration, iso: EtaleMorphi
 
 
 def decorated_isomorphic(
-    sp: GraphicalSpecies,
-    g1: JKGraph,
-    dec1: Decoration,
-    g2: JKGraph,
-    dec2: Decoration,
-    fix_ports: bool = False,
+    sp: GraphicalSpecies, g1: JKGraph, dec1: Decoration, g2: JKGraph, dec2: Decoration
 ) -> bool:
-    """Some isomorphism g1 -> g2 carries dec1 to dec2 (optionally fixing
-    every port by name)."""
-    fixed = ports(g1) if fix_ports else ()
-    for iso in _iso_gen(g1, g2):
-        if any(iso.arc_map[p] != p for p in fixed):
-            continue
-        if transport_decoration(sp, dec1, iso) == dec2:
-            return True
-    return False
+    """Some isomorphism g1 -> g2 carries dec1 to dec2.  Any isomorphism
+    counts, including one that moves the ports."""
+    return any(transport_decoration(sp, dec1, iso) == dec2 for iso in _iso_gen(g1, g2))
 
 
 def monad_unit(sp: GraphicalSpecies, operation: str) -> tuple[JKGraph, Decoration]:
@@ -446,24 +431,20 @@ def truncated_free(
 ) -> list[tuple[JKGraph, Decoration]]:
     """The decorated connected graphs with ports 1..n and a bounded
     number of vertices, one per port-fixing decorated isomorphism class:
-    the free monad on the species, truncated."""
+    the free monad on the species, truncated.  Of each orbit under the
+    port-fixing automorphisms of a graph, the first decoration that
+    evaluate_species lists is kept: a decoration is kept unless it is
+    an image of a kept one, and keeping it adds its images."""
     arities = sorted({len(p) for p in sp.operations.values()})
     elements: list[tuple[JKGraph, Decoration]] = []
     for g in graphs_with_ports(arities, n_ports, max_vertices):
-        open_ends = ports(g)
-        autos = [
-            iso for iso in find_isomorphisms(g, g) if all(iso.arc_map[p] == p for p in open_ends)
-        ]
-        # one decoration per orbit of the port-fixing automorphisms, keyed
-        # by the least image; the first of each orbit is kept
-        orbits: dict[tuple, Decoration] = {}
+        fixed = ports(g)
+        autos = [iso for iso in find_isomorphisms(g, g) if all(iso.arc_map[p] == p for p in fixed)]
+        images: list[Decoration] = []
         for dec in evaluate_species(sp, g):
-            key = min(
-                (tuple(sorted(d.arc_colouring.items())), tuple(sorted(d.vertex_labels.items())))
-                for d in (transport_decoration(sp, dec, iso) for iso in autos)
-            )
-            orbits.setdefault(key, dec)
-        elements.extend((g, dec) for dec in orbits.values())
+            if dec not in images:
+                elements.append((g, dec))
+                images.extend(transport_decoration(sp, dec, iso) for iso in autos)
     return elements
 
 
@@ -484,6 +465,8 @@ def monad_mult_element(
     assignment) becomes the refined graph with the transported
     decoration.  The outer colouring must agree with each piece's
     boundary colours along its interface."""
+    if set(decorations) != set(assignment):
+        raise ValueError("decorations must be given at exactly the assigned vertices")
     for a in r.arcs:
         c = outer_colouring.get(a)
         if c not in sp.colours:

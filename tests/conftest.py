@@ -4,7 +4,8 @@ import pytest
 from hypothesis import strategies as st
 
 from grafcat.bm import BMGraph
-from grafcat.graph_core import JKGraph, relabel
+from grafcat.graph_core import JKGraph, find_isomorphisms, ports, relabel
+from grafcat.species import transport_decoration
 
 
 # -- arc/flag/vertex examples ------------------------------------------------
@@ -52,6 +53,17 @@ def shuffled(g):
     """g with the labels of each level renamed in reverse sorted order."""
     rev = lambda xs: dict(zip(sorted(xs), sorted(xs, reverse=True)))
     return relabel(g, rev(g.arcs), rev(g.flags), rev(g.vertices))
+
+
+def pinned_decorated_isomorphic(sp, g1, dec1, g2, dec2, pin=None) -> bool:
+    """Some isomorphism g1 -> g2 that sends each port p of g1 to pin[p]
+    carries dec1 to dec2; with no pin, each port goes to itself."""
+    pin = {p: p for p in ports(g1)} if pin is None else pin
+    return any(
+        all(iso.arc_map[p] == pin[p] for p in ports(g1))
+        and transport_decoration(sp, dec1, iso) == dec2
+        for iso in find_isomorphisms(g1, g2)
+    )
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import pinned_decorated_isomorphic
 from grafcat import etale, kleisli, oracle
 from grafcat.bm import (
     bm_identity,
@@ -44,6 +45,7 @@ from grafcat.cospan_equiv import (
     phi2_mor,
     phi2_mor_inv,
     phi_inv,
+    validate_cospan,
 )
 from grafcat.etale import reduced_covers_of
 from grafcat.graph_core import (
@@ -80,6 +82,7 @@ from grafcat.oracle import (
     covers_from,
     enumerate_bm_graphs,
     enumerate_bm_morphisms,
+    enumerate_cospans,
     enumerate_refinements,
 )
 from grafcat.species import (
@@ -88,7 +91,6 @@ from grafcat.species import (
     VertexLabel,
     _edge_colourings,
     canonical_label,
-    decorated_isomorphic,
     evaluate_species,
     graphs_with_ports,
     monad_mult_element,
@@ -299,6 +301,28 @@ def test_phi_is_a_functor(bm_world):
                     pairs += 1
     assert (len(graphs), identity_bad, pairs, composite_bad) == (33, 0, 27521, 0)
     print(f"PASS functor: {len(graphs)} identities and {pairs} composites keep their cospans")
+
+
+def test_enumerated_cospans_compose_as_their_bm_preimages(bm_world):
+    # the other direction of test_phi_is_a_functor: composites of
+    # enumerated cospans, whose apexes replay_gluings named, not phi
+    graphs, _ = bm_world
+    n = len(graphs)
+    cospans = {(a, b): enumerate_cospans(graphs[a], graphs[b]) for a in range(n) for b in range(n)}
+    composites = invalid = bad = 0
+    for (a, b), cs1 in cospans.items():
+        for c in range(n):
+            for c1 in cs1:
+                for c2 in cospans[(b, c)]:
+                    got = compose_cospan(c1, c2)
+                    invalid += not validate_cospan(got).ok
+                    want = phi(compose_bm(phi_inv(c1), phi_inv(c2)))
+                    bad += (got.source, got.target) != (want.source, want.target) or (
+                        cospan_key(got) != cospan_key(want)
+                    )
+                    composites += 1
+    assert (composites, invalid, bad) == (27521, 0, 0)
+    print(f"PASS functor: {composites} composites of enumerated cospans keep their keys")
 
 
 def test_cover_lattices_are_boolean():
@@ -627,7 +651,8 @@ def left_unit_exact(sp, S, dec_S) -> bool:
 
 def right_unit_holds(sp, R, dec_R) -> bool:
     """Replacing every vertex by the unit corolla of its own label
-    flattens back to the original decorated graph."""
+    flattens back to the original decorated graph, by an isomorphism
+    that undoes the refinement on the ports."""
     assignment = {}
     decorations = {}
     for x in sorted(R.vertices):
@@ -638,7 +663,8 @@ def right_unit_holds(sp, R, dec_R) -> bool:
         )
         decorations[x] = dx
     ref, dec_back = monad_mult_element(sp, R, dec_R.arc_colouring, assignment, decorations)
-    return decorated_isomorphic(sp, ref.target, dec_back, R, dec_R)
+    pin = {ref.arc_map[p]: p for p in ports(R)}
+    return pinned_decorated_isomorphic(sp, ref.target, dec_back, R, dec_R, pin)
 
 
 def raw_decoration_count(sp, n_ports, max_v) -> int:
@@ -667,10 +693,7 @@ def raw_decoration_count(sp, n_ports, max_v) -> int:
                 dec = Decoration(col, dict(zip(sorted(g.vertices), labels)))
                 if not validate_decoration(sp, g, dec).ok:
                     continue
-                if not any(
-                    decorated_isomorphic(sp, g, d0, g, dec, fix_ports=True)
-                    for d0 in kept
-                ):
+                if not any(pinned_decorated_isomorphic(sp, g, d0, g, dec) for d0 in kept):
                     kept.append(dec)
         total += len(kept)
     return total
@@ -681,7 +704,9 @@ def nested_flatten_agrees(sp, outer, outer_col, middles, inner_assigns, inner_de
 
     middles maps each outer vertex to (piece, bij, piece colouring);
     inner_assigns / inner_decs give each middle piece its own total
-    corolla assignment.
+    corolla assignment.  The two results must agree by an isomorphism
+    that sends each outer port's image under the first order to its
+    image under the second.
     """
     # inner first: flatten every middle piece, then graft the results
     outer_assign = {}
@@ -718,7 +743,9 @@ def nested_flatten_agrees(sp, outer, outer_col, middles, inner_assigns, inner_de
         return False
     if not validate_decoration(sp, ref_b.target, dec_b).ok:
         return False
-    return decorated_isomorphic(sp, ref_a.target, dec_a, ref_b.target, dec_b)
+    composite = compose_refinements(rsref, ref_b)
+    pin = {ref_a.arc_map[p]: composite.arc_map[p] for p in ports(outer)}
+    return pinned_decorated_isomorphic(sp, ref_a.target, dec_a, ref_b.target, dec_b, pin)
 
 
 def bounded_combos(options, budget):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import pinned_decorated_isomorphic
 from grafcat.graph_core import (
     JKGraph,
     corolla,
@@ -14,7 +15,7 @@ from grafcat.graph_core import (
     relabel,
     validate_graph,
 )
-from grafcat.kleisli import _refine_with_cover
+from grafcat.kleisli import _refine_with_cover, compose_refinements
 from grafcat.species import (
     Decoration,
     VertexLabel,
@@ -234,7 +235,7 @@ def test_decorated_iso_vs_port_fixing():
     assert validate_decoration(SP, c3, d2).ok
     assert d1 != d2
     assert decorated_isomorphic(SP, c3, d1, c3, d2)
-    assert not decorated_isomorphic(SP, c3, d1, c3, d2, fix_ports=True)
+    assert not pinned_decorated_isomorphic(SP, c3, d1, c3, d2)
 
 
 def test_non_canonical_label_rejected():
@@ -459,10 +460,7 @@ def pairwise_truncated_free(sp, n_ports, max_v):
     for g in graphs_with_ports(arities, n_ports, max_v):
         kept = []
         for dec in evaluate_species(sp, g):
-            if not any(
-                decorated_isomorphic(sp, g, d0, g, dec, fix_ports=True)
-                for d0 in kept
-            ):
+            if not any(pinned_decorated_isomorphic(sp, g, d0, g, dec) for d0 in kept):
                 kept.append(dec)
         reps.extend((g, d) for d in kept)
     return reps
@@ -506,14 +504,15 @@ def test_pruned_decorated_isomorphic_reads_labels_as_transport_does():
     moved = VertexLabel(act(SP, label.operation, p), tuple(label.arcs_by_slot[i] for i in p))
     assert moved != label
     raw = Decoration(dec.arc_colouring, {v: moved})
-    assert decorated_isomorphic(SP, c3, raw, c3, dec, fix_ports=True)
+    assert decorated_isomorphic(SP, c3, raw, c3, dec)
+    assert pinned_decorated_isomorphic(SP, c3, raw, c3, dec)
 
 
 def test_truncated_free_has_no_duplicates():
     elems = truncated_free(SP, 2, 2)
     for i, (g1, d1) in enumerate(elems):
         for g2, d2 in elems[i + 1:]:
-            assert not decorated_isomorphic(SP, g1, d1, g2, d2, fix_ports=True)
+            assert not pinned_decorated_isomorphic(SP, g1, d1, g2, d2)
 
 
 # -- multiplication ---------------------------------------------------------------------------
@@ -556,7 +555,9 @@ def test_right_unit_law():
         decorations[x] = dx
     ref, dec_back = monad_mult_element(SP, R, dec_R.arc_colouring, assignment, decorations)
     assert validate_decoration(SP, ref.target, dec_back).ok
-    assert decorated_isomorphic(SP, ref.target, dec_back, R, dec_R)
+    # the flattened graph names its ports after the refinement's images
+    pin = {ref.arc_map[p]: p for p in ports(R)}
+    assert pinned_decorated_isomorphic(SP, ref.target, dec_back, R, dec_R, pin)
 
 
 def port_vertices(g):
@@ -619,7 +620,35 @@ def test_multiplication_associativity_instance():
 
     assert validate_decoration(SP, refA2.target, decA).ok
     assert validate_decoration(SP, refB2.target, decB).ok
-    assert decorated_isomorphic(SP, refA2.target, decA, refB2.target, decB)
+    # both orders send each outer port where their refinements send it
+    composite = compose_refinements(rsref, refB2)
+    pin = {refA2.arc_map[p]: composite.arc_map[p] for p in ports(outer)}
+    assert pinned_decorated_isomorphic(SP, refA2.target, decA, refB2.target, decB, pin)
+
+
+def corolla_missing_an_involution_arc():
+    c3 = corolla(3)
+    inv = {a: b for a, b in c3.involution.items() if a != "1"}
+    return JKGraph(c3.arcs, c3.flags, c3.vertices, inv, c3.embed, c3.incidence)
+
+
+def test_invalid_graphs_are_reported_not_raised():
+    dec = evaluate_species(SP, corolla(3))[0]
+    assert validate_decoration(SP, corolla_missing_an_involution_arc(), dec).problems == (
+        "graph-invalid: involution-domain: involution must be defined on exactly the arcs",
+    )
+
+
+def test_multiplication_rejects_invalid_pieces_and_missing_decorations():
+    dec = evaluate_species(SP, corolla(3))[0]
+    bij = {str(k): str(k) for k in range(1, 4)}
+    with pytest.raises(ValueError, match="graph-invalid"):
+        monad_mult_element(
+            SP, corolla(3), dec.arc_colouring, {"v": (corolla_missing_an_involution_arc(), bij)},
+            {"v": dec},
+        )
+    with pytest.raises(ValueError, match="exactly the assigned vertices"):
+        monad_mult_element(SP, corolla(3), dec.arc_colouring, {"v": (corolla(3), bij)}, {})
 
 
 def test_colour_mismatch_rejected():
