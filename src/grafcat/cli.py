@@ -171,7 +171,6 @@ def _check_bound(args, n_vertices: int):
 def _cmd_hom_count(args) -> int:
     _, tau = _load_checked(args.source, {"bm-graph"})
     _, rho = _load_checked(args.target, {"bm-graph"})
-    _check_bound(args, len(tau.vertices))
     res = check_pair(tau, rho, 0, 1)
     doc = {
         "source": args.source,
@@ -307,7 +306,6 @@ def _parser() -> argparse.ArgumentParser:
     p = add("hom-count", _cmd_hom_count, "count morphisms and cospans between two graphs")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--apex-bound", dest="bound", type=int, default=None, help=_BOUND_HELP)
 
     p = add(
         "check-equivalence",

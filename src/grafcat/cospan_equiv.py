@@ -37,7 +37,7 @@ from .etale import (
     identity_cover,
     validate_reduced_cover,
 )
-from .graph_core import JKGraph, ValidationReport, memoised
+from .graph_core import JKGraph, ValidationReport, flag_view, memoised
 from .kleisli import (
     Refinement,
     compose_refinements,
@@ -85,16 +85,11 @@ def phi1_graph(g: BMGraph) -> JKGraph:
 @memoised
 def phi1_graph_inv(g: JKGraph) -> BMGraph:
     """Read a vertex/flag graph off any arc picture without isolated
-    edges: flags keep their names, inner edges restore the pairing and
+    edges: its flag view, in which flags keep their names, inner edges
+    pair their two flags and the flag of a port is its own partner, so
     ports become tails.  Built once per picture, so phi_inv's two parts
     share their middle graph."""
-    im = set(g.embed.values())
-    flag_of_arc = {a: h for h, a in g.embed.items()}
-    involution = {}
-    for h in g.flags:
-        partner = g.involution[g.embed[h]]
-        involution[h] = flag_of_arc[partner] if partner in im else h
-    return BMGraph(set(g.vertices), set(g.flags), dict(g.incidence), involution)
+    return BMGraph(g.vertices, g.flags, g.incidence, flag_view(g)[1])
 
 
 def phi1_mor(m: BMMorphism) -> ReducedCover:

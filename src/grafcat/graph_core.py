@@ -418,14 +418,14 @@ class GluingRecipe:
     """How a graph is glued from corollas and unit edges.
 
     vertex_elements maps each vertex to its spanned corolla-shaped
-    subgraph, edge_elements maps each edge key (sorted arc pair) to a
-    unit-shaped graph, and incidences records, for every arc in the
-    embed image, which vertex element absorbs that side of the edge.
+    subgraph, and edge_elements maps each edge key (sorted arc pair) to
+    a unit-shaped graph.  The elements keep the graph's own labels, so
+    two elements meet exactly in the arcs they share: the graph is their
+    colimit along those shared arcs.
     """
 
     vertex_elements: dict[str, JKGraph]
     edge_elements: dict[tuple[str, str], JKGraph]
-    incidences: tuple[tuple[tuple[str, str], str, str], ...]
 
 
 def elements(g: JKGraph) -> GluingRecipe:
@@ -436,47 +436,22 @@ def elements(g: JKGraph) -> GluingRecipe:
         key = tuple(sorted(e))
         a, b = key
         edge_elements[key] = JKGraph({a, b}, set(), set(), {a: b, b: a}, {}, {})
-    incidences = []
-    for h in sorted(g.flags):
-        a = g.embed[h]
-        key = tuple(sorted((a, g.involution[a])))
-        incidences.append((key, a, g.incidence[h]))
-    incidences.sort()
-    return GluingRecipe(vertex_elements, edge_elements, tuple(incidences))
+    return GluingRecipe(vertex_elements, edge_elements)
 
 
 def recompose_elements(recipe: GluingRecipe) -> JKGraph:
-    """Glue the recipe back together; the result is isomorphic to the
-    original graph (with namespaced labels)."""
-    pieces: dict[str, JKGraph] = {}
-    for v, elem in recipe.vertex_elements.items():
-        pieces[f"V[{v}]"], _ = prefix_graph(elem, f"V[{v}].")
-    for key, elem in recipe.edge_elements.items():
-        name = f"E[{key[0]},{key[1]}]"
-        pieces[name], _ = prefix_graph(elem, name + ".")
-    all_arcs = {a for piece in pieces.values() for a in piece.arcs}
-    uf = _UnionFind(all_arcs)
-    for key, a, v in recipe.incidences:
-        ename = f"E[{key[0]},{key[1]}]"
-        b = key[0] if key[1] == a else key[1]
-        uf.union(f"{ename}.{a}", f"V[{v}].{a}")
-        uf.union(f"{ename}.{b}", f"V[{v}].{b}")
-    cls = {a: uf.find(a) for a in all_arcs}
-    arcs = set(cls.values())
-    involution = {}
-    embed = {}
-    incidence = {}
-    flags = set()
-    vertices = set()
-    for piece in pieces.values():
-        vertices |= piece.vertices
-        flags |= piece.flags
-        for a, b in piece.involution.items():
-            involution[cls[a]] = cls[b]
-        for h, a in piece.embed.items():
-            embed[h] = cls[a]
-        incidence.update(piece.incidence)
-    return JKGraph(arcs, flags, vertices, involution, embed, incidence)
+    """Glue the recipe back together: the union of its elements' sets
+    and maps, which is the decomposed graph itself (equal, not just
+    isomorphic), since the elements share its labels."""
+    parts = [*recipe.vertex_elements.values(), *recipe.edge_elements.values()]
+    return JKGraph(
+        {a for p in parts for a in p.arcs},
+        {h for p in parts for h in p.flags},
+        {v for p in parts for v in p.vertices},
+        {a: b for p in parts for a, b in p.involution.items()},
+        {h: a for p in parts for h, a in p.embed.items()},
+        {h: v for p in parts for h, v in p.incidence.items()},
+    )
 
 
 def flags_by_vertex(vertices: Iterable[str], incidence: dict[str, str]) -> dict[str, list[str]]:

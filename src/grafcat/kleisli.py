@@ -100,12 +100,12 @@ def piece_vertices(r: Refinement) -> dict[str, list[str]]:
     return out
 
 
-def _chosen_flags(r: Refinement, x: str) -> dict[str, str]:
-    """flag of R at x -> the chosen flag of the target."""
-    return {g: r.flag_map[g] for g in r.source.flags if r.source.incidence[g] == x}
-
-
 def validate_refinement(r: Refinement) -> ValidationReport:
+    """Check the refinement clauses; the report lists each violated one.
+    The last, closure, asks each unchosen target flag to pair across its
+    edge with another unchosen flag of its piece.  It runs once the others
+    hold, and then the squares and the port bijection make a flag facing a
+    port or a chosen flag chosen itself: only the partner's piece is left."""
     problems = endpoint_problems(r.source, r.target)
     if problems:
         return ValidationReport(tuple(problems))
@@ -133,9 +133,8 @@ def validate_refinement(r: Refinement) -> ValidationReport:
             problems.append(f"flag-in-piece: chosen flag for {g!r} sits outside the piece")
         if r.arc_map[src.embed[g]] != tgt.embed[h]:
             problems.append(f"left-square: embed squares do not commute at flag {g!r}")
-    for x in sorted(src.vertices):
-        chosen = _chosen_flags(r, x)
-        if len(set(chosen.values())) != len(chosen):
+    for x, at_x in sorted(flag_view(src)[0].items()):
+        if len({r.flag_map[g] for g in at_x}) != len(at_x):
             problems.append(f"pullback: two flags at {x!r} choose the same target flag")
     for a in sorted(src.arcs):
         if r.arc_map[src.involution[a]] != tgt.involution[r.arc_map[a]]:
@@ -146,16 +145,14 @@ def validate_refinement(r: Refinement) -> ValidationReport:
         problems.append("ports: arc map is not a bijection from source ports to target ports")
     if problems:
         return ValidationReport(tuple(problems))
-    for x in sorted(src.vertices):
-        chosen = set(_chosen_flags(r, x).values())
-        piece_flags = {h for h in tgt.flags if r.vertex_map[tgt.incidence[h]] == x}
-        interior = piece_flags - chosen
-        interior_arcs = {tgt.embed[h] for h in interior}
-        for h in sorted(interior):
-            if tgt.involution[tgt.embed[h]] not in interior_arcs:
-                problems.append(
-                    f"closure: unchosen flag {h!r} of the piece at {x!r} reaches outside it"
-                )
+    piece_of = {h: r.vertex_map[v] for h, v in tgt.incidence.items()}
+    chosen = set(r.flag_map.values())
+    partner = flag_view(tgt)[1]
+    for x, h in sorted((piece_of[h], h) for h in tgt.flags - chosen):
+        if piece_of[partner[h]] != x:
+            problems.append(
+                f"closure: unchosen flag {h!r} of the piece at {x!r} reaches outside it"
+            )
     return ValidationReport(tuple(problems))
 
 
@@ -181,12 +178,12 @@ def pieces(r: Refinement) -> dict[str, tuple[JKGraph, dict[str, str]]]:
     out = {}
     for x, w in piece_vertices(r).items():
         span, _ = open_subgraph(tgt, w)
-        chosen = _chosen_flags(r, x)
-        chosen_arcs = {tgt.embed[h] for h in chosen.values()}
+        at_x = flag_view(src)[0].get(x, ())
+        chosen_arcs = {tgt.embed[r.flag_map[g]] for g in at_x}
         piece, _ = cut_edges(span, {e for e in inner_edges(span) if e <= chosen_arcs})
         out[x] = piece, {
-            piece.involution[piece.embed[h]]: src.involution[src.embed[g]]
-            for g, h in chosen.items()
+            piece.involution[piece.embed[r.flag_map[g]]]: src.involution[src.embed[g]]
+            for g in at_x
         }
     return out
 

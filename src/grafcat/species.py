@@ -467,6 +467,8 @@ def monad_mult_element(
     boundary colours along its interface."""
     if set(decorations) != set(assignment):
         raise ValueError("decorations must be given at exactly the assigned vertices")
+    if bad := graph_clauses(r).problems:
+        raise ValueError("invalid graph: " + "; ".join(bad))
     for a in r.arcs:
         c = outer_colouring.get(a)
         if c not in sp.colours:

@@ -10,6 +10,7 @@ test finishes by printing one PASS line with the verified counts, so
 import collections
 import contextlib
 import functools
+import hashlib
 import itertools
 import json
 import os
@@ -145,6 +146,10 @@ def ref_matrix(jk_world):
     }
 
 
+STDOUT_243 = "81f0923845de8524168724c6835e80db3bb34f3150d60b6ef621aab3d28c2f2b"
+STDERR_243 = "dc92084699a945fe842441c241a1f51b17d946c1334e5ae1ca9570c651c22627"
+
+
 def test_encodings_agree_end_to_end():
     # the headline comparison, driven through the command line
     t0 = time.monotonic()
@@ -168,6 +173,9 @@ def test_encodings_agree_end_to_end():
     assert all(r["bijection_verified"] for r in rows)
     assert all(r["bm_count"] == r["cospan_count"] for r in rows)
     assert "all pairs pass" in proc.stderr
+    # the whole output is pinned, so no row or table line may drift
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_243
+    assert hashlib.sha256(proc.stderr.encode()).hexdigest() == STDERR_243
     total = sum(r["bm_count"] for r in rows)
     print(
         f"PASS encoding equivalence: {len(header['graphs'])} graphs, "

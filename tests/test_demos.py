@@ -1,4 +1,5 @@
-"""Every demo script, and the README's "A taste" example, runs to completion."""
+"""Every demo script, and the README's "A taste" example, runs to completion;
+each demo prints exactly its golden output in tests/golden/demos."""
 
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
@@ -18,6 +20,7 @@ def test_demo_runs(demo):
         [sys.executable, str(ROOT / "demos" / demo)], capture_output=True, text=True, env=ENV
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / demo).with_suffix(".txt").read_text()
 
 
 def test_readme_taste_runs():

@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import pickle
@@ -23,12 +24,15 @@ from grafcat.etale import (
 )
 from grafcat.graph_core import (
     JKGraph,
+    ValidationReport,
     _iso_gen,
     corolla,
     disjoint_union,
+    endpoint_problems,
     find_isomorphisms,
     flag_view,
     flags_by_vertex,
+    graph_clauses,
     graph_sum,
     inner_edges,
     is_effective,
@@ -212,6 +216,92 @@ def test_wrong_piece_rejected(CY):
         "flag-in-piece: chosen flag for 'u1' sits outside the piece",
         "flag-in-piece: chosen flag for 'w1' sits outside the piece",
     )
+
+
+def scanned_validate_refinement(r: Refinement) -> ValidationReport:
+    """validate_refinement with two scans of all flags per source vertex,
+    one for pullback and one for closure.  The reference for the flag
+    view and the single closure pass that validate_refinement uses."""
+    problems = endpoint_problems(r.source, r.target)
+    if problems:
+        return ValidationReport(tuple(problems))
+    for g, name in ((r.source, "source"), (r.target, "target")):
+        if graph_clauses(g).isolated:
+            problems.append(
+                f"{name}-isolated: refinements run between graphs without isolated edges"
+            )
+    src, tgt = r.source, r.target
+    if set(r.arc_map) != set(src.arcs) or not set(r.arc_map.values()) <= set(tgt.arcs):
+        problems.append("arc-map: not a total map from source arcs to target arcs")
+    if set(r.vertex_map) != set(tgt.vertices) or not set(r.vertex_map.values()) <= set(
+        src.vertices
+    ):
+        problems.append("vertex-map: not a total map from target vertices to source vertices")
+    if set(r.flag_map) != set(src.flags) or not set(r.flag_map.values()) <= set(tgt.flags):
+        problems.append("flag-map: not a total map from source flags to target flags")
+    if problems:
+        return ValidationReport(tuple(problems))
+    for x in sorted(src.vertices - set(r.vertex_map.values())):
+        problems.append(f"pieces: the piece at {x!r} occupies no vertices")
+    for g in sorted(src.flags):
+        h = r.flag_map[g]
+        if r.vertex_map[tgt.incidence[h]] != src.incidence[g]:
+            problems.append(f"flag-in-piece: chosen flag for {g!r} sits outside the piece")
+        if r.arc_map[src.embed[g]] != tgt.embed[h]:
+            problems.append(f"left-square: embed squares do not commute at flag {g!r}")
+    for x in sorted(src.vertices):
+        chosen = {g: r.flag_map[g] for g in src.flags if src.incidence[g] == x}
+        if len(set(chosen.values())) != len(chosen):
+            problems.append(f"pullback: two flags at {x!r} choose the same target flag")
+    for a in sorted(src.arcs):
+        if r.arc_map[src.involution[a]] != tgt.involution[r.arc_map[a]]:
+            problems.append(f"involution: arc map does not commute with involutions at {a!r}")
+    src_ports, tgt_ports = ports(src), ports(tgt)
+    port_image = {r.arc_map[a] for a in src_ports}
+    if len(port_image) != len(src_ports) or port_image != tgt_ports:
+        problems.append("ports: arc map is not a bijection from source ports to target ports")
+    if problems:
+        return ValidationReport(tuple(problems))
+    for x in sorted(src.vertices):
+        chosen = {r.flag_map[g] for g in src.flags if src.incidence[g] == x}
+        piece_flags = {h for h in tgt.flags if r.vertex_map[tgt.incidence[h]] == x}
+        interior = piece_flags - chosen
+        interior_arcs = {tgt.embed[h] for h in interior}
+        for h in sorted(interior):
+            if tgt.involution[tgt.embed[h]] not in interior_arcs:
+                problems.append(
+                    f"closure: unchosen flag {h!r} of the piece at {x!r} reaches outside it"
+                )
+    return ValidationReport(tuple(problems))
+
+
+def refinement_mutants(r: Refinement):
+    """r with one target vertex that holds no chosen flag moved into
+    another piece, in every way; then r with each source flag given the
+    choice of the next one in sorted order."""
+    holding = {r.target.incidence[h] for h in r.flag_map.values()}
+    for w in sorted(r.target.vertices - holding):
+        for y in sorted(r.source.vertices - {r.vertex_map[w]}):
+            yield r._replace(vertex_map={**r.vertex_map, w: y})
+    gs = sorted(r.source.flags)
+    for g1, g2 in zip(gs, gs[1:]):
+        yield r._replace(flag_map={**r.flag_map, g1: r.flag_map[g2]})
+
+
+def test_validate_refinement_matches_the_scans_on_mutated_refinements():
+    # every refinement from a (2,4) picture to the target of a cover out
+    # of a (3,5) picture, mutated so that pullback and closure both fail
+    qs = [phi1_graph(b) for b in enumerate_bm_graphs(2, 4)]
+    covers = [c for b in enumerate_bm_graphs(3, 5) for c in covers_from(phi1_graph(b))]
+    refs = [r for c in covers for q in qs for r in enumerate_refinements(q, c.target)]
+    cases = [m for r in refs for m in refinement_mutants(r)]
+    found = collections.Counter()
+    for m in cases:
+        problems = validate_refinement(m).problems
+        assert problems == scanned_validate_refinement(m).problems, m
+        found.update({p.split(":")[0] for p in problems})
+    assert (len(refs), len(cases)) == (6682, 17730)
+    assert (found["closure"], found["pullback"]) == (447, 11935)
 
 
 def test_refine_needs_matching_interface(L):

@@ -515,6 +515,30 @@ def test_truncated_free_has_no_duplicates():
             assert not pinned_decorated_isomorphic(SP, g1, d1, g2, d2)
 
 
+def test_a_port_leaves_each_decoration_one_port_fixing_symmetry():
+    # the premise of deciding a pinned decorated isomorphism by forced
+    # construction: with a port, only the identity among the port-fixing
+    # automorphisms fixes a decoration; without one, more can
+    fixed_by_one = {}
+    for name, sp in (("SP", SP), ("SP2", SP2), ("CSP", CSP)):
+        arities = sorted({len(p) for p in sp.operations.values()})
+        for n_ports in range(4):
+            counts = []
+            for g in graphs_with_ports(arities, n_ports, 3):
+                autos = [
+                    iso for iso in find_isomorphisms(g, g)
+                    if all(iso.arc_map[p] == p for p in ports(g))
+                ]
+                for dec in evaluate_species(sp, g):
+                    counts.append(sum(transport_decoration(sp, dec, iso) == dec for iso in autos))
+            fixed_by_one[name, n_ports] = (len(counts), counts.count(1))
+    assert fixed_by_one == {
+        ("SP", 0): (0, 0), ("SP", 1): (4, 4), ("SP", 2): (18, 18), ("SP", 3): (118, 118),
+        ("SP2", 0): (6, 2), ("SP2", 1): (24, 24), ("SP2", 2): (80, 80), ("SP2", 3): (172, 172),
+        ("CSP", 0): (0, 0), ("CSP", 1): (2, 2), ("CSP", 2): (6, 6), ("CSP", 3): (17, 17),
+    }
+
+
 # -- multiplication ---------------------------------------------------------------------------
 
 def test_left_unit_law():
@@ -649,6 +673,13 @@ def test_multiplication_rejects_invalid_pieces_and_missing_decorations():
         )
     with pytest.raises(ValueError, match="exactly the assigned vertices"):
         monad_mult_element(SP, corolla(3), dec.arc_colouring, {"v": (corolla(3), bij)}, {})
+    # an invalid outer graph is reported before any of its maps is read
+    unit, unit_dec = monad_unit(SP, "m")
+    with pytest.raises(ValueError, match="invalid graph: involution-domain"):
+        monad_mult_element(
+            SP, corolla_missing_an_involution_arc(), unit_dec.arc_colouring,
+            {"v": (unit, bij)}, {"v": unit_dec},
+        )
 
 
 def test_colour_mismatch_rejected():
