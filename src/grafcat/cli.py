@@ -187,7 +187,6 @@ def _cmd_check_equivalence(args) -> int:
     _check_window(args)
     _check_bound(args, args.max_vertices)
     lines = []
-    table = []
 
     def progress(res):
         row = {
@@ -198,7 +197,6 @@ def _cmd_check_equivalence(args) -> int:
             "bijection_verified": res.ok,
         }
         lines.append(jsonio.dumps_line(row))
-        table.append(res)
 
     report = check_equivalence(args.max_vertices, args.max_flags, progress=progress)
     header = {"graphs": [jsonio.bm_graph_to_json(g) for g in report.graphs]}
@@ -207,7 +205,7 @@ def _cmd_check_equivalence(args) -> int:
     widths = ("source", "target", "bm", "cospan", "ok")
     fmt = "{:>8} {:>8} {:>6} {:>8} {:>5}"
     print(fmt.format(*widths), file=sys.stderr)
-    for res in table:
+    for res in report.pairs:
         print(
             fmt.format(
                 f"g{res.tau_index}",
@@ -218,9 +216,9 @@ def _cmd_check_equivalence(args) -> int:
             ),
             file=sys.stderr,
         )
-    n_fail = sum(1 for res in table if not res.ok)
+    n_fail = sum(1 for res in report.pairs if not res.ok)
     print(
-        f"{len(report.graphs)} graphs, {len(table)} pairs, "
+        f"{len(report.graphs)} graphs, {len(report.pairs)} pairs, "
         f"{report.total_bm} morphisms each way; "
         + (f"{n_fail} FAILURES" if n_fail else "all pairs pass"),
         file=sys.stderr,

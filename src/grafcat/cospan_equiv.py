@@ -202,19 +202,18 @@ def cospan_key(c: GraphCospan) -> tuple:
     """A hashable normal form of a cospan up to apex isomorphism.
 
     The left leg is a reduced cover, bijective on vertices and flags and
-    onto the apex arcs, so it fixes the only isomorphism of apexes that
-    can commute with it.  Renaming every apex vertex and flag after its
-    unique preimage, and every apex arc after its least preimage, makes
-    that isomorphism the identity.  The key lists, after the renaming,
-    which arcs the cover glues and the right leg's three maps (each apex
-    vertex by its piece, each flag by its chosen flag).  Raises ValueError if the left leg is not
-    bijective on vertices and flags or not onto the apex arcs."""
+    onto the apex arcs, so it fixes the apex isomorphism: naming each
+    apex vertex after its preimage and each arc after its least preimage
+    makes it the identity.  The key lists three maps so renamed: the
+    cover's arc map and the right leg's arc and vertex maps, which fix a
+    valid right leg's flag map, as embeddings are injective.  ValueError
+    unless the left leg is bijective on vertices and flags and onto the apex arcs."""
     left, apex = c.left, c.apex
     vertex_name = {w: v for v, w in left.vertex_map.items()}
-    flag_name = {k: h for h, k in left.flag_map.items()}
     if len(vertex_name) != len(left.vertex_map) or set(vertex_name) != apex.vertices:
         raise ValueError("cospan_key: the left leg is not bijective on vertices")
-    if len(flag_name) != len(left.flag_map) or set(flag_name) != apex.flags:
+    flag_image = set(left.flag_map.values())
+    if len(flag_image) != len(left.flag_map) or flag_image != apex.flags:
         raise ValueError("cospan_key: the left leg is not bijective on flags")
     arc_name: dict[str, str] = {}
     for a, b in sorted(left.arc_map.items()):
@@ -226,15 +225,14 @@ def cospan_key(c: GraphCospan) -> tuple:
         tuple(sorted((a, arc_name[b]) for a, b in left.arc_map.items())),
         tuple(sorted((a, arc_name[b]) for a, b in right.arc_map.items())),
         tuple(sorted((vertex_name[w], x) for w, x in right.vertex_map.items())),
-        tuple(sorted((g, flag_name[h]) for g, h in right.flag_map.items())),
     )
 
 
 def cospan_equal(c1: GraphCospan, c2: GraphCospan) -> bool:
     """Same feet, and an isomorphism of apexes commuting with both legs.
 
-    The left legs force that isomorphism, so equality is equality of the
-    normal forms given by cospan_key."""
+    The left legs force that isomorphism, so on valid cospans equality
+    is equality of the normal forms given by cospan_key."""
     if c1.source != c2.source or c1.target != c2.target:
         return False
     return cospan_key(c1) == cospan_key(c2)

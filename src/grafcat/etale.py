@@ -27,6 +27,7 @@ from .graph_core import (
     flag_view,
     graph_clauses,
     inner_edges,
+    ports,
     spanned_subgraph,
 )
 
@@ -159,23 +160,14 @@ def glue_ports(g: JKGraph, a: str, b: str) -> tuple[JKGraph, ReducedCover]:
 
 
 def decompose_reduced_cover(m: EtaleMorphism) -> list[tuple[str, str]]:
-    """The port gluings that rebuild the cover, one per target inner edge
-    hit twice, ordered by the edge's sorted arc labels.  replay_gluings
-    over the list reconstructs the cover up to isomorphism of the
-    target."""
-    src, tgt = m.source, m.target
-    flag_of_arc_t = {a: h for h, a in tgt.embed.items()}
-    preimage_flag = {m.flag_map[h]: h for h in src.flags}
-    steps = []
-    for e in sorted(inner_edges(tgt), key=lambda e: tuple(sorted(e))):
-        y1, y2 = sorted(e)
-        h1 = preimage_flag[flag_of_arc_t[y1]]
-        h2 = preimage_flag[flag_of_arc_t[y2]]
-        a1, a2 = src.embed[h1], src.embed[h2]
-        if src.involution[a1] == a2:
-            continue  # hit by a single source edge
-        steps.append(tuple(sorted((src.involution[a1], src.involution[a2]))))
-    return steps
+    """The port gluings that rebuild the cover under replay_gluings, up
+    to isomorphism of the target, sorted.  They are read off the arc map:
+    a source port sent to the image of a source flag arc a is glued to
+    the partner of a."""
+    src, am = m.source, m.arc_map
+    over = {am[a]: a for a in src.embed.values()}
+    glued = {p: src.involution[over[am[p]]] for p in ports(src) if am[p] in over}
+    return sorted((p, q) for p, q in glued.items() if p < q)
 
 
 def replay_gluings(g: JKGraph, steps: list[tuple[str, str]]) -> tuple[JKGraph, ReducedCover]:
@@ -256,15 +248,20 @@ def cut_edges(g: JKGraph, cut: set[frozenset[str]]) -> tuple[JKGraph, ReducedCov
     )
 
 
-def reduced_covers_of(x: JKGraph) -> list[ReducedCover]:
-    """All reduced covers of x up to isomorphism, one per subset of its
-    inner edges; they form a boolean lattice of size 2^(number of inner
-    edges)."""
+def require_cover_base(x: JKGraph) -> None:
+    """ValueError unless x is a valid graph without isolated edges."""
     clauses = graph_clauses(x)
     if clauses.problems:
         raise ValueError("invalid graph")
     if clauses.isolated:
         raise ValueError("reduced covers are only formed over graphs without isolated edges")
+
+
+def reduced_covers_of(x: JKGraph) -> list[ReducedCover]:
+    """All reduced covers of x up to isomorphism, one per subset of its
+    inner edges; they form a boolean lattice of size 2^(number of inner
+    edges)."""
+    require_cover_base(x)
     inner = sorted(inner_edges(x), key=lambda e: tuple(sorted(e)))
     covers = []
     for r in range(len(inner) + 1):

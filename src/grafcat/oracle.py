@@ -34,7 +34,7 @@ from .cospan_equiv import (
     phi_inv,
     validate_cospan,
 )
-from .etale import ReducedCover, replay_gluings
+from .etale import ReducedCover, replay_gluings, require_cover_base
 from .graph_core import (
     JKGraph,
     _UnionFind,
@@ -49,17 +49,10 @@ from .kleisli import Refinement
 
 
 def _valence_lists(n_vertices: int, max_flags: int):
-    """Weakly decreasing valence assignments with a bounded total."""
-    def rec(i: int, cap: int, budget: int, acc: list[int]):
-        if i == n_vertices:
-            yield tuple(acc)
-            return
-        for d in range(min(cap, budget), -1, -1):
-            acc.append(d)
-            yield from rec(i + 1, d, budget - d, acc)
-            acc.pop()
-
-    yield from rec(0, max_flags, max_flags, [])
+    """Weakly decreasing valence lists with a bounded total, in descending lexicographic order."""
+    for valences in itertools.combinations_with_replacement(range(max_flags, -1, -1), n_vertices):
+        if sum(valences) <= max_flags:
+            yield valences
 
 
 def enumerate_bm_graphs(max_vertices: int, max_flags: int) -> list[BMGraph]:
@@ -185,7 +178,8 @@ def enumerate_bm_morphisms(tau: BMGraph, rho: BMGraph) -> list[BMMorphism]:
 
 def covers_from(t: JKGraph) -> list[ReducedCover]:
     """All reduced covers with source t: one per involution of its ports
-    (each swapped pair is glued)."""
+    (each swapped pair is glued).  ValueError unless t is valid and has no isolated edges."""
+    require_cover_base(t)
     out = []
     for matching in involutions(sorted(ports(t))):
         steps = [(p, q) for p, q in sorted(matching.items()) if p < q]
@@ -202,7 +196,6 @@ def _covers(picture: JKGraph) -> tuple[ReducedCover, ...]:
 class _Layout(NamedTuple):
     """What enumerate_refinements reads of a graph at either end."""
 
-    ports: int
     vertices: list[str]  # sorted
     rank: dict[str, int]  # of each vertex in vertices
     partner: dict[str, str]  # as in flag_view
@@ -223,7 +216,6 @@ def _layout(g: JKGraph) -> _Layout | None:
     partner = flag_view(g)[1]
     flags = sorted(g.flags)
     return _Layout(
-        len(ports(g)),
         vertices,
         {x: i for i, x in enumerate(vertices)},
         partner,
@@ -249,7 +241,7 @@ def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
     if len(r.vertices) > len(s.vertices) or len(r.flags) > len(s.flags):
         return []
     lr, ls = _layout(r), _layout(s)
-    if lr is None or ls is None or lr.ports != ls.ports:
+    if lr is None or ls is None or len(lr.on_port) != len(ls.on_port):
         return []
     r_vertices, rank, r_partner, leaders = lr.vertices, lr.rank, lr.partner, lr.leaders
     s_vertices, s_partner, s_flags = ls.vertices, ls.partner, ls.flags

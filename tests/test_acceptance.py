@@ -205,9 +205,42 @@ def test_encodings_agree_on_the_two_five_window():
     _agree_on_window(2, 5, 51, 4449)
 
 
-def test_encodings_agree_on_the_three_five_window():
-    # every graph with at most 3 vertices and 5 flags: 12544 ordered pairs
-    _agree_on_window(3, 5, 112, 17679)
+OUTPUT_35 = "7ad4a61790c99758640ac5fd6582ce97a356aae55fb0b3033f5ca3dd9bd51431"
+STDERR_35 = "e94819129f3fc8f9d55d82dfac8617d66c0544352d11cacc0a0e9b99d976c4d1"
+
+
+def test_encodings_agree_on_the_three_five_window(tmp_path):
+    # every graph with at most 3 vertices and 5 flags: 12544 ordered
+    # pairs, driven through the command line with its output pinned
+    out = tmp_path / "three_five.jsonl"
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "grafcat.cli", "check-equivalence",
+            "--max-vertices", "3", "--max-flags", "5", "-o", str(out),
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    header = json.loads(lines[0])
+    rows = [json.loads(line) for line in lines[1:]]
+    total = sum(r["bm_count"] for r in rows)
+    assert len(header["graphs"]) == 112
+    assert len(rows) == 12544
+    assert all(r["bijection_verified"] for r in rows)
+    assert total == sum(r["cospan_count"] for r in rows) == 17679
+    assert "all pairs pass" in proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_35
+    assert hashlib.sha256(proc.stderr.encode()).hexdigest() == STDERR_35
+    print(
+        f"PASS encoding equivalence (3,5): {len(header['graphs'])} graphs, "
+        f"{len(rows)} ordered pairs, {total} morphisms matched both ways "
+        f"in {elapsed:.1f}s"
+    )
 
 
 def test_factorisations_compose_back_and_compare_uniquely(bm_world):

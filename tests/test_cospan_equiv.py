@@ -359,6 +359,47 @@ def test_phi_inv_parts_share_their_middle_graph():
     assert images == 993
 
 
+@pytest.mark.parametrize("window, total", [((2, 4), 87), ((2, 5), 226), ((3, 5), 503)])
+def test_ghosts_match_the_covers_out_of_each_source(window, total):
+    # a grafting out of t is fixed by the ports it glues, so the ghost
+    # graphs of the morphisms out of t match the reduced covers of its
+    # picture one to one
+    graphs = enumerate_bm_graphs(*window)
+    ghosts = 0
+    for t in graphs:
+        seen = {
+            tuple(sorted(factorise_bm(h)[0].involution.items()))
+            for r in graphs
+            for h in enumerate_bm_morphisms(t, r)
+        }
+        assert len(seen) == len(oracle._covers(phi1_graph(t)))
+        ghosts += len(seen)
+    assert ghosts == total
+
+
+def copied(g):
+    return BMGraph(g.vertices, g.flags, g.boundary, g.involution)
+
+
+def test_translations_write_into_no_graph():
+    # memoised pictures and covers are shared by every caller, so the
+    # translations may read a morphism, its graphs and its ghost but
+    # never write into them
+    graphs = enumerate_bm_graphs(2, 4)
+    for t in graphs:
+        for r in graphs:
+            for h in enumerate_bm_morphisms(t, r):
+                ghost = factorise_bm(h)[0]
+                graphs_before = (copied(h.source), copied(h.target), copied(ghost))
+                maps_before = BMMorphism(t, r, h.flag_map, h.vertex_map, h.virtual_involution)
+                c = phi(h)
+                assert validate_cospan(c).ok
+                assert phi_inv(c) == h
+                cospan_key(c)
+                assert (h.source, h.target, ghost) == graphs_before
+                assert h == maps_before
+
+
 @pytest.mark.parametrize("c", broken_cospans())
 def test_cospan_problems_are_those_of_its_legs(c):
     # each leg reports exactly what its own validator reports, and the

@@ -296,6 +296,38 @@ def test_decompose_replay_on_cycle(CY):
     assert replays_to(rc, rc2, back)
 
 
+def scanned_decompose(m):
+    """Reference decomposition: over each target inner edge, sorted by
+    its arcs, glue the partners of the two source flag arcs above it
+    unless one source edge covers it."""
+    src, tgt = m.source, m.target
+    flag_of_arc_t = {a: h for h, a in tgt.embed.items()}
+    preimage_flag = {m.flag_map[h]: h for h in src.flags}
+    steps = []
+    for e in sorted(inner_edges(tgt), key=lambda e: tuple(sorted(e))):
+        y1, y2 = sorted(e)
+        a1 = src.embed[preimage_flag[flag_of_arc_t[y1]]]
+        a2 = src.embed[preimage_flag[flag_of_arc_t[y2]]]
+        if src.involution[a1] == a2:
+            continue  # hit by a single source edge
+        steps.append(tuple(sorted((src.involution[a1], src.involution[a2]))))
+    return steps
+
+
+def test_decomposition_matches_the_inner_edge_scan():
+    covers = 0
+    for window in ((2, 4), (3, 5), (2, 6)):
+        for b in enumerate_bm_graphs(*window):
+            g = phi1_graph(b)
+            if not is_effective(g):
+                continue
+            # the covers onto g and the covers out of g
+            for rc in reduced_covers_of(g) + covers_from(g):
+                assert decompose_reduced_cover(rc) == scanned_decompose(rc)
+                covers += 1
+    assert covers == 1851
+
+
 # -- the cover lattice ------------------------------------------------------------
 
 def test_cover_counts(L, CY):

@@ -3,6 +3,12 @@
 Each case monkeypatches one construction with a mutant and counts how
 often a named check fails on the smallest window that shows it."""
 
+from collections import Counter
+
+import pytest
+
+from grafcat import cospan_equiv, oracle
+from grafcat.bm import BMMorphism
 from grafcat.graph_core import ports
 from grafcat.kleisli import Refinement
 from grafcat.species import decorated_isomorphic, truncated_free
@@ -58,3 +64,76 @@ def test_right_unit_pins_the_ports_of_the_flattening(monkeypatch):
     )
     unpinned_failures = sum(not right_unit_holds(*e) for e in elements)
     assert (pinned_failures, unpinned_failures) == (30, 0)
+
+
+def failed_checks(res):
+    """The names of the checks a PairResult fails."""
+    return tuple(
+        name
+        for name, bad in (
+            ("count", res.bm_count != res.cospan_count),
+            ("injective", not res.translation_injective),
+            ("surjective", not res.translation_surjective),
+            ("roundtrip", not res.roundtrip_exact),
+        )
+        if bad
+    )
+
+
+def without_second_virtual_pairs(real):
+    """compose_bm, but the second morphism's virtual pairs are dropped."""
+
+    def mutant(m1, m2):
+        return real(m1, BMMorphism(m2.source, m2.target, m2.flag_map, m2.vertex_map, {}))
+
+    return mutant
+
+
+def swap_first_two_chosen_flags(real):
+    """phi2_mor, but its first two sorted source flags swap their choices."""
+
+    def mutant(m):
+        ref = real(m)
+        flag_map = dict(ref.flag_map)
+        if len(flag_map) >= 2:
+            g, h = sorted(flag_map)[:2]
+            flag_map[g], flag_map[h] = flag_map[h], flag_map[g]
+        return Refinement(ref.source, ref.target, ref.arc_map, ref.vertex_map, flag_map)
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "module, name, mutate, failures",
+    [
+        (cospan_equiv, "compose_bm", without_second_virtual_pairs, {("roundtrip",): 81}),
+        (
+            cospan_equiv,
+            "phi2_mor",
+            swap_first_two_chosen_flags,
+            {("injective", "surjective", "roundtrip"): 129},
+        ),
+        (
+            oracle,
+            "enumerate_refinements",
+            lambda real: lambda r, s: real(r, s)[:-1],
+            {("count", "surjective"): 176},
+        ),
+        (
+            oracle,
+            "enumerate_bm_morphisms",
+            lambda real: lambda tau, rho: real(tau, rho)[1:],
+            {("count", "surjective"): 176},
+        ),
+        # the key without the cover's arc map
+        (oracle, "cospan_key", lambda real: lambda c: real(c)[1:], {("injective",): 16}),
+    ],
+    ids=["compose_bm", "phi2_mor", "enumerate_refinements", "enumerate_bm_morphisms", "cospan_key"],
+)
+def test_the_equivalence_check_catches_a_broken_construction(
+    monkeypatch, module, name, mutate, failures
+):
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    report = oracle.check_equivalence(2, 4)
+    assert len(report.pairs) == 1089
+    assert Counter(failed_checks(res) for res in report.pairs if not res.ok) == failures

@@ -26,7 +26,15 @@ from grafcat.oracle import (
     enumerate_cospans,
     enumerate_refinements,
 )
-from grafcat.graph_core import JKGraph, graph_sum, involutions, ports, unit_graph
+from grafcat.graph_core import (
+    JKGraph,
+    corolla,
+    disjoint_union,
+    graph_sum,
+    involutions,
+    ports,
+    unit_graph,
+)
 
 C1 = bm_corolla(1)
 C2 = bm_corolla(2)
@@ -114,6 +122,27 @@ def test_cover_counts_frozen(LOOP):
     assert len(covers_from(phi1_graph(C2))) == 2
     assert len(covers_from(phi1_graph(C1))) == 1
     assert len(covers_from(phi1_graph(LOOP))) == 1
+
+
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        (unit_graph(), "reduced covers are only formed over graphs without isolated edges"),
+        (
+            disjoint_union(corolla(1), unit_graph())[0],
+            "reduced covers are only formed over graphs without isolated edges",
+        ),
+        # the involution misses the arc 1*
+        (
+            JKGraph({"1", "1*"}, {"1*"}, {"v"}, {"1": "1*"}, {"1*": "1*"}, {"1*": "v"}),
+            "invalid graph",
+        ),
+    ],
+)
+def test_covers_need_a_valid_graph_without_isolated_edges(graph, message):
+    with pytest.raises(ValueError) as info:
+        covers_from(graph)
+    assert str(info.value) == message
 
 
 def test_refinement_enumeration_is_valid(LOOP):
