@@ -46,13 +46,13 @@ class BMGraph:
 
 def validate_bm_graph(g: BMGraph) -> ValidationReport:
     problems = []
-    if set(g.boundary) != set(g.flags):
+    if g.boundary.keys() != g.flags:
         problems.append("boundary-domain: boundary must be defined on exactly the flags")
     else:
         for f in sorted(g.flags):
             if g.boundary[f] not in g.vertices:
                 problems.append(f"boundary-image: boundary of {f!r} is not a vertex")
-    if set(g.involution) != set(g.flags):
+    if g.involution.keys() != g.flags:
         problems.append("involution-domain: involution must be defined on exactly the flags")
     else:
         for f in sorted(g.flags):
@@ -125,25 +125,23 @@ def validate_bm_morphism(m: BMMorphism) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
     src, tgt = m.source, m.target
-    if set(m.flag_map) != set(tgt.flags) or not set(m.flag_map.values()) <= set(src.flags):
+    if m.flag_map.keys() != tgt.flags or not src.flags.issuperset(m.flag_map.values()):
         problems.append("flag-map: not a total map from target flags to source flags")
-    if set(m.vertex_map) != set(src.vertices) or not set(m.vertex_map.values()) <= set(
-        tgt.vertices
-    ):
+    if m.vertex_map.keys() != src.vertices or not tgt.vertices.issuperset(m.vertex_map.values()):
         problems.append("vertex-map: not a total map from source vertices to target vertices")
     if problems:
         return ValidationReport(tuple(problems))
     image = set(m.flag_map.values())
     if len(image) != len(m.flag_map):
         problems.append("flag-injective: flag map identifies two target flags")
-    if set(m.vertex_map.values()) != set(tgt.vertices):
+    if set(m.vertex_map.values()) != tgt.vertices:
         problems.append("vertex-surjective: some target vertex has empty fibre")
     for f in sorted(image):
         if src.involution[f] not in image and src.involution[f] != f:
             problems.append(f"image-closed: {f!r} is hit but its partner is not")
-    comp = set(src.flags) - image
+    comp = src.flags - image
     vi = m.virtual_involution
-    if set(vi) != comp:
+    if vi.keys() != comp:
         problems.append(
             "virtual-involution: must be defined on exactly the flags outside the image"
         )
@@ -279,7 +277,7 @@ def ghost_graph(m: BMMorphism) -> BMGraph:
     for x in tgt.flags:
         involution[m.flag_map[x]] = m.flag_map[tgt.involution[x]]
     involution.update(m.virtual_involution)
-    return BMGraph(src.vertices, src.flags, dict(src.boundary), involution)
+    return BMGraph(src.vertices, src.flags, src.boundary, involution)
 
 
 def factorise_bm(m: BMMorphism) -> tuple[BMGraph, BMMorphism, BMMorphism]:

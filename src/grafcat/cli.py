@@ -9,6 +9,7 @@ on stderr), 2 parse or usage error."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import jsonio
@@ -71,14 +72,8 @@ def _cmd_validate(args) -> int:
     report = _VALIDATORS[kind](value)
     doc = {"kind": kind, "ok": report.ok, "problems": list(report.problems)}
     if report.ok and kind == "bm-morphism":
-        cls = classify_bm(value)
-        doc["classification"] = {
-            "isomorphism": cls.is_isomorphism,
-            "grafting": cls.is_grafting,
-            "compression": cls.is_compression,
-            "contraction": cls.is_contraction,
-            "merger": cls.is_merger,
-        }
+        fields = dataclasses.asdict(classify_bm(value))
+        doc["classification"] = {name.removeprefix("is_"): v for name, v in fields.items()}
     if report.ok and kind == "etale":
         doc["classification"] = {
             "injective": is_injective_etale(value),
@@ -168,18 +163,22 @@ def _check_bound(args, n_vertices: int):
         )
 
 
-def _cmd_hom_count(args) -> int:
-    _, tau = _load_checked(args.source, {"bm-graph"})
-    _, rho = _load_checked(args.target, {"bm-graph"})
-    res = check_pair(tau, rho, 0, 1)
-    doc = {
-        "source": args.source,
-        "target": args.target,
+def _pair_row(source: str, target: str, res) -> dict:
+    """What hom-count and check-equivalence report of one pair."""
+    return {
+        "source": source,
+        "target": target,
         "bm_count": res.bm_count,
         "cospan_count": res.cospan_count,
         "bijection_verified": res.ok,
     }
-    _write(jsonio.dumps(doc), args.output)
+
+
+def _cmd_hom_count(args) -> int:
+    _, tau = _load_checked(args.source, {"bm-graph"})
+    _, rho = _load_checked(args.target, {"bm-graph"})
+    res = check_pair(tau, rho, 0, 1)
+    _write(jsonio.dumps(_pair_row(args.source, args.target, res)), args.output)
     return 0 if res.ok else 1
 
 
@@ -189,13 +188,7 @@ def _cmd_check_equivalence(args) -> int:
     lines = []
 
     def progress(res):
-        row = {
-            "source": f"g{res.tau_index}",
-            "target": f"g{res.rho_index}",
-            "bm_count": res.bm_count,
-            "cospan_count": res.cospan_count,
-            "bijection_verified": res.ok,
-        }
+        row = _pair_row(f"g{res.tau_index}", f"g{res.rho_index}", res)
         lines.append(jsonio.dumps_line(row))
 
     report = check_equivalence(args.max_vertices, args.max_flags, progress=progress)
@@ -252,14 +245,9 @@ def _jk_dot(g: JKGraph) -> str:
     return "\n".join(lines + sorted(set(anchors)) + links + ["}"]) + "\n"
 
 
-def _bm_dot(g) -> str:
-    return _jk_dot(phi1_graph(g))
-
-
 def _cmd_export_dot(args) -> int:
     kind, value = _load_checked(args.file, {"jk-graph", "bm-graph"})
-    text = _jk_dot(value) if kind == "jk-graph" else _bm_dot(value)
-    _write(text, args.output)
+    _write(_jk_dot(value if kind == "jk-graph" else phi1_graph(value)), args.output)
     return 0
 
 

@@ -65,21 +65,14 @@ def phi1_graph(g: BMGraph) -> JKGraph:
     the embedding the identity), tails gain companion port arcs.  Built
     once per graph, so the two legs of phi(m) share their apex."""
     comp = tail_companions(g)
-    arcs = set(g.flags) | set(comp.values())
+    arcs = g.flags.union(comp.values())
     involution = {}
     for f in g.flags:
         t = g.involution[f]
         involution[f] = comp[f] if t == f else t
     for t, c in comp.items():
         involution[c] = t
-    return JKGraph(
-        arcs,
-        set(g.flags),
-        set(g.vertices),
-        involution,
-        {f: f for f in g.flags},
-        dict(g.boundary),
-    )
+    return JKGraph(arcs, g.flags, g.vertices, involution, {f: f for f in g.flags}, g.boundary)
 
 
 @memoised
@@ -98,19 +91,15 @@ def phi1_mor(m: BMMorphism) -> ReducedCover:
     that the grafting pairs up."""
     src_jk = phi1_graph(m.source)
     tgt_jk = phi1_graph(m.target)
-    inv = {f: x for x, f in m.flag_map.items()}  # F_tau -> F_sigma
+    inv = {f: x for x, f in m.flag_map.items()}  # F_tau -> F_sigma, the flag map
     comp_src = tail_companions(m.source)
     comp_tgt = tail_companions(m.target)
     tgt_inv = m.target.involution
-    arc_map = {}
-    for f in m.source.flags:
-        arc_map[f] = inv[f]
+    arc_map = {f: inv[f] for f in m.source.flags}
     for t, c in comp_src.items():
         u = inv[t]
         arc_map[c] = comp_tgt[u] if tgt_inv[u] == u else tgt_inv[u]
-    flag_map = {f: inv[f] for f in m.source.flags}
-    vertex_map = dict(m.vertex_map)
-    return tuple.__new__(ReducedCover, (src_jk, tgt_jk, arc_map, flag_map, vertex_map))
+    return tuple.__new__(ReducedCover, (src_jk, tgt_jk, arc_map, inv, m.vertex_map))
 
 
 def phi1_mor_inv(rc: ReducedCover) -> BMMorphism:
@@ -118,7 +107,7 @@ def phi1_mor_inv(rc: ReducedCover) -> BMMorphism:
     src = phi1_graph_inv(rc.source)
     tgt = phi1_graph_inv(rc.target)
     flag_map = {x: h for h, x in rc.flag_map.items()}
-    return BMMorphism(src, tgt, flag_map, dict(rc.vertex_map), {})
+    return BMMorphism(src, tgt, flag_map, rc.vertex_map, {})
 
 
 def phi2_mor(m: BMMorphism) -> Refinement:

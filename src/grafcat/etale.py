@@ -21,7 +21,6 @@ from .graph_core import (
     EtaleMorphism,
     JKGraph,
     ValidationReport,
-    edges,
     embed_image,
     endpoint_problems,
     flag_view,
@@ -38,11 +37,11 @@ def validate_etale(m: EtaleMorphism) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
     src, tgt = m.source, m.target
-    if set(m.arc_map) != set(src.arcs) or not set(m.arc_map.values()) <= set(tgt.arcs):
+    if m.arc_map.keys() != src.arcs or not tgt.arcs.issuperset(m.arc_map.values()):
         problems.append("arc-map: not a total map from source arcs to target arcs")
-    if set(m.flag_map) != set(src.flags) or not set(m.flag_map.values()) <= set(tgt.flags):
+    if m.flag_map.keys() != src.flags or not tgt.flags.issuperset(m.flag_map.values()):
         problems.append("flag-map: not a total map from source flags to target flags")
-    if set(m.vertex_map) != set(src.vertices) or not set(m.vertex_map.values()) <= set(tgt.vertices):
+    if m.vertex_map.keys() != src.vertices or not tgt.vertices.issuperset(m.vertex_map.values()):
         problems.append("vertex-map: not a total map from source vertices to target vertices")
     if problems:
         return ValidationReport(tuple(problems))
@@ -94,8 +93,8 @@ def open_subgraph(g: JKGraph, vertex_set) -> tuple[JKGraph, EtaleMorphism]:
     W = set(vertex_set)
     if not W:
         raise ValueError("empty vertex set spans no effective subgraph")
-    if not W <= set(g.vertices):
-        raise ValueError(f"not a vertex subset: {sorted(W - set(g.vertices))}")
+    if not W <= g.vertices:
+        raise ValueError(f"not a vertex subset: {sorted(W - g.vertices)}")
     sub = spanned_subgraph(g, W)
     return sub, identity_etale(sub)._replace(target=g)
 
@@ -112,18 +111,19 @@ class ReducedCover(EtaleMorphism):
 
 
 def is_covering_family(ms: list[EtaleMorphism]) -> bool:
-    """Jointly surjective on edges and on vertices (common target)."""
+    """Jointly surjective on edges and on vertices (common target).
+
+    An etale arc map commutes with the involutions, so it sends each
+    edge onto an edge, and the members hit every target edge exactly
+    when they hit every target arc."""
     if not ms:
         return False
     tgt = ms[0].target
     if any(m.target != tgt for m in ms):
         raise ValueError("covering family members must share a target")
     hit_vertices = {w for m in ms for w in m.vertex_map.values()}
-    hit_edges = set()
-    for m in ms:
-        for e in edges(m.source):
-            hit_edges.add(frozenset(m.arc_map[a] for a in e))
-    return hit_vertices == set(tgt.vertices) and hit_edges == edges(tgt)
+    hit_arcs = {b for m in ms for b in m.arc_map.values()}
+    return hit_vertices == tgt.vertices and hit_arcs == tgt.arcs
 
 
 def validate_reduced_cover(rc: EtaleMorphism) -> ValidationReport:
@@ -195,12 +195,12 @@ def replay_gluings(g: JKGraph, steps: list[tuple[str, str]]) -> tuple[JKGraph, R
         rename[ia] = rename[b] = min(ia, b)
     arc_map = {x: rename.get(x, x) for x in g.arcs}
     quotient = JKGraph(
-        set(arc_map.values()),
+        arc_map.values(),
         g.flags,
         g.vertices,
         {arc_map[x]: arc_map[y] for x, y in g.involution.items()},
         {h: arc_map[x] for h, x in g.embed.items()},
-        dict(g.incidence),
+        g.incidence,
     )
     return quotient, tuple.__new__(
         ReducedCover,

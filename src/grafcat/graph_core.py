@@ -125,7 +125,7 @@ class EtaleMorphism(_EtaleMorphismFields):
 def validate_graph(g: JKGraph) -> ValidationReport:
     """Check the diagram clauses; the report lists each violated one."""
     problems = []
-    if set(g.involution) != set(g.arcs):
+    if g.involution.keys() != g.arcs:
         problems.append("involution-domain: involution must be defined on exactly the arcs")
     else:
         for a in sorted(g.arcs):
@@ -136,7 +136,7 @@ def validate_graph(g: JKGraph) -> ValidationReport:
                 problems.append(f"involution: i(i({a!r})) != {a!r}")
             elif b == a:
                 problems.append(f"fixpoint-free: involution fixes arc {a!r}")
-    if set(g.embed) != set(g.flags):
+    if g.embed.keys() != g.flags:
         problems.append("embed-domain: embed must be defined on exactly the flags")
     else:
         seen: dict[str, str] = {}
@@ -148,7 +148,7 @@ def validate_graph(g: JKGraph) -> ValidationReport:
                 problems.append(f"s injective: flags {seen[a]!r} and {h!r} share arc {a!r}")
             else:
                 seen[a] = h
-    if set(g.incidence) != set(g.flags):
+    if g.incidence.keys() != g.flags:
         problems.append("incidence-domain: incidence must be defined on exactly the flags")
     else:
         for h in sorted(g.flags):
@@ -217,7 +217,7 @@ def local_interface(g: JKGraph, v: str) -> set[str]:
     """The arcs pointing toward v, one for each flag at v."""
     if v not in g.vertices:
         raise ValueError(f"unknown vertex {v!r}")
-    return {g.involution[g.embed[h]] for h in g.flags if g.incidence[h] == v}
+    return {g.involution[g.embed[h]] for h in flag_view(g)[0][v]}
 
 
 def is_effective(g: JKGraph) -> bool:

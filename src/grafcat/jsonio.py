@@ -141,7 +141,9 @@ def _read_json(path: str, prefix: str = ""):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise JsonFormatError(f"{prefix}{path} is not JSON: {exc}") from exc
-    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or a NUL in path
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: undecodable bytes, or a NUL in path; RecursionError:
+        # nesting deeper than the parser's recursion limit
         raise JsonFormatError(f"{prefix}cannot read {path}: {exc}") from exc
 
 

@@ -115,17 +115,15 @@ def validate_refinement(r: Refinement) -> ValidationReport:
                 f"{name}-isolated: refinements run between graphs without isolated edges"
             )
     src, tgt = r.source, r.target
-    if set(r.arc_map) != set(src.arcs) or not set(r.arc_map.values()) <= set(tgt.arcs):
+    if r.arc_map.keys() != src.arcs or not tgt.arcs.issuperset(r.arc_map.values()):
         problems.append("arc-map: not a total map from source arcs to target arcs")
-    if set(r.vertex_map) != set(tgt.vertices) or not set(r.vertex_map.values()) <= set(
-        src.vertices
-    ):
+    if r.vertex_map.keys() != tgt.vertices or not src.vertices.issuperset(r.vertex_map.values()):
         problems.append("vertex-map: not a total map from target vertices to source vertices")
-    if set(r.flag_map) != set(src.flags) or not set(r.flag_map.values()) <= set(tgt.flags):
+    if r.flag_map.keys() != src.flags or not tgt.flags.issuperset(r.flag_map.values()):
         problems.append("flag-map: not a total map from source flags to target flags")
     if problems:
         return ValidationReport(tuple(problems))
-    for x in sorted(src.vertices - set(r.vertex_map.values())):
+    for x in sorted(src.vertices.difference(r.vertex_map.values())):
         problems.append(f"pieces: the piece at {x!r} occupies no vertices")
     for g in sorted(src.flags):
         h = r.flag_map[g]
@@ -232,7 +230,7 @@ def _refine_with_cover(
         raise ValueError("invalid graph: " + "; ".join(clauses.problems))
     if clauses.isolated:
         raise ValueError("cannot refine a graph with isolated edges")
-    if set(assignment) != set(r.vertices):
+    if assignment.keys() != r.vertices:
         raise ValueError("assignment must cover exactly the vertices")
     for x in sorted(assignment):
         piece, bij = assignment[x]
@@ -241,7 +239,7 @@ def _refine_with_cover(
             raise ValueError(f"piece at {x!r} invalid: " + "; ".join(clauses.problems))
         if (not piece.vertices and not piece.arcs) or clauses.isolated:
             raise ValueError(f"piece at {x!r} must be nonempty without isolated edges")
-        if set(bij) != ports(piece):
+        if bij.keys() != ports(piece):
             raise ValueError(f"interface at {x!r} is not defined on the piece's ports")
         if len(set(bij.values())) != len(bij) or set(bij.values()) != local_interface(r, x):
             raise ValueError(f"interface at {x!r} is not a bijection onto the incoming arcs")

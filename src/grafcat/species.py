@@ -79,10 +79,10 @@ def validate_species(sp: GraphicalSpecies) -> ValidationReport:
         d = sp.colour_involution.get(c)
         if d not in sp.colours or sp.colour_involution.get(d) != c:
             problems.append(f"colour-involution: not an involution at {c!r}")
-    if set(sp.colour_involution) != set(sp.colours):
+    if sp.colour_involution.keys() != sp.colours:
         problems.append("colour-involution: must be defined on exactly the colours")
     for name, profile in sorted(sp.operations.items()):
-        if not set(profile) <= set(sp.colours):
+        if not sp.colours.issuperset(profile):
             problems.append(f"profile: operation {name!r} uses unknown colours")
         if sp.action is None and "@" in name:
             problems.append(f"operation-name: generator {name!r} may not contain '@'")
@@ -118,10 +118,6 @@ def validate_species(sp: GraphicalSpecies) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-def _render_perm(p: tuple[int, ...]) -> str:
-    return ",".join(str(i + 1) for i in p)
-
-
 def _relabelled(sp: GraphicalSpecies, name: str) -> tuple[str, tuple[int, ...]]:
     """A free species' name, gen or gen@p, as gen and the zero-based p
     (the identity for a bare gen); KeyError unless gen is a generator of
@@ -152,7 +148,7 @@ def act(sp: GraphicalSpecies, name: str, p: tuple[int, ...]) -> str:
     p = tuple(q[i] for i in p)
     if p == tuple(range(len(p))):
         return base
-    return f"{base}@{_render_perm(p)}"
+    return f"{base}@{','.join(str(i + 1) for i in p)}"
 
 
 def operation_profile(sp: GraphicalSpecies, name: str) -> tuple[str, ...]:
@@ -218,15 +214,15 @@ def validate_decoration(sp: GraphicalSpecies, g: JKGraph, dec: Decoration) -> Va
     if bad := graph_clauses(g).problems:
         return ValidationReport(("graph-invalid: " + "; ".join(bad),))
     problems = []
-    if set(dec.arc_colouring) != set(g.arcs):
+    if dec.arc_colouring.keys() != g.arcs:
         problems.append("colouring-domain: colouring must be defined on exactly the arcs")
-    elif not set(dec.arc_colouring.values()) <= set(sp.colours):
+    elif not sp.colours.issuperset(dec.arc_colouring.values()):
         problems.append("colouring-image: unknown colour")
     else:
         for a in sorted(g.arcs):
             if dec.arc_colouring[g.involution[a]] != sp.colour_involution[dec.arc_colouring[a]]:
                 problems.append(f"colouring: edge of {a!r} is not colour-paired")
-    if set(dec.vertex_labels) != set(g.vertices):
+    if dec.vertex_labels.keys() != g.vertices:
         problems.append("labels-domain: one label per vertex required")
     if problems:
         return ValidationReport(tuple(problems))

@@ -225,6 +225,31 @@ def test_undecodable_file_exits_two(tmp_path, save, LOOP):
     assert "Traceback" not in run("validate", save("m.json", doc), expect=2).stderr
 
 
+def nested(depth: int) -> str:
+    """A JSON array nested depth levels deep."""
+    return "[" * depth + "]" * depth
+
+
+def deep_arcs_graph() -> str:
+    """corolla(1) as a jk-graph document whose arcs field is 100000 deep."""
+    doc = jsonio.graph_to_json(corolla(1))
+    doc["arcs"] = "DEEP"
+    return jsonio.dumps(doc).replace('"DEEP"', nested(100000))
+
+
+@pytest.mark.parametrize("where", ["document", "arcs", "$file"])
+def test_too_deeply_nested_json_exits_two(tmp_path, where):
+    path = tmp_path / "deep.json"
+    path.write_text(nested(200000) if where == "document" else deep_arcs_graph())
+    if where == "$file":
+        doc = jsonio.etale_to_json(identity_etale(corolla(1)))
+        doc["source"] = {"$file": "deep.json"}
+        path = tmp_path / "m.json"
+        path.write_text(jsonio.dumps(doc))
+    err = run("validate", str(path), expect=2).stderr
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 # -- exit codes under malformed documents ----------------------------------------
 
 _KINDS = ["jk-graph", "bm-graph", "bm-morphism", "etale", "refinement", "cospan", "species", "x"]

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from grafcat.graph_core import (
     JKGraph,
     corolla,
     disjoint_union,
+    edges,
     embed_image,
     find_isomorphisms,
     graph_sum,
@@ -103,6 +105,38 @@ def test_covering_family(CY):
     _, i2 = open_subgraph(CY, {"w"})
     assert is_covering_family([i1, i2])
     assert not is_covering_family([i1])
+
+
+def edge_pass_covering(ms):
+    """Reference for is_covering_family: the image of every source edge,
+    collected edge by edge, against the target's edges."""
+    tgt = ms[0].target
+    hit_vertices = {w for m in ms for w in m.vertex_map.values()}
+    hit_edges = {frozenset(m.arc_map[a] for a in e) for m in ms for e in edges(m.source)}
+    return hit_vertices == set(tgt.vertices) and hit_edges == edges(tgt)
+
+
+def test_covering_by_arcs_matches_the_edge_pass():
+    covers, inclusions, isos = [], [], []
+    for window in ((2, 4), (3, 5), (2, 6)):
+        for b in enumerate_bm_graphs(*window):
+            g = phi1_graph(b)
+            if is_effective(g):
+                covers += [[rc] for rc in reduced_covers_of(g) + covers_from(g)]
+    for b in enumerate_bm_graphs(2, 4):
+        g = phi1_graph(b)
+        vs = sorted(g.vertices)
+        subsets = [w for r in range(1, len(vs) + 1) for w in itertools.combinations(vs, r)]
+        members = [open_subgraph(g, w)[1] for w in subsets]
+        inclusions += [list(f) for f in itertools.combinations_with_replacement(members, 2)]
+    for g in small_graphs():
+        isos += [[iso] for h in (g, shuffled(g)) for iso in find_isomorphisms(g, h)]
+    answers = []
+    for families in (covers, inclusions, isos):
+        got = [is_covering_family(ms) for ms in families]
+        assert got == [edge_pass_covering(ms) for ms in families]
+        answers.append(Counter(got))
+    assert answers == [{True: 1851}, {True: 101, False: 46}, {True: 318}]
 
 
 # -- isomorphisms, renamings and inclusions are etale maps -------------------------

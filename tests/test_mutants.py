@@ -7,8 +7,8 @@ from collections import Counter
 
 import pytest
 
-from grafcat import cospan_equiv, oracle
-from grafcat.bm import BMMorphism
+from grafcat import bm, cospan_equiv, oracle
+from grafcat.bm import BMGraph, BMMorphism
 from grafcat.graph_core import ports
 from grafcat.kleisli import Refinement
 from grafcat.species import decorated_isomorphic, truncated_free
@@ -103,6 +103,40 @@ def swap_first_two_chosen_flags(real):
     return mutant
 
 
+def swap_first_two_companion_images(real):
+    """phi1_mor, but the first two sorted companion ports of its source
+    swap their arc images."""
+
+    def mutant(m):
+        rc = real(m)
+        companions = sorted(cospan_equiv.tail_companions(m.source).values())
+        if len(companions) < 2:
+            return rc
+        p, q = companions[:2]
+        arc_map = dict(rc.arc_map)
+        arc_map[p], arc_map[q] = arc_map[q], arc_map[p]
+        return rc._replace(arc_map=arc_map)
+
+    return mutant
+
+
+def first_virtual_edge_left_as_tails(real):
+    """ghost_graph, but the first sorted virtual edge (two source tails
+    paired by the virtual involution) stays two tails."""
+
+    def mutant(m):
+        ghost = real(m)
+        virtual = sorted(f for f in m.virtual_involution if m.source.involution[f] == f)
+        if not virtual:
+            return ghost
+        f = virtual[0]
+        t = m.virtual_involution[f]
+        involution = {**ghost.involution, f: f, t: t}
+        return BMGraph(ghost.vertices, ghost.flags, ghost.boundary, involution)
+
+    return mutant
+
+
 @pytest.mark.parametrize(
     "module, name, mutate, failures",
     [
@@ -127,8 +161,28 @@ def swap_first_two_chosen_flags(real):
         ),
         # the key without the cover's arc map
         (oracle, "cospan_key", lambda real: lambda c: real(c)[1:], {("injective",): 16}),
+        (
+            cospan_equiv,
+            "phi1_mor",
+            swap_first_two_companion_images,
+            {("injective", "surjective", "roundtrip"): 123},
+        ),
+        (
+            bm,
+            "ghost_graph",
+            first_virtual_edge_left_as_tails,
+            {("injective", "surjective", "roundtrip"): 46},
+        ),
     ],
-    ids=["compose_bm", "phi2_mor", "enumerate_refinements", "enumerate_bm_morphisms", "cospan_key"],
+    ids=[
+        "compose_bm",
+        "phi2_mor",
+        "enumerate_refinements",
+        "enumerate_bm_morphisms",
+        "cospan_key",
+        "phi1_mor",
+        "ghost_graph",
+    ],
 )
 def test_the_equivalence_check_catches_a_broken_construction(
     monkeypatch, module, name, mutate, failures
