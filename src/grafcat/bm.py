@@ -267,22 +267,38 @@ def _edges_onto(m: BMMorphism) -> bool:
     return hit == bm_edges(src)
 
 
+@memoised
+def _ghosts(g: BMGraph) -> dict[frozenset[tuple[str, str]], BMGraph]:
+    """The ghost graphs of the morphisms out of g, by involution; a
+    table that ghost_graph fills."""
+    return {}
+
+
 def ghost_graph(m: BMMorphism) -> BMGraph:
     """The intermediate graph of the grafting/compression factorisation:
     the source's vertices and flags, re-paired so that the pairing of the
     target is pulled back across the image and the virtual edges become
-    actual."""
+    actual.
+
+    One graph per source and involution: the morphisms out of a source
+    whose ghosts pair the flags alike share one ghost object, and with
+    it everything memoised on it, so callers must not write into it."""
     src, tgt = m.source, m.target
-    involution = {}
-    for x in tgt.flags:
-        involution[m.flag_map[x]] = m.flag_map[tgt.involution[x]]
+    involution = {m.flag_map[x]: m.flag_map[y] for x, y in tgt.involution.items()}
     involution.update(m.virtual_involution)
-    return BMGraph(src.vertices, src.flags, src.boundary, involution)
+    ghosts = _ghosts(src)
+    key = frozenset(involution.items())
+    ghost = ghosts.get(key)
+    if ghost is None:
+        ghost = ghosts[key] = BMGraph(src.vertices, src.flags, src.boundary, involution)
+    return ghost
 
 
 def factorise_bm(m: BMMorphism) -> tuple[BMGraph, BMMorphism, BMMorphism]:
     """Split m into a grafting followed by a compression through its
-    ghost graph.  The two parts compose back to m on the nose."""
+    ghost graph.  The two parts compose back to m on the nose.  The
+    ghost is shared by every morphism out of m's source with the same
+    ghost (see ghost_graph), so callers must not write into it."""
     mid = ghost_graph(m)
     graft = tuple.__new__(
         BMMorphism,

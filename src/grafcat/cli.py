@@ -4,11 +4,13 @@ Subcommands validate documents, compose and factorise morphisms,
 translate between the two encodings, compute pushouts, enumerate graphs,
 count and compare hom-sets, and export DOT drawings.  Every run is
 deterministic.  Exit status: 0 success, 1 validation failure (report
-on stderr), 2 parse or usage error."""
+on stderr), 2 parse or usage error or an -o path that cannot be
+written."""
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 
@@ -36,12 +38,24 @@ class _Failure(Exception):
         self.problems = list(problems)
 
 
-def _write(text: str, output: str | None):
+class _Unwritable(Exception):
+    """The -o path cannot be opened for writing: exit status 2."""
+
+
+def _open_output(output: str | None):
+    """Where a command writes: stdout, or the -o file opened now, so an
+    unwritable path is reported before any work is done."""
     if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(output, "w")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise _Unwritable(f"cannot write {output}: {exc}") from exc
+
+
+def _write(text: str, output: str | None):
+    with _open_output(output) as fh:
+        fh.write(text)
 
 
 _VALIDATORS = {
@@ -177,8 +191,9 @@ def _pair_row(source: str, target: str, res) -> dict:
 def _cmd_hom_count(args) -> int:
     _, tau = _load_checked(args.source, {"bm-graph"})
     _, rho = _load_checked(args.target, {"bm-graph"})
-    res = check_pair(tau, rho, 0, 1)
-    _write(jsonio.dumps(_pair_row(args.source, args.target, res)), args.output)
+    with _open_output(args.output) as out:
+        res = check_pair(tau, rho, 0, 1)
+        out.write(jsonio.dumps(_pair_row(args.source, args.target, res)))
     return 0 if res.ok else 1
 
 
@@ -191,9 +206,10 @@ def _cmd_check_equivalence(args) -> int:
         row = _pair_row(f"g{res.tau_index}", f"g{res.rho_index}", res)
         lines.append(jsonio.dumps_line(row))
 
-    report = check_equivalence(args.max_vertices, args.max_flags, progress=progress)
-    header = {"graphs": [jsonio.bm_graph_to_json(g) for g in report.graphs]}
-    _write("\n".join([jsonio.dumps_line(header)] + lines) + "\n", args.output)
+    with _open_output(args.output) as out:
+        report = check_equivalence(args.max_vertices, args.max_flags, progress=progress)
+        header = {"graphs": [jsonio.bm_graph_to_json(g) for g in report.graphs]}
+        out.write("\n".join([jsonio.dumps_line(header)] + lines) + "\n")
 
     widths = ("source", "target", "bm", "cospan", "ok")
     fmt = "{:>8} {:>8} {:>6} {:>8} {:>5}"
@@ -312,7 +328,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except jsonio.JsonFormatError as exc:
+    except (jsonio.JsonFormatError, _Unwritable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _Failure as exc:

@@ -158,10 +158,18 @@ class GraphCospan:
         return self.right.source
 
 
+@memoised
+def _cover_report(rc: ReducedCover) -> ValidationReport:
+    """validate_reduced_cover(rc), checked once per cover: phi shares
+    each cover leg among the images through its ghost."""
+    return validate_reduced_cover(rc)
+
+
 def validate_cospan(c: GraphCospan) -> ValidationReport:
-    """Check both legs and that they share their apex."""
+    """Check both legs and that they share their apex.  The left leg's
+    report is memoised on it; the right leg is checked on every call."""
     problems = []
-    rep = validate_reduced_cover(c.left)
+    rep = _cover_report(c.left)
     if not rep.ok:
         problems.append("left: " + "; ".join(rep.problems))
     rep = validate_refinement(c.right)
@@ -187,17 +195,13 @@ def compose_cospan(c1: GraphCospan, c2: GraphCospan) -> GraphCospan:
     return GraphCospan(left, right)
 
 
-def cospan_key(c: GraphCospan) -> tuple:
-    """A hashable normal form of a cospan up to apex isomorphism.
-
-    The left leg is a reduced cover, bijective on vertices and flags and
-    onto the apex arcs, so it fixes the apex isomorphism: naming each
-    apex vertex after its preimage and each arc after its least preimage
-    makes it the identity.  The key lists three maps so renamed: the
-    cover's arc map and the right leg's arc and vertex maps, which fix a
-    valid right leg's flag map, as embeddings are injective.  ValueError
-    unless the left leg is bijective on vertices and flags and onto the apex arcs."""
-    left, apex = c.left, c.apex
+@memoised
+def _left_key(left: ReducedCover) -> tuple[dict[str, str], dict[str, str], tuple]:
+    """What cospan_key reads of a left leg, found once per cover: the
+    names it gives the apex vertices and arcs, and its own arc map so
+    renamed.  ValueError unless the leg is bijective on vertices and
+    flags and onto the apex arcs."""
+    apex = left.target
     vertex_name = {w: v for v, w in left.vertex_map.items()}
     if len(vertex_name) != len(left.vertex_map) or set(vertex_name) != apex.vertices:
         raise ValueError("cospan_key: the left leg is not bijective on vertices")
@@ -209,9 +213,25 @@ def cospan_key(c: GraphCospan) -> tuple:
         arc_name.setdefault(b, a)
     if set(arc_name) != apex.arcs:
         raise ValueError("cospan_key: the left leg is not onto the apex arcs")
+    return vertex_name, arc_name, tuple(sorted((a, arc_name[b]) for a, b in left.arc_map.items()))
+
+
+def cospan_key(c: GraphCospan) -> tuple:
+    """A hashable normal form of a cospan up to apex isomorphism.
+
+    The left leg is a reduced cover, bijective on vertices and flags and
+    onto the apex arcs, so it fixes the apex isomorphism: naming each
+    apex vertex after its preimage and each arc after its least preimage
+    makes it the identity.  The key lists three maps so renamed: the
+    cover's arc map and the right leg's arc and vertex maps, which fix a
+    valid right leg's flag map, as embeddings are injective.  The left
+    leg's part is memoised on the cover, which the cospans through it
+    share.  ValueError unless the left leg is bijective on vertices and
+    flags and onto the apex arcs."""
+    vertex_name, arc_name, left_part = _left_key(c.left)
     right = c.right
     return (
-        tuple(sorted((a, arc_name[b]) for a, b in left.arc_map.items())),
+        left_part,
         tuple(sorted((a, arc_name[b]) for a, b in right.arc_map.items())),
         tuple(sorted((vertex_name[w], x) for w, x in right.vertex_map.items())),
     )
@@ -237,11 +257,29 @@ def cospan_factorise(c: GraphCospan) -> tuple[GraphCospan, GraphCospan]:
     )
 
 
+@memoised
+def _cover_legs(tau: BMGraph) -> dict[int, tuple[BMGraph, ReducedCover]]:
+    """phi's cover leg onto each ghost of tau, by the ghost's id; a table
+    that phi fills.  Each entry holds its ghost, so no other graph takes
+    that id while tau lives."""
+    return {}
+
+
 def phi(m: BMMorphism) -> GraphCospan:
     """Translate a vertex/flag morphism into its cover/refinement
-    cospan through the arc picture of its ghost graph."""
-    _, graft, compress = factorise_bm(m)
-    return GraphCospan(phi1_mor(graft), phi2_mor(compress))
+    cospan through the arc picture of its ghost graph.
+
+    The grafting is the identity on flags and vertices, so its cover is
+    fixed by the source and the ghost, which factorise_bm shares among
+    the morphisms out of the source: each cover leg, and its apex, is
+    built once per ghost and shared by every image through it, so
+    callers must not write into them."""
+    ghost, graft, compress = factorise_bm(m)
+    legs = _cover_legs(m.source)
+    leg = legs.get(id(ghost))
+    if leg is None:
+        leg = legs[id(ghost)] = ghost, phi1_mor(graft)
+    return GraphCospan(leg[1], phi2_mor(compress))
 
 
 def phi_inv(c: GraphCospan) -> BMMorphism:

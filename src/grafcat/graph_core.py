@@ -36,10 +36,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 def memoised(fn):
     """fn(value), computed once per value object and stored in the
     value's __dict__ (under a dotted name no attribute can have).  The
-    stored result is shared by every caller, who must not change it.
-    Only values with a __dict__ take a memo: graphs, the dataclass
-    values and etale.ReducedCover, not EtaleMorphism itself and
-    kleisli.Refinement, whose __slots__ are empty."""
+    stored result is shared by every caller, who must not change it,
+    unless it is a table that fn returns empty for its own module to
+    fill.  Only values with a __dict__ take a memo: graphs, the
+    dataclass values and etale.ReducedCover, not EtaleMorphism itself
+    and kleisli.Refinement, whose __slots__ are empty."""
     key = f"{fn.__module__}.{fn.__qualname__}"
     missing = object()
 

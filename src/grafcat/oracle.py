@@ -8,7 +8,10 @@ the source's picture (one per port matching) with each refinement into
 its apex, again built only as the refinement clauses allow.  A graph's
 picture, the covers out of it, its graph clauses and the layout the
 refinement enumerator reads are memoised on the graph and the picture,
-so each is built once however many pairs the graph is in.  No apex
+so each is built once however many pairs the graph is in.  So are the
+ghost graphs of its morphisms (one per port matching, as its covers),
+phi's cover leg onto each ghost with that leg's validation, and the
+left-leg part of cospan_key on each cover, enumerated or phi's.  No apex
 bound is needed: a reduced cover is bijective on vertices, so every
 apex has its source's vertex count.  Cospans are compared through their
 normal form (cospan_key): the cover leg forces the apex isomorphism, so

@@ -205,6 +205,12 @@ def test_encodings_agree_on_the_two_five_window():
     _agree_on_window(2, 5, 51, 4449)
 
 
+def test_encodings_agree_on_the_two_six_window():
+    # every graph with at most 2 vertices and 6 flags: 83 graphs, 6889
+    # ordered pairs
+    _agree_on_window(2, 6, 83, 39857)
+
+
 OUTPUT_35 = "7ad4a61790c99758640ac5fd6582ce97a356aae55fb0b3033f5ca3dd9bd51431"
 STDERR_35 = "e94819129f3fc8f9d55d82dfac8617d66c0544352d11cacc0a0e9b99d976c4d1"
 

@@ -636,5 +636,28 @@ def test_output_flag(save, tmp_path):
     assert json.loads(out.read_text())["ok"] is True
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command worked before opening its output")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["check-equivalence", "hom-count", "validate"])
+def test_unwritable_output_exits_two_before_any_work(save, tmp_path, monkeypatch, command, where):
+    out = str(tmp_path / "absent" / "out.json" if where == "missing-directory" else tmp_path)
+    c2 = save("c2.json", jsonio.bm_graph_to_json(bm_corolla(2)))
+    argv = {
+        "check-equivalence": ["check-equivalence", "--max-vertices", "1", "--max-flags", "2"],
+        "hom-count": ["hom-count", c2, c2],
+        "validate": ["validate", c2],
+    }[command] + ["-o", out]
+    err = run(*argv, expect=2).stderr
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    # the commands that enumerate find out before they start
+    monkeypatch.setattr(cli, "check_equivalence", _no_work)
+    monkeypatch.setattr(cli, "check_pair", _no_work)
+    assert _exit_code(argv) == 2
+
+
 def test_unknown_subcommand():
     assert run("frobnicate", expect=2).returncode == 2

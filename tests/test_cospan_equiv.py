@@ -1,3 +1,4 @@
+import copy
 import functools
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bm_graphs
-from grafcat import graph_core, oracle
+from grafcat import cospan_equiv, graph_core, oracle
 from grafcat.bm import (
     BMGraph,
     BMMorphism,
@@ -326,18 +327,22 @@ def broken_cospans():
 
 def test_validate_cospan_checks_only_the_apex_of_each_image(monkeypatch):
     # phi takes both feet from the memoised pictures and gives both legs
-    # one apex, so once the pictures are checked each image of the (2,4)
-    # window costs one validate_graph call
+    # one apex, shared by every image through one ghost graph, so once
+    # the pictures are checked the 993 images of the (2,4) window cost
+    # one validate_graph call per distinct apex
     graphs = enumerate_bm_graphs(2, 4)
     images = [phi(h) for t in graphs for r in graphs for h in enumerate_bm_morphisms(t, r)]
+    assert len(images) == 993
+    apexes = {id(c.apex) for c in images}
+    assert len(apexes) == len({id(c.left) for c in images}) == 87
     for g in graphs:
         graph_clauses(phi1_graph(g))
     calls = []
     real = graph_core.validate_graph
     monkeypatch.setattr(graph_core, "validate_graph", lambda g: calls.append(g) or real(g))
     assert all(validate_cospan(c).ok for c in images)
-    assert len(calls) == len(images) == 993
-    assert all(g is c.apex for g, c in zip(calls, images))
+    assert len(calls) == 87
+    assert {id(g) for g in calls} == apexes
 
 
 def test_phi_inv_parts_share_their_middle_graph():
@@ -363,16 +368,14 @@ def test_phi_inv_parts_share_their_middle_graph():
 def test_ghosts_match_the_covers_out_of_each_source(window, total):
     # a grafting out of t is fixed by the ports it glues, so the ghost
     # graphs of the morphisms out of t match the reduced covers of its
-    # picture one to one
+    # picture one to one, and factorise_bm builds one ghost object for
+    # each
     graphs = enumerate_bm_graphs(*window)
     ghosts = 0
     for t in graphs:
-        seen = {
-            tuple(sorted(factorise_bm(h)[0].involution.items()))
-            for r in graphs
-            for h in enumerate_bm_morphisms(t, r)
-        }
-        assert len(seen) == len(oracle._covers(phi1_graph(t)))
+        out_of_t = [factorise_bm(h)[0] for r in graphs for h in enumerate_bm_morphisms(t, r)]
+        seen = {tuple(sorted(g.involution.items())) for g in out_of_t}
+        assert len({id(g) for g in out_of_t}) == len(seen) == len(oracle._covers(phi1_graph(t)))
         ghosts += len(seen)
     assert ghosts == total
 
@@ -381,11 +384,18 @@ def copied(g):
     return BMGraph(g.vertices, g.flags, g.boundary, g.involution)
 
 
+def leg_state(leg):
+    """Copies of a cover leg's three maps and of its memoised key part."""
+    maps = (dict(leg.arc_map), dict(leg.flag_map), dict(leg.vertex_map))
+    return maps, copy.deepcopy(cospan_equiv._left_key(leg))
+
+
 def test_translations_write_into_no_graph():
-    # memoised pictures and covers are shared by every caller, so the
-    # translations may read a morphism, its graphs and its ghost but
-    # never write into them
+    # memoised pictures, ghosts, cover legs and key parts are shared by
+    # every caller, so the translations may read a morphism, its graphs,
+    # its ghost and its cover leg but never write into them
     graphs = enumerate_bm_graphs(2, 4)
+    legs = {}  # id of a cover leg -> the leg and its state when first seen
     for t in graphs:
         for r in graphs:
             for h in enumerate_bm_morphisms(t, r):
@@ -393,11 +403,14 @@ def test_translations_write_into_no_graph():
                 graphs_before = (copied(h.source), copied(h.target), copied(ghost))
                 maps_before = BMMorphism(t, r, h.flag_map, h.vertex_map, h.virtual_involution)
                 c = phi(h)
+                leg, state = legs.setdefault(id(c.left), (c.left, leg_state(c.left)))
                 assert validate_cospan(c).ok
                 assert phi_inv(c) == h
                 cospan_key(c)
                 assert (h.source, h.target, ghost) == graphs_before
                 assert h == maps_before
+                assert leg is c.left and leg_state(leg) == state
+    assert len(legs) == 87
 
 
 @pytest.mark.parametrize("c", broken_cospans())
