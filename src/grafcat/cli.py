@@ -4,14 +4,14 @@ Subcommands validate documents, compose and factorise morphisms,
 translate between the two encodings, compute pushouts, enumerate graphs,
 count and compare hom-sets, and export DOT drawings.  Every run is
 deterministic.  Exit status: 0 success, 1 validation failure (report
-on stderr), 2 parse or usage error or an -o path that cannot be
-written."""
+on stderr), 2 parse or usage error or output that cannot be written."""
 
 from __future__ import annotations
 
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 
 from . import jsonio
@@ -39,18 +39,26 @@ class _Failure(Exception):
 
 
 class _Unwritable(Exception):
-    """The -o path cannot be opened for writing: exit status 2."""
+    """The output cannot be opened or written: exit status 2."""
 
 
+@contextlib.contextmanager
 def _open_output(output: str | None):
-    """Where a command writes: stdout, or the -o file opened now, so an
-    unwritable path is reported before any work is done."""
-    if output is None:
-        return contextlib.nullcontext(sys.stdout)
+    """Where a command writes: stdout, or the -o file opened now so that an
+    unwritable path is reported before any work; so is a failed write."""
+    name = "<stdout>" if output is None else output
     try:
-        return open(output, "w")
+        fh = sys.stdout if output is None else open(output, "w")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise _Unwritable(f"cannot write {output}: {exc}") from exc
+        raise _Unwritable(f"cannot write {name}: {exc}") from exc
+    try:
+        with contextlib.nullcontext() if output is None else fh:
+            yield fh
+            fh.flush()
+    except OSError as exc:
+        if output is None:  # stdout keeps the unwritten bytes: flush them to nowhere at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _Unwritable(f"cannot write {name}: {exc}") from exc
 
 
 def _write(text: str, output: str | None):

@@ -285,28 +285,6 @@ def cospan_from_json(doc, base_dir: str | None = None) -> GraphCospan:
 # ---------------------------------------------------------------------------
 # species
 
-def species_to_json(sp: GraphicalSpecies) -> dict:
-    doc = {
-        "kind": "species",
-        "colours": sorted(sp.colours),
-        "colour_involution": dict(sp.colour_involution),
-        "operations": [
-            {"name": name, "arity": len(profile), "profile": list(profile)}
-            for name, profile in sorted(sp.operations.items())
-        ],
-    }
-    if sp.action is not None:
-        doc["action"] = [
-            {
-                "operation": name,
-                "permutation": [i + 1 for i in perm],
-                "result": result,
-            }
-            for (name, perm), result in sorted(sp.action.items())
-        ]
-    return doc
-
-
 def species_from_json(doc) -> GraphicalSpecies:
     _expect_kind(doc, "species", "species")
     _check_keys(

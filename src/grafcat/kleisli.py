@@ -39,10 +39,8 @@ from .etale import (
     compose_etale,
     cut_edges,
     decompose_reduced_cover,
-    identity_etale,
     open_subgraph,
     replay_gluings,
-    validate_etale,
 )
 from .graph_core import (
     JKGraph,
@@ -361,24 +359,8 @@ class KleisliMorphism:
         return self.free.target
 
 
-def generic_kleisli(r: Refinement) -> KleisliMorphism:
-    return KleisliMorphism(r, identity_etale(r.target))
-
-
 def free_kleisli(m: EtaleMorphism) -> KleisliMorphism:
     return KleisliMorphism(identity_refinement(m.source), m)
-
-
-def is_generic(k: KleisliMorphism) -> bool:
-    """Free part invertible: the morphism is a refinement in disguise."""
-    m = k.free
-    return (
-        validate_etale(m).ok
-        and len(m.vertex_map) == len(m.target.vertices)
-        and len(set(m.vertex_map.values())) == len(m.vertex_map)
-        and len(m.arc_map) == len(m.target.arcs)
-        and len(set(m.arc_map.values())) == len(m.arc_map)
-    )
 
 
 def compose_cover_then_refinement(rc: ReducedCover, u: Refinement) -> KleisliMorphism:

@@ -251,7 +251,7 @@ def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
     on_port, on_edge = ls.on_port, ls.on_edge
     found: list[tuple[tuple[int, ...], Refinement]] = []
     chosen: dict[str, str] = {}  # flag of r -> flag of s, partners after leaders
-    taken: set[str] = set()  # the values of chosen
+    taken: set[str] = set()  # the values of chosen: port flags and whole edges, never half one
     forced: dict[str, str] = {}  # vertex of s -> vertex of r
 
     def complete():
@@ -278,10 +278,7 @@ def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
                 continue
             step = {g: h}
             if g2 != g:
-                h2 = s_partner[h]
-                if h2 in taken:
-                    continue
-                step[g2] = h2
+                step[g2] = s_partner[h]
             fresh = []
             for a, b in step.items():
                 v, x = s.incidence[b], r.incidence[a]

@@ -160,15 +160,6 @@ def operation_profile(sp: GraphicalSpecies, name: str) -> tuple[str, ...]:
     raise KeyError(name)
 
 
-def operations_of_arity(sp: GraphicalSpecies, n: int) -> dict[str, tuple[str, ...]]:
-    """Every operation of arity n (for a free species: all relabelings
-    of the generators)."""
-    names = [name for name, profile in sp.operations.items() if len(profile) == n]
-    if sp.action is None:
-        names = [act(sp, name, p) for name in names for p in itertools.permutations(range(n))]
-    return {m: operation_profile(sp, m) for m in names}
-
-
 class VertexLabel(NamedTuple):
     """An operation at a vertex with its slots filled by the arcs
     pointing in; stored in canonical (orbit-least) form."""
@@ -444,11 +435,6 @@ def truncated_free(
     return elements
 
 
-def element_profile(sp: GraphicalSpecies, g: JKGraph, dec: Decoration) -> tuple[str, ...]:
-    """The boundary colours of a decorated graph with ports 1..n."""
-    return tuple(dec.arc_colouring[str(k)] for k in range(1, len(ports(g)) + 1))
-
-
 def monad_mult_element(
     sp: GraphicalSpecies,
     r: JKGraph,
@@ -465,11 +451,11 @@ def monad_mult_element(
         raise ValueError("decorations must be given at exactly the assigned vertices")
     if bad := graph_clauses(r).problems:
         raise ValueError("invalid graph: " + "; ".join(bad))
-    for a in r.arcs:
-        c = outer_colouring.get(a)
-        if c not in sp.colours:
+    for a in sorted(r.arcs):
+        if outer_colouring.get(a) not in sp.colours:
             raise ValueError(f"outer colouring misses arc {a!r}")
-        if outer_colouring[r.involution[a]] != sp.colour_involution[c]:
+    for a in sorted(r.arcs):
+        if outer_colouring[r.involution[a]] != sp.colour_involution[outer_colouring[a]]:
             raise ValueError(f"outer colouring is not edge-paired at {a!r}")
     for x in sorted(assignment):
         piece, bij = assignment[x]

@@ -1,11 +1,13 @@
-"""Shared example graphs and hypothesis strategies."""
+"""Shared example graphs, test references and hypothesis strategies."""
+
+import itertools
 
 import pytest
 from hypothesis import strategies as st
 
 from grafcat.bm import BMGraph
 from grafcat.graph_core import JKGraph, find_isomorphisms, ports, relabel
-from grafcat.species import transport_decoration
+from grafcat.species import act, operation_profile, transport_decoration
 
 
 # -- arc/flag/vertex examples ------------------------------------------------
@@ -64,6 +66,16 @@ def pinned_decorated_isomorphic(sp, g1, dec1, g2, dec2, pin=None) -> bool:
         and transport_decoration(sp, dec1, iso) == dec2
         for iso in find_isomorphisms(g1, g2)
     )
+
+
+def operations_of_arity(sp, n: int) -> dict[str, tuple[str, ...]]:
+    """Every operation of arity n (for a free species: all relabelings
+    of the generators); the independent reference that the counts and
+    the truncation recount read."""
+    names = [name for name, profile in sp.operations.items() if len(profile) == n]
+    if sp.action is None:
+        names = [act(sp, name, p) for name in names for p in itertools.permutations(range(n))]
+    return {m: operation_profile(sp, m) for m in names}
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import pinned_decorated_isomorphic
+from conftest import operations_of_arity, pinned_decorated_isomorphic
 from grafcat import etale, kleisli, oracle
 from grafcat.bm import (
     bm_identity,
@@ -96,7 +96,6 @@ from grafcat.species import (
     graphs_with_ports,
     monad_mult_element,
     monad_unit,
-    operations_of_arity,
     truncated_free,
     validate_decoration,
 )

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -115,6 +116,91 @@ def test_virtual_must_be_fixpoint_free(LOOP):
 def test_flag_map_must_be_injective(E2):
     bad = BMMorphism(E2, bm_corolla(2), {"1": "e1", "2": "e1"}, {"u": "v", "w": "v"}, {})
     assert not validate_bm_morphism(bad).ok
+
+
+# two vertices joined by the edge a-b, a tail at each; and its contraction
+# onto the two-tailed corolla, which pairs a with b virtually
+TAU = BMGraph(
+    {"u", "w"}, set("abcd"), dict(a="u", b="w", c="u", d="w"), dict(a="b", b="a", c="c", d="d")
+)
+SHRINK = BMMorphism(
+    TAU, bm_corolla(2), {"1": "c", "2": "d"}, {"u": "v", "w": "v"}, {"a": "b", "b": "a"}
+)
+TWO_POINT_C2 = BMGraph({"v", "x"}, {"1", "2"}, {"1": "v", "2": "v"}, {"1": "1", "2": "2"})
+SPLIT_C2 = BMGraph({"v", "x"}, {"1", "2"}, {"1": "v", "2": "x"}, {"1": "1", "2": "2"})
+
+
+@pytest.mark.parametrize(
+    "field, value, problems",
+    [
+        ("boundary", dict(a="u", b="w", c="u"), (
+            "boundary-domain: boundary must be defined on exactly the flags",)),
+        ("boundary", dict(a="u", b="w", c="u", d="x"), (
+            "boundary-image: boundary of 'd' is not a vertex",)),
+        ("involution", dict(a="b", b="a", c="c"), (
+            "involution-domain: involution must be defined on exactly the flags",)),
+        ("involution", dict(a="b", b="a", c="c", d="z"), (
+            "involution-image: j('d') = 'z' is not a flag",)),
+        ("involution", dict(a="b", b="a", c="a", d="d"), ("involution: j(j('c')) != 'c'",)),
+    ],
+)
+def test_each_graph_clause_is_reported(field, value, problems):
+    assert validate_bm_graph(TAU).ok
+    assert validate_bm_graph(dataclasses.replace(TAU, **{field: value})).problems == problems
+
+
+@pytest.mark.parametrize(
+    "change, problems",
+    [
+        (dict(source=dataclasses.replace(TAU, involution=dict(a="b", b="a", c="c"))), (
+            "source-invalid: involution-domain: involution must be defined on exactly the flags",)),
+        (dict(target=dataclasses.replace(bm_corolla(2), boundary={"1": "v"})), (
+            "target-invalid: boundary-domain: boundary must be defined on exactly the flags",)),
+        (dict(flag_map={"1": "c"}), (
+            "flag-map: not a total map from target flags to source flags",)),
+        (dict(flag_map={"1": "c", "2": "z"}), (
+            "flag-map: not a total map from target flags to source flags",)),
+        (dict(vertex_map={"u": "v"}), (
+            "vertex-map: not a total map from source vertices to target vertices",)),
+        (dict(vertex_map={"u": "v", "w": "x"}), (
+            "vertex-map: not a total map from source vertices to target vertices",)),
+        (dict(flag_map={"1": "c", "2": "c"}), (
+            "flag-injective: flag map identifies two target flags",
+            "virtual-involution: must be defined on exactly the flags outside the image")),
+        (dict(target=TWO_POINT_C2), (
+            "vertex-surjective: some target vertex has empty fibre",)),
+        (dict(virtual_involution={"a": "b", "b": "a", "c": "d"}), (
+            "virtual-involution: must be defined on exactly the flags outside the image",)),
+        (dict(virtual_involution={"a": "b", "b": "c"}), (
+            "virtual-involution: not an involution of the complement at 'a'",
+            "virtual-involution: not an involution of the complement at 'b'")),
+        (dict(virtual_involution={"a": "a", "b": "b"}), (
+            "virtual-involution: fixes 'a'", "virtual-involution: fixes 'b'")),
+        (dict(target=SPLIT_C2, vertex_map={"u": "v", "w": "x"}), (
+            "contracted-ends: contracted pair ('a', 'b') straddles two target vertices",)),
+    ],
+)
+def test_each_morphism_clause_is_reported(change, problems):
+    assert validate_bm_morphism(SHRINK).ok
+    assert validate_bm_morphism(SHRINK._replace(**change)).problems == problems
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        ("graft", "contract", "first morphism must be a compression"),
+        ("identity", "contract", "second morphism must be a grafting"),
+    ],
+)
+def test_commute_bm_takes_a_compression_then_a_grafting(LOOP, first, second, message):
+    parts = {
+        "graft": BMMorphism(bm_corolla(2), LOOP, {"f1": "1", "f2": "2"}, {"v": "v"}, {}),
+        "identity": bm_identity(LOOP),
+        "contract": BMMorphism(LOOP, bm_point(), {}, {"v": "v"}, {"f1": "f2", "f2": "f1"}),
+    }
+    with pytest.raises(ValueError) as exc:
+        commute_bm(parts[first], parts[second])
+    assert str(exc.value) == message
 
 
 # -- composition ---------------------------------------------------------------------

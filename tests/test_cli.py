@@ -659,5 +659,29 @@ def test_unwritable_output_exits_two_before_any_work(save, tmp_path, monkeypatch
     assert _exit_code(argv) == 2
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("where", ["-o", "stdout"])
+@pytest.mark.parametrize("command", ["enumerate", "hom-count", "check-equivalence"])
+def test_a_failed_write_exits_two_with_one_line(save, command, where):
+    c2 = save("c2.json", jsonio.bm_graph_to_json(bm_corolla(2)))
+    window = ["--max-vertices", "1", "--max-flags", "2"]
+    argv = {
+        "enumerate": ["enumerate", *window],
+        "hom-count": ["hom-count", c2, c2],
+        "check-equivalence": ["check-equivalence", *window],
+    }[command]
+    path = "/dev/full" if where == "-o" else "<stdout>"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "grafcat.cli", *argv, *(["-o", path] if where == "-o" else [])],
+            stdout=subprocess.DEVNULL if where == "-o" else full,
+            stderr=subprocess.PIPE, text=True,
+            # Buffered stdout keeps the failed bytes for the exit-time flush.
+            env={k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"},
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot write {path}: ") and proc.stderr.count("\n") == 1
+
+
 def test_unknown_subcommand():
     assert run("frobnicate", expect=2).returncode == 2

@@ -44,6 +44,7 @@ from grafcat.etale import (
 )
 from grafcat.graph_core import (
     JKGraph,
+    corolla,
     edges,
     find_isomorphisms,
     graph_clauses,
@@ -264,11 +265,13 @@ def test_key_is_invariant_under_apex_relabelling(data):
 
 
 def not_onto_apex(level):
-    """The identity cospan of a 1-corolla, with an extra vertex or an
-    extra edge in the apex that the left leg misses."""
+    """The identity cospan of a 1-corolla, with an extra vertex, an extra
+    edge, or an extra isolated edge in the apex that the left leg misses."""
     g = phi1_graph(bm_corolla(1))
     if level == "vertices":
         apex = JKGraph(g.arcs, g.flags, g.vertices | {"w"}, g.involution, g.embed, g.incidence)
+    elif level == "isolated-edge":
+        apex = graph_sum([g, unit_graph()])
     else:
         apex = JKGraph(
             g.arcs | {"x", "y"},
@@ -283,10 +286,23 @@ def not_onto_apex(level):
     return GraphCospan(left, identity_refinement(apex))
 
 
-@pytest.mark.parametrize("level", ["vertices", "arcs"])
+@pytest.mark.parametrize("level", ["vertices", "arcs", "isolated-edge"])
 def test_key_rejects_a_left_leg_not_onto_the_apex(level):
-    with pytest.raises(ValueError):
+    # an extra edge has flags, which the leg misses first; an isolated
+    # edge has none
+    missed = {"vertices": "bijective on vertices", "arcs": "bijective on flags"}
+    with pytest.raises(ValueError) as exc:
         cospan_key(not_onto_apex(level))
+    missed = missed.get(level, "onto the apex arcs")
+    assert str(exc.value) == f"cospan_key: the left leg is not {missed}"
+
+
+def test_compose_cospan_needs_matching_feet():
+    c1, c2 = identity_cospan(corolla(1)), identity_cospan(corolla(2))
+    compose_cospan(c1, c1)
+    with pytest.raises(ValueError) as exc:
+        compose_cospan(c1, c2)
+    assert str(exc.value) == "cospans are not composable: feet differ"
 
 
 def test_check_pair_fails_an_invalid_image(monkeypatch):

@@ -83,6 +83,77 @@ def test_involution_square_rejected(L):
     assert not validate_etale(m).ok
 
 
+# the two-port corolla wound once round the loop: its ports end on the
+# loop's two arcs
+FOLD = EtaleMorphism(
+    corolla(2), make_loop(), {"1*": "l1", "1": "l2", "2*": "l2", "2": "l1"},
+    {"1*": "f1", "2*": "f2"}, {"v": "v"},
+)
+NO_ARC_ONE = JKGraph(
+    corolla(2).arcs, corolla(2).flags, {"v"}, {"1*": "1", "2": "2*", "2*": "2"},
+    corolla(2).embed, corolla(2).incidence,
+)
+
+
+@pytest.mark.parametrize(
+    "broken, problems",
+    [
+        (lambda CY: FOLD._replace(source=NO_ARC_ONE), (
+            "source-invalid: involution-domain: involution must be defined on exactly the arcs",)),
+        (lambda CY: FOLD._replace(arc_map={"1*": "l1", "1": "l2", "2*": "l2"}), (
+            "arc-map: not a total map from source arcs to target arcs",)),
+        (lambda CY: FOLD._replace(flag_map={"1*": "f1", "2*": "f3"}), (
+            "flag-map: not a total map from source flags to target flags",)),
+        (lambda CY: FOLD._replace(vertex_map={"v": "w"}), (
+            "vertex-map: not a total map from source vertices to target vertices",)),
+        (lambda CY: FOLD._replace(arc_map={"1*": "l1", "1": "l1", "2*": "l2", "2": "l1"}), (
+            "involution: arc map does not commute with involutions at '1'",
+            "involution: arc map does not commute with involutions at '1*'")),
+        (lambda CY: FOLD._replace(flag_map={"1*": "f2", "2*": "f1"}), (
+            "left-square: embed squares do not commute at flag '1*'",
+            "left-square: embed squares do not commute at flag '2*'")),
+        # the flags at w keep their images but w goes to u: a failing right
+        # square puts a flag over another vertex, so the pullback fails too
+        (lambda CY: identity_etale(CY)._replace(vertex_map={"u": "u", "w": "u"}), (
+            "right-square: incidence squares do not commute at flag 'w1'",
+            "right-square: incidence squares do not commute at flag 'w2'",
+            "pullback: flags at 'w' do not map bijectively onto flags at 'u'")),
+        (lambda CY: FOLD._replace(
+            arc_map={"1*": "l1", "1": "l2", "2*": "l1", "2": "l2"},
+            flag_map={"1*": "f1", "2*": "f1"},
+        ), ("pullback: flags at 'v' do not map bijectively onto flags at 'v'",)),
+    ],
+)
+def test_each_etale_clause_is_reported(CY, broken, problems):
+    assert validate_etale(FOLD).ok and validate_etale(identity_etale(CY)).ok
+    assert validate_etale(broken(CY)).problems == problems
+
+
+def _two_tails_onto_one():
+    # two one-port corollas onto one: etale and covering, two vertices onto one
+    src = graph_sum([prefix_graph(corolla(1), p)[0] for p in ("a.", "b.")])
+    arcs = {a: a[2:] for a in src.arcs}
+    flags = {h: h[2:] for h in src.flags}
+    return EtaleMorphism(src, corolla(1), arcs, flags, {v: "v" for v in src.vertices})
+
+
+@pytest.mark.parametrize(
+    "cover, problems",
+    [
+        (lambda CY: identity_etale(CY)._replace(vertex_map={"u": "u"}), (
+            "vertex-map: not a total map from source vertices to target vertices",)),
+        (lambda CY: identity_etale(unit_graph()), (
+            "isolated-edges: reduced covers live between graphs without isolated edges",)),
+        (lambda CY: open_subgraph(CY, {"u"})[1], (
+            "covering: not jointly surjective on edges and vertices",)),
+        (lambda CY: _two_tails_onto_one(), ("reduced: vertex map is not injective",)),
+    ],
+)
+def test_each_reduced_cover_clause_is_reported(CY, cover, problems):
+    assert validate_reduced_cover(identity_etale(CY)).ok
+    assert validate_reduced_cover(cover(CY)).problems == problems
+
+
 # -- open subgraphs --------------------------------------------------------------
 
 def test_open_subgraph_of_cycle(CY):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -76,6 +77,31 @@ def test_involution_must_close():
 
 
 # -- structure ----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "field, value, problems",
+    [
+        ("involution", {"1": "1*", "1*": "1", "2*": "2"}, (
+            "involution-domain: involution must be defined on exactly the arcs",)),
+        ("involution", {"1": "z", "1*": "1", "2": "2*", "2*": "2"}, (
+            "involution-image: i('1') = 'z' is not an arc", "involution: i(i('1*')) != '1*'")),
+        ("involution", {"1": "1*", "1*": "2", "2": "2*", "2*": "2"}, (
+            "involution: i(i('1')) != '1'", "involution: i(i('1*')) != '1*'")),
+        ("involution", {"1": "1", "1*": "1*", "2": "2*", "2*": "2"}, (
+            "fixpoint-free: involution fixes arc '1'", "fixpoint-free: involution fixes arc '1*'")),
+        ("embed", {"1*": "1*"}, ("embed-domain: embed must be defined on exactly the flags",)),
+        ("embed", {"1*": "z", "2*": "2*"}, ("embed-image: s('1*') = 'z' is not an arc",)),
+        ("embed", {"1*": "1*", "2*": "1*"}, (
+            "s injective: flags '1*' and '2*' share arc '1*'",)),
+        ("incidence", {"2*": "v"}, (
+            "incidence-domain: incidence must be defined on exactly the flags",)),
+        ("incidence", {"1*": "x", "2*": "v"}, ("incidence-image: p('1*') is not a vertex",)),
+    ],
+)
+def test_each_graph_clause_is_reported(field, value, problems):
+    assert validate_graph(corolla(2)).ok
+    assert validate_graph(dataclasses.replace(corolla(2), **{field: value})).problems == problems
+
 
 def test_edge_kinds(L, CY, PATH):
     assert edges(L) == {frozenset({"l1", "l2"})}

@@ -1,14 +1,19 @@
 """Every module of the package imports first, in a fresh interpreter: an
-import cycle between the modules shows only for some import orders."""
+import cycle between the modules shows only for some import orders.  And
+every public top-level name of the package is used by something other
+than the tests."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted(p.stem for p in (SRC / "grafcat").glob("*.py"))
 
 
@@ -22,3 +27,32 @@ def test_module_imports_first(module):
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Category identities and units: nothing in the package builds them, and
+# the tests check the identity and unit laws on them.
+TEST_ONLY = {"bm.bm_identity", "bm.bm_point", "cospan_equiv.identity_cospan"}
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """A public top-level function or class of src/grafcat must be named
+    somewhere other than its own definition: in the package, a demo, or
+    the benchmark (perfbench/ without its tests)."""
+    users = [*(ROOT / "demos").glob("*.py")]
+    bench = ROOT / "perfbench"
+    users += [p for p in bench.rglob("*.py") if "tests" not in p.relative_to(bench).parts]
+    outside = "\n".join(p.read_text() for p in users)
+    unused = []
+    for path in sorted((SRC / "grafcat").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        others = "\n".join(p.read_text() for p in (SRC / "grafcat").glob("*.py") if p != path)
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            rest = "\n".join(lines[: first - 1] + lines[node.end_lineno :])
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(t) for t in (rest, others, outside)):
+                unused.append(f"{path.stem}.{node.name}")
+    assert sorted(unused) == sorted(TEST_ONLY)

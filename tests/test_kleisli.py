@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import jk_graphs, make_path_piece, shuffled
+from grafcat import kleisli
 from grafcat.cospan_equiv import phi1_graph
 from grafcat.etale import (
     EtaleMorphism,
@@ -23,6 +24,7 @@ from grafcat.etale import (
     validate_reduced_cover,
 )
 from grafcat.graph_core import (
+    EMPTY_GRAPH,
     JKGraph,
     ValidationReport,
     _iso_gen,
@@ -53,9 +55,7 @@ from grafcat.kleisli import (
     compose_refinements,
     cover_to_refinement,
     free_kleisli,
-    generic_kleisli,
     identity_refinement,
-    is_generic,
     kleisli_equal,
     pieces,
     pushout_gen_rc,
@@ -165,7 +165,6 @@ def test_identity_refinement_validates(L, CY):
     for g in (L, CY, corolla(2)):
         r = identity_refinement(g)
         assert validate_refinement(r).ok
-        assert is_generic(generic_kleisli(r))
 
 
 def test_pieces_of_identity(CY):
@@ -302,6 +301,70 @@ def test_validate_refinement_matches_the_scans_on_mutated_refinements():
         found.update({p.split(":")[0] for p in problems})
     assert (len(refs), len(cases)) == (6682, 17730)
     assert (found["closure"], found["pullback"]) == (447, 11935)
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        (dict(arc_map={"l1": "v.pm"}), "arc-map: not a total map from source arcs to target arcs"),
+        (dict(arc_map={"l1": "v.pm", "l2": "zz"}),
+         "arc-map: not a total map from source arcs to target arcs"),
+        (dict(vertex_map={"v.m": "v"}),
+         "vertex-map: not a total map from target vertices to source vertices"),
+        (dict(vertex_map={"v.m": "v", "v.n": "x"}),
+         "vertex-map: not a total map from target vertices to source vertices"),
+        (dict(flag_map={"f1": "v.m_p"}),
+         "flag-map: not a total map from source flags to target flags"),
+        (dict(flag_map={"f1": "v.m_p", "f2": "zz"}),
+         "flag-map: not a total map from source flags to target flags"),
+    ],
+)
+def test_each_map_of_a_refinement_must_be_total(L, PATH, change, problem):
+    r = loop_to_cycle(L, PATH)
+    assert validate_refinement(r).ok
+    assert validate_refinement(r._replace(**change)).problems == (problem,)
+
+
+def _break_assignment(g, x, piece=None, bij=None):
+    """g's pieces with the piece or the interface at x replaced."""
+    assignment = pieces(identity_refinement(g))
+    old_piece, old_bij = assignment[x]
+    assignment[x] = (old_piece if piece is None else piece, old_bij if bij is None else bij)
+    return assignment
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (lambda CY: (JKGraph(CY.arcs, CY.flags, {"u"}, CY.involution, CY.embed, CY.incidence),
+                     pieces(identity_refinement(CY))),
+         "invalid graph: incidence-image: p('w1') is not a vertex; "
+         "incidence-image: p('w2') is not a vertex"),
+        (lambda CY: (graph_sum([CY, prefix_graph(unit_graph(), "x.")[0]]),
+                     pieces(identity_refinement(CY))),
+         "cannot refine a graph with isolated edges"),
+        (lambda CY: (CY, {"u": pieces(identity_refinement(CY))["u"]}),
+         "assignment must cover exactly the vertices"),
+        (lambda CY: (CY, _break_assignment(CY, "u", JKGraph({"a"}, set(), {"u"}, {}, {}, {}))),
+         "piece at 'u' invalid: involution-domain: involution must be defined on exactly the arcs"),
+        (lambda CY: (CY, _break_assignment(CY, "u", piece=EMPTY_GRAPH, bij={})),
+         "piece at 'u' must be nonempty without isolated edges"),
+        (lambda CY: (CY, _break_assignment(CY, "u", piece=graph_sum([corolla(2), unit_graph()]))),
+         "piece at 'u' must be nonempty without isolated edges"),
+        (lambda CY: (CY, _break_assignment(CY, "u", bij={"a2": "a2"})),
+         "interface at 'u' is not defined on the piece's ports"),
+        (lambda CY: (CY, _break_assignment(CY, "u", bij={"a2": "a2", "b2": "a2"})),
+         "interface at 'u' is not a bijection onto the incoming arcs"),
+        (lambda CY: (CY, _break_assignment(CY, "u", bij={"a2": "a2", "b2": "b1"})),
+         "interface at 'u' is not a bijection onto the incoming arcs"),
+    ],
+)
+def test_refine_rejects_each_bad_input(CY, broken, message):
+    assert validate_refinement(refine(CY, pieces(identity_refinement(CY)))).ok
+    r, assignment = broken(CY)
+    with pytest.raises(ValueError) as exc:
+        refine(r, assignment)
+    assert str(exc.value) == message
 
 
 def test_refine_needs_matching_interface(L):
@@ -502,7 +565,7 @@ def test_cover_then_refinement(CY):
 def test_identity_cover_then_refinement(L, PATH):
     r = loop_to_cycle(L, PATH)
     k = compose_cover_then_refinement(identity_cover(L), r)
-    assert kleisli_equal(k, generic_kleisli(r))
+    assert kleisli_equal(k, KleisliMorphism(r, identity_etale(r.target)))
 
 
 def test_cover_then_refinement_needs_composable_parts(L, CY, PATH):
@@ -514,8 +577,9 @@ def test_cover_then_refinement_needs_composable_parts(L, CY, PATH):
 
 def test_kleisli_equal_discriminates(L, PATH):
     r = loop_to_cycle(L, PATH)
-    assert kleisli_equal(generic_kleisli(r), generic_kleisli(r))
-    assert not kleisli_equal(generic_kleisli(r), generic_kleisli(identity_refinement(L)))
+    k = KleisliMorphism(r, identity_etale(r.target))
+    assert kleisli_equal(k, KleisliMorphism(r, identity_etale(r.target)))
+    assert not kleisli_equal(k, KleisliMorphism(identity_refinement(L), identity_etale(L)))
 
 
 def searched_kleisli_equal(k1: KleisliMorphism, k2: KleisliMorphism) -> bool:
@@ -618,8 +682,37 @@ def test_kleisli_equal_takes_only_isomorphisms_of_middles(L):
     assert not kleisli_equal(k1, k2) and not kleisli_equal(k2, k1)
 
 
+def test_kleisli_equal_stops_where_the_chosen_flags_clash(L, PATH):
+    # the two-port corolla onto the loop, once directly (k1) and once
+    # refined into the path and wound round the loop (k2): the composites
+    # agree on both source flags, so the flag pre-check passes, but the
+    # walk from the chosen flags sends the corolla's vertex to n, where
+    # the flag over f1 is n_e, not the chosen m_p
+    c2 = corolla(2)
+    fold = EtaleMorphism(
+        c2, L, {"1*": "l1", "1": "l2", "2*": "l2", "2": "l1"}, {"1*": "f1", "2*": "f2"}, {"v": "v"}
+    )
+    into_path = Refinement(
+        c2, PATH, {"1*": "pm", "1": "p", "2*": "qn", "2": "q"}, {"m": "v", "n": "v"},
+        {"1*": "m_p", "2*": "n_q"},
+    )
+    wind = EtaleMorphism(
+        PATH, L, {"pm": "l1", "p": "l2", "e1": "l2", "e2": "l1", "qn": "l2", "q": "l1"},
+        {"m_p": "f1", "m_e": "f2", "n_e": "f1", "n_q": "f2"}, {"m": "v", "n": "v"},
+    )
+    assert validate_etale(fold).ok and validate_etale(wind).ok
+    assert validate_refinement(into_path).ok
+    k1 = KleisliMorphism(identity_refinement(c2), fold)
+    k2 = KleisliMorphism(into_path, wind)
+    for g in c2.flags:
+        assert fold.flag_map[g] == wind.flag_map[into_path.flag_map[g]]
+    assert kleisli._middle_iso(k1, k2) is None
+    assert not kleisli_equal(k1, k2) and not searched_kleisli_equal(k1, k2)
+
+
 def test_kleisli_equal_rejects_inputs_outside_its_domain(L, CY, PATH):
-    good = generic_kleisli(loop_to_cycle(L, PATH))
+    r = loop_to_cycle(L, PATH)
+    good = KleisliMorphism(r, identity_etale(r.target))
     # a free part that does not start at its generic part's target
     off = KleisliMorphism(identity_refinement(L), identity_etale(CY))
     # a middle with an isolated edge
@@ -635,7 +728,8 @@ def test_open_inclusion_is_not_generic(CY):
     _, incl = open_subgraph(CY, {"u"})
     k = free_kleisli(incl)
     assert validate_etale(k.free).ok
-    assert not is_generic(k)
+    # the free part misses a vertex, so it is not invertible
+    assert set(k.free.vertex_map.values()) < k.free.target.vertices
 
 
 # -- properties ---------------------------------------------------------------------------

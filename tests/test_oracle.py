@@ -406,6 +406,85 @@ def test_constructed_refinements_match_the_filter_on_the_three_four_window():
     assert _match_refinement_filter(_picture_apex_pairs(3, 4)) == (11072, 3774)
 
 
+def partner_checked_refinements(r, s):
+    """Test-only reference: enumerate_refinements with one more check,
+    that the partner of an untaken flag on an edge is untaken too."""
+    if len(r.vertices) > len(s.vertices) or len(r.flags) > len(s.flags):
+        return []
+    lr, ls = oracle._layout(r), oracle._layout(s)
+    if lr is None or ls is None or len(lr.on_port) != len(ls.on_port):
+        return []
+    r_vertices, rank, r_partner, leaders = lr.vertices, lr.rank, lr.partner, lr.leaders
+    s_vertices, s_partner, s_flags = ls.vertices, ls.partner, ls.flags
+    on_port, on_edge = ls.on_port, ls.on_edge
+    found: list[tuple[tuple[int, ...], Refinement]] = []
+    chosen: dict[str, str] = {}  # flag of r -> flag of s, partners after leaders
+    taken: set[str] = set()  # the values of chosen
+    forced: dict[str, str] = {}  # vertex of s -> vertex of r
+
+    def complete():
+        # Every flag of s on a port is taken, so the untaken flags are
+        # whole inner edges, and each lies in one piece.
+        ties = [(s.incidence[h], s.incidence[s_partner[h]]) for h in s_flags if h not in taken]
+        arc_map: dict[str, str] = {}
+        for g, h in chosen.items():
+            arc_map[r.embed[g]] = s.embed[h]
+            arc_map.setdefault(r.involution[r.embed[g]], s.involution[s.embed[h]])
+        flag_map = dict(chosen)  # the search goes on changing chosen
+        for vm in oracle._surjections(s_vertices, r_vertices, ties, forced):
+            key = tuple(rank[vm[v]] for v in s_vertices)
+            found.append((key, tuple.__new__(Refinement, (r, s, arc_map, vm, flag_map))))
+
+    def place(i: int):
+        if i == len(leaders):
+            complete()
+            return
+        g = leaders[i]
+        g2 = r_partner[g]
+        for h in on_port if g2 == g else on_edge:
+            if h in taken:
+                continue
+            step = {g: h}
+            if g2 != g:
+                h2 = s_partner[h]
+                if h2 in taken:
+                    continue
+                step[g2] = h2
+            fresh = []
+            for a, b in step.items():
+                v, x = s.incidence[b], r.incidence[a]
+                if v not in forced:
+                    forced[v] = x
+                    fresh.append(v)
+                elif forced[v] != x:
+                    break
+            else:
+                chosen.update(step)
+                taken.update(step.values())
+                place(i + 1)
+                for a, b in step.items():
+                    del chosen[a]
+                    taken.discard(b)
+            for v in fresh:
+                del forced[v]
+
+    place(0)
+    found.sort(key=lambda item: item[0])
+    return [ref for _, ref in found]
+
+
+def test_refinements_need_no_partner_check_on_the_three_five_window():
+    pictures = [phi1_graph(g) for g in enumerate_bm_graphs(3, 5)]
+    n_refs = 0
+    for r, s in itertools.product(pictures, repeat=2):
+        built = enumerate_refinements(r, s)
+        assert _refinements_in_order(built) == _refinements_in_order(
+            partner_checked_refinements(r, s)
+        )
+        n_refs += len(built)
+    assert (len(pictures), n_refs) == (112, 5234)
+
+
 def test_pictures_and_covers_are_built_once_per_graph(LOOP):
     picture = phi1_graph(C2)
     assert phi1_graph(C2) is picture

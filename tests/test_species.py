@@ -1,8 +1,9 @@
+import dataclasses
 import itertools
 
 import pytest
 
-from conftest import pinned_decorated_isomorphic
+from conftest import operations_of_arity, pinned_decorated_isomorphic
 from grafcat.graph_core import (
     JKGraph,
     corolla,
@@ -23,13 +24,11 @@ from grafcat.species import (
     act,
     canonical_label,
     decorated_isomorphic,
-    element_profile,
     evaluate_species,
     graphs_with_ports,
     monad_mult_element,
     monad_unit,
     operation_profile,
-    operations_of_arity,
     transport_decoration,
     truncated_free,
     validate_decoration,
@@ -123,6 +122,33 @@ def test_action_keys_that_are_not_permutations_rejected():
     assert validate_species(
         GraphicalSpecies(frozenset({"in"}), {"in": "in"}, {"b": ("in", "in")}, table)
     ).ok
+
+
+# two binary operations on one colour; every permutation sends both to d
+BD = GraphicalSpecies(
+    frozenset({"in"}), {"in": "in"}, {"b": ("in", "in"), "d": ("in", "in")},
+    {(n, p): "d" for n in "bd" for p in itertools.permutations(range(2))},
+)
+
+
+@pytest.mark.parametrize(
+    "species, problems",
+    [
+        (dataclasses.replace(SP, colour_involution={"in": "in", "out": "in"}), (
+            "colour-involution: not an involution at 'out'",)),
+        (dataclasses.replace(SP, colour_involution={"in": "out", "out": "in", "x": "x"}), (
+            "colour-involution: must be defined on exactly the colours",)),
+        (dataclasses.replace(SP, operations={"m": ("in", "in", "up")}), (
+            "profile: operation 'm' uses unknown colours",)),
+        (dataclasses.replace(SP, operations={"m@2,1,3": ("in", "in", "out")}), (
+            "operation-name: generator 'm@2,1,3' may not contain '@'",)),
+        # d is fixed by the identity and composes as an action should; b is not fixed
+        (BD, ("action: identity permutation must fix 'b'",)),
+    ],
+)
+def test_each_species_clause_is_reported(species, problems):
+    assert validate_species(SP).ok
+    assert validate_species(species).problems == problems
 
 
 # -- the symmetric-group action ------------------------------------------------------
@@ -298,8 +324,41 @@ def test_monad_unit():
     g, dec = monad_unit(SP, "m")
     assert validate_graph(g).ok
     assert validate_decoration(SP, g, dec).ok
-    assert element_profile(SP, g, dec) == ("in", "in", "out")
+    assert [dec.arc_colouring[p] for p in ("1", "2", "3")] == ["in", "in", "out"]
     assert ports(g) == {"1", "2", "3"}
+
+
+UNIT, UNIT_DEC = monad_unit(SP, "m")
+
+
+@pytest.mark.parametrize(
+    "change, problems",
+    [
+        (dict(arc_colouring={a: c for a, c in UNIT_DEC.arc_colouring.items() if a != "1"}), (
+            "colouring-domain: colouring must be defined on exactly the arcs",)),
+        (dict(arc_colouring={**UNIT_DEC.arc_colouring, "1": "up"}), (
+            "colouring-image: unknown colour",)),
+        (dict(arc_colouring={**UNIT_DEC.arc_colouring, "1": "out"}), (
+            "colouring: edge of '1' is not colour-paired",
+            "colouring: edge of '1*' is not colour-paired")),
+        (dict(vertex_labels={}), ("labels-domain: one label per vertex required",)),
+        (dict(vertex_labels={"v": VertexLabel("zz", ("1", "2", "3"))}), (
+            "label: unknown operation at 'v'",)),
+        (dict(vertex_labels={"v": VertexLabel("m", ("1", "2", "2"))}), (
+            "label: slots at 'v' do not list the arcs pointing in",)),
+        # the edges of 1 and 3 with their colours swapped: still paired
+        (dict(arc_colouring={**UNIT_DEC.arc_colouring, "1": "out", "1*": "in", "3": "in",
+                             "3*": "out"}),
+         ("label: colours at 'v' do not match the profile",)),
+        (dict(vertex_labels={"v": VertexLabel("m@2,1,3", ("2", "1", "3"))}), (
+            "label: not in canonical form at 'v'",)),
+    ],
+)
+def test_each_decoration_clause_is_reported(change, problems):
+    assert UNIT == corolla(3) and UNIT_DEC.vertex_labels == {"v": VertexLabel("m", ("1", "2", "3"))}
+    assert validate_decoration(SP, UNIT, UNIT_DEC).ok
+    broken = dataclasses.replace(UNIT_DEC, **change)
+    assert validate_decoration(SP, UNIT, broken).problems == problems
 
 
 # -- truncated free algebra ----------------------------------------------------------------
@@ -693,3 +752,40 @@ def test_colour_mismatch_rejected():
     bij = {str(k): str(k) for k in range(1, n + 1)}
     with pytest.raises(ValueError):
         monad_mult_element(SP, corolla(n), outer_col, {"v": (S, bij)}, {"v": dec_S})
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(decorations={}), "decorations must be given at exactly the assigned vertices"),
+        (dict(r=corolla_missing_an_involution_arc()),
+         "invalid graph: involution-domain: involution must be defined on exactly the arcs"),
+        # only the partner of 1 lacks a colour: reported as missing whatever
+        # order the arcs come in, not a KeyError from the pairing check
+        (dict(outer={a: c for a, c in UNIT_DEC.arc_colouring.items() if a != "1*"}),
+         "outer colouring misses arc '1*'"),
+        (dict(outer={**UNIT_DEC.arc_colouring, "1": "up"}), "outer colouring misses arc '1'"),
+        (dict(outer={**UNIT_DEC.arc_colouring, "1*": "in"}),
+         "outer colouring is not edge-paired at '1'"),
+        (dict(decorations={"v": dataclasses.replace(UNIT_DEC, vertex_labels={})}),
+         "decoration at 'v' invalid: labels-domain: one label per vertex required"),
+        (dict(outer={**UNIT_DEC.arc_colouring, "1": "out", "1*": "in"}),
+         "piece at 'v' disagrees with the outer colouring at port '1'"),
+        (dict(bij={"1": "1", "2": "1", "3": "3"}),
+         "interface at 'v' is not a bijection onto the incoming arcs"),
+    ],
+)
+def test_multiplication_rejects_each_bad_input(change, message):
+    # the unit at m grafted into the three-port corolla, then one input broken
+    args = dict(
+        r=corolla(3), outer=UNIT_DEC.arc_colouring, bij={"1": "1", "2": "2", "3": "3"},
+        decorations={"v": UNIT_DEC},
+    )
+
+    def flatten(r, outer, bij, decorations):
+        return monad_mult_element(SP, r, outer, {"v": (UNIT, bij)}, decorations)
+
+    flatten(**args)
+    with pytest.raises(ValueError) as exc:
+        flatten(**{**args, **change})
+    assert str(exc.value) == message
