@@ -96,9 +96,16 @@ class BMMorphism(_BMMorphismFields):
     from; virtual_involution pairs up the source flags outside its image.
     An immutable value that compares as the tuple of its five fields.
     The constructor copies the three maps, so no caller's dict is
-    aliased; the builders in this module hand over maps they have just
-    built (or, in factorise_bm, the maps of m itself) in one
-    tuple.__new__ call.
+    aliased.  The builders in this module skip the copy and hand their
+    maps to one tuple.__new__ call:
+      - compose_bm, and find_bm_isomorphisms between two graphs, build
+        fresh maps;
+      - the automorphisms of a graph share the maps memoised on it;
+      - the identities of a graph and the graftings of factorise_bm out
+        of it share the graph's memoised identity maps;
+      - the compression of factorise_bm holds the maps of the morphism
+        it splits.
+    Callers must not write into the maps.
     """
 
     __slots__ = ()
@@ -176,9 +183,17 @@ def validate_bm_morphism(m: BMMorphism) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
+@memoised
+def _identity_maps(g: BMGraph) -> tuple[dict[str, str], dict[str, str]]:
+    """g's identity flag and vertex maps, built once per graph.  They
+    hold no reference to g, so the memo does not keep g in a cycle."""
+    return {f: f for f in g.flags}, {v: v for v in g.vertices}
+
+
 def bm_identity(g: BMGraph) -> BMMorphism:
-    flag_map, vertex_map = {f: f for f in g.flags}, {v: v for v in g.vertices}
-    return tuple.__new__(BMMorphism, (g, g, flag_map, vertex_map, {}))
+    """The identity of g; it shares its flag and vertex maps with every
+    identity of g and every grafting out of g (see factorise_bm)."""
+    return tuple.__new__(BMMorphism, (g, g, *_identity_maps(g), {}))
 
 
 def compose_bm(m1: BMMorphism, m2: BMMorphism) -> BMMorphism:
@@ -187,16 +202,23 @@ def compose_bm(m1: BMMorphism, m2: BMMorphism) -> BMMorphism:
     Vertices compose forward, flags backward; the composite misses the
     flags m1 misses plus the m1-images of the flags m2 misses, and its
     virtual involution is m1's on the former and m2's transported along
-    m1's flag map on the latter.
+    m1's flag map on the latter.  The composite owns its three maps:
+    none of them is a map of m1 or m2.
     """
-    if m1.target is not m2.source and m1.target != m2.source:
+    source, middle, flags1, vertices1, virtual1 = m1
+    middle2, target, flags2, vertices2, virtual2 = m2
+    if middle is not middle2 and middle != middle2:
         raise ValueError("morphisms are not composable: middle graphs differ")
-    flag_map = {x: m1.flag_map[m2.flag_map[x]] for x in m2.flag_map}
-    vertex_map = {v: m2.vertex_map[m1.vertex_map[v]] for v in m1.vertex_map}
-    virtual = dict(m1.virtual_involution)
-    for f, t in m2.virtual_involution.items():
-        virtual[m1.flag_map[f]] = m1.flag_map[t]
-    return tuple.__new__(BMMorphism, (m1.source, m2.target, flag_map, vertex_map, virtual))
+    flag_map = {}
+    for x, f in flags2.items():
+        flag_map[x] = flags1[f]
+    vertex_map = {}
+    for v, w in vertices1.items():
+        vertex_map[v] = vertices2[w]
+    virtual = virtual1.copy()
+    for f, t in virtual2.items():
+        virtual[flags1[f]] = flags1[t]
+    return tuple.__new__(BMMorphism, (source, target, flag_map, vertex_map, virtual))
 
 
 @dataclass(frozen=True)
@@ -298,15 +320,14 @@ def factorise_bm(m: BMMorphism) -> tuple[BMGraph, BMMorphism, BMMorphism]:
     """Split m into a grafting followed by a compression through its
     ghost graph.  The two parts compose back to m on the nose.  The
     ghost is shared by every morphism out of m's source with the same
-    ghost (see ghost_graph), so callers must not write into it."""
+    ghost (see ghost_graph).  The grafting's flag and vertex maps are
+    the identity maps of m's source, shared with its identities and
+    every other grafting out of it; the compression holds m's own three
+    maps.  Callers must not write into any of them."""
+    source, target, flag_map, vertex_map, virtual = m
     mid = ghost_graph(m)
-    graft = tuple.__new__(
-        BMMorphism,
-        (m.source, mid, {f: f for f in m.source.flags}, {v: v for v in m.source.vertices}, {}),
-    )
-    compress = tuple.__new__(
-        BMMorphism, (mid, m.target, m.flag_map, m.vertex_map, m.virtual_involution)
-    )
+    graft = tuple.__new__(BMMorphism, (source, mid, *_identity_maps(source), {}))
+    compress = tuple.__new__(BMMorphism, (mid, target, flag_map, vertex_map, virtual))
     return mid, graft, compress
 
 

@@ -71,12 +71,20 @@ def identity_etale(g: JKGraph) -> EtaleMorphism:
 
 def compose_etale(m1: EtaleMorphism, m2: EtaleMorphism) -> EtaleMorphism:
     """The composite m2 after m1 (m1 first)."""
-    if m1.target is not m2.source and m1.target != m2.source:
+    source, middle, arcs1, flags1, vertices1 = m1
+    middle2, target, arcs2, flags2, vertices2 = m2
+    if middle is not middle2 and middle != middle2:
         raise ValueError("etale maps are not composable: middle graphs differ")
-    arc_map = {a: m2.arc_map[b] for a, b in m1.arc_map.items()}
-    flag_map = {h: m2.flag_map[k] for h, k in m1.flag_map.items()}
-    vertex_map = {v: m2.vertex_map[w] for v, w in m1.vertex_map.items()}
-    return tuple.__new__(EtaleMorphism, (m1.source, m2.target, arc_map, flag_map, vertex_map))
+    arc_map = {}
+    for a, b in arcs1.items():
+        arc_map[a] = arcs2[b]
+    flag_map = {}
+    for h, k in flags1.items():
+        flag_map[h] = flags2[k]
+    vertex_map = {}
+    for v, w in vertices1.items():
+        vertex_map[v] = vertices2[w]
+    return tuple.__new__(EtaleMorphism, (source, target, arc_map, flag_map, vertex_map))
 
 
 def is_injective_etale(m: EtaleMorphism) -> bool:

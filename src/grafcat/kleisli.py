@@ -265,12 +265,20 @@ def _refine_with_cover(
 def compose_refinements(r1: Refinement, r2: Refinement) -> Refinement:
     """The composite of r1: R -> S and r2: S -> T: each piece of r1 is
     refined in turn by the pieces of r2 sitting over it."""
-    if r1.target != r2.source:
+    source, middle, arcs1, vertices1, flags1 = r1
+    middle2, target, arcs2, vertices2, flags2 = r2
+    if middle is not middle2 and middle != middle2:
         raise ValueError("refinements are not composable: middle graphs differ")
-    vertex_map = {v: r1.vertex_map[w] for v, w in r2.vertex_map.items()}
-    flag_map = {g: r2.flag_map[h] for g, h in r1.flag_map.items()}
-    arc_map = {a: r2.arc_map[b] for a, b in r1.arc_map.items()}
-    return tuple.__new__(Refinement, (r1.source, r2.target, arc_map, vertex_map, flag_map))
+    arc_map = {}
+    for a, b in arcs1.items():
+        arc_map[a] = arcs2[b]
+    vertex_map = {}
+    for v, w in vertices2.items():
+        vertex_map[v] = vertices1[w]
+    flag_map = {}
+    for g, h in flags1.items():
+        flag_map[g] = flags2[h]
+    return tuple.__new__(Refinement, (source, target, arc_map, vertex_map, flag_map))
 
 
 def transport_refinement(r: Refinement, iso: EtaleMorphism) -> Refinement:

@@ -464,6 +464,11 @@ def monad_mult_element(
         if not rep.ok:
             raise ValueError(f"decoration at {x!r} invalid: " + "; ".join(rep.problems))
         for q, a in bij.items():
+            # a valid decoration colours exactly the piece's arcs
+            if q not in dec.arc_colouring:
+                raise ValueError(f"interface at {x!r} is not defined on the piece's ports")
+            if a not in r.arcs:
+                raise ValueError(f"interface at {x!r} is not a bijection onto the incoming arcs")
             if dec.arc_colouring[q] != outer_colouring[a]:
                 raise ValueError(
                     f"piece at {x!r} disagrees with the outer colouring at port {q!r}"

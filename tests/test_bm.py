@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 import grafcat.bm
 from conftest import bm_graphs, make_bm_edge, make_bm_loop, make_bm_two_corollas
+from test_kleisli import in_order as fields_in_order
 from grafcat.bm import (
     BMGraph,
     BMMorphism,
@@ -27,8 +28,16 @@ from grafcat.bm import (
     validate_bm_graph,
     validate_bm_morphism,
 )
-from grafcat.graph_core import flag_isomorphisms, flags_by_vertex
-from grafcat.oracle import enumerate_bm_graphs, enumerate_bm_morphisms
+from grafcat.cospan_equiv import phi1_graph
+from grafcat.etale import EtaleMorphism, compose_etale, identity_cover, reduced_covers_of
+from grafcat.graph_core import corolla, flag_isomorphisms, flags_by_vertex, is_effective
+from grafcat.kleisli import Refinement, compose_refinements, identity_refinement
+from grafcat.oracle import (
+    covers_from,
+    enumerate_bm_graphs,
+    enumerate_bm_morphisms,
+    enumerate_refinements,
+)
 
 
 # -- graphs --------------------------------------------------------------------
@@ -235,6 +244,29 @@ def test_non_composable_rejected(LOOP, E2):
         compose_bm(graft, ident)
 
 
+@pytest.mark.parametrize(
+    "compose, identity, graph, other, message",
+    [
+        (compose_bm, bm_identity, make_bm_loop, make_bm_two_corollas,
+         "morphisms are not composable: middle graphs differ"),
+        (compose_refinements, identity_refinement, lambda: corolla(2), lambda: corolla(3),
+         "refinements are not composable: middle graphs differ"),
+        (compose_etale, identity_cover, lambda: corolla(2), lambda: corolla(3),
+         "etale maps are not composable: middle graphs differ"),
+    ],
+    ids=["bm", "refinements", "etale"],
+)
+def test_composites_need_an_equal_middle_not_the_same_one(compose, identity, graph, other, message):
+    g, twin = graph(), graph()
+    assert g == twin and g is not twin
+    composite = compose(identity(g), identity(twin))
+    assert composite == identity(g)
+    assert composite.source is g and composite.target is twin
+    with pytest.raises(ValueError) as exc:
+        compose(identity(g), identity(other()))
+    assert str(exc.value) == message
+
+
 # -- factorisation ---------------------------------------------------------------------
 
 def test_factorise_composite(LOOP):
@@ -322,7 +354,10 @@ def test_morphisms_compare_as_their_five_fields(LOOP):
 #
 # compose_bm, factorise_bm and find_bm_isomorphisms hand their fresh maps
 # straight to the tuple; the references below build the same values
-# through the public constructor, as the builders first did.
+# through the public constructor, as the builders first did.  The
+# composites of refinements and of etale maps are checked against their
+# comprehension bodies, kept as they were before the three composites
+# unpacked their factors and filled their maps by plain loops.
 
 def reference_compose(m1, m2):
     flag_map = {x: m1.flag_map[m2.flag_map[x]] for x in m2.flag_map}
@@ -331,6 +366,24 @@ def reference_compose(m1, m2):
     for f, t in m2.virtual_involution.items():
         virtual[m1.flag_map[f]] = m1.flag_map[t]
     return BMMorphism(m1.source, m2.target, flag_map, vertex_map, virtual)
+
+
+def reference_compose_refinements(r1, r2):
+    if r1.target != r2.source:
+        raise ValueError("refinements are not composable: middle graphs differ")
+    vertex_map = {v: r1.vertex_map[w] for v, w in r2.vertex_map.items()}
+    flag_map = {g: r2.flag_map[h] for g, h in r1.flag_map.items()}
+    arc_map = {a: r2.arc_map[b] for a, b in r1.arc_map.items()}
+    return tuple.__new__(Refinement, (r1.source, r2.target, arc_map, vertex_map, flag_map))
+
+
+def reference_compose_etale(m1, m2):
+    if m1.target is not m2.source and m1.target != m2.source:
+        raise ValueError("etale maps are not composable: middle graphs differ")
+    arc_map = {a: m2.arc_map[b] for a, b in m1.arc_map.items()}
+    flag_map = {h: m2.flag_map[k] for h, k in m1.flag_map.items()}
+    vertex_map = {v: m2.vertex_map[w] for v, w in m1.vertex_map.items()}
+    return tuple.__new__(EtaleMorphism, (m1.source, m2.target, arc_map, flag_map, vertex_map))
 
 
 def reference_factorise(m):
@@ -388,6 +441,85 @@ def test_compose_matches_the_reference_on_every_composable_pair(hom_matrix):
                     assert built.source is m1.source and built.target is m2.target
                     pairs += 1
     assert pairs == 27521
+
+
+@pytest.fixture(scope="module")
+def picture_window():
+    """The composable pairs of refinements between the effective (2,4)
+    pictures, and of the reduced covers onto and out of them."""
+    pictures = [g for g in map(phi1_graph, enumerate_bm_graphs(2, 4)) if is_effective(g)]
+    refs = {(a, b): enumerate_refinements(A, B) for a, A in enumerate(pictures)
+            for b, B in enumerate(pictures)}
+    n = len(pictures)
+    refinement_pairs = [
+        (r1, r2)
+        for (a, b), firsts in refs.items()
+        for c in range(n)
+        for r2 in refs[(b, c)]
+        for r1 in firsts
+    ]
+    covers = [rc for g in pictures for rc in reduced_covers_of(g) + covers_from(g)]
+    cover_pairs = [(c1, c2) for c1 in covers for c2 in covers if c1.target == c2.source]
+    return refinement_pairs, cover_pairs
+
+
+def test_refinement_and_etale_composites_match_their_references(picture_window):
+    refinement_pairs, cover_pairs = picture_window
+    for compose, reference, pairs, kind, count in (
+        (compose_refinements, reference_compose_refinements, refinement_pairs, Refinement, 5776),
+        (compose_etale, reference_compose_etale, cover_pairs, EtaleMorphism, 346),
+    ):
+        assert len(pairs) == count
+        for m1, m2 in pairs:
+            built = compose(m1, m2)
+            assert type(built) is kind
+            assert fields_in_order(built) == fields_in_order(reference(m1, m2))
+            assert built.source is m1.source and built.target is m2.target
+
+
+def owns_its_maps(composite, *factors):
+    """No map of the composite is a map of one of its factors."""
+    theirs = {id(f) for m in factors for f in m[2:]}
+    return all(id(f) not in theirs for f in composite[2:])
+
+
+def test_composites_own_their_maps(hom_matrix, picture_window):
+    graphs, homs = hom_matrix
+    n = len(graphs)
+    bm_pairs = [
+        (m1, m2)
+        for (i, j), firsts in homs.items()
+        for k in range(n)
+        for m2 in homs[(j, k)]
+        for m1 in firsts
+    ]
+    assert len(bm_pairs) == 27521
+    # m2 without a virtual involution: the composite's is a copy of m1's
+    assert sum(not m2.virtual_involution for _, m2 in bm_pairs) == 19052
+    morphisms = [m for ms in homs.values() for m in ms]
+    # identities whose maps every identity and grafting of the graph
+    # share, and the two halves of each factorisation
+    bm_pairs += [(bm_identity(m.source), m) for m in morphisms]
+    bm_pairs += [(m, bm_identity(m.target)) for m in morphisms]
+    bm_pairs += [factorise_bm(m)[1:] for m in morphisms]
+    refinement_pairs, cover_pairs = picture_window
+    refinement_pairs = refinement_pairs + [
+        pair
+        for r in {id(r): r for pair in refinement_pairs for r in pair}.values()
+        for pair in ((identity_refinement(r.source), r), (r, identity_refinement(r.target)))
+    ]
+    cover_pairs = cover_pairs + [
+        pair
+        for c in {id(c): c for pair in cover_pairs for c in pair}.values()
+        for pair in ((identity_cover(c.source), c), (c, identity_cover(c.target)))
+    ]
+    for compose, pairs in (
+        (compose_bm, bm_pairs),
+        (compose_refinements, refinement_pairs),
+        (compose_etale, cover_pairs),
+    ):
+        for m1, m2 in pairs:
+            assert owns_its_maps(compose(m1, m2), m1, m2)
 
 
 def test_factorise_and_identities_match_the_reference_on_the_window(hom_matrix):
@@ -480,6 +612,36 @@ def test_a_graph_whose_automorphisms_were_asked_for_is_freed_at_once():
         alive = weakref.ref(g)
         assert len(find_bm_isomorphisms(g, g)) == 6
         del g
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_graftings_and_identities_share_the_identity_maps_of_their_source(hom_matrix):
+    graphs, homs = hom_matrix
+    for (i, _), ms in homs.items():
+        ident = bm_identity(graphs[i])
+        assert ident.flag_map is bm_identity(graphs[i]).flag_map
+        for m in ms:
+            graft = factorise_bm(m)[1]
+            assert graft.flag_map is ident.flag_map and graft.vertex_map is ident.vertex_map
+
+
+def test_a_source_whose_morphisms_were_factorised_is_freed_at_once(LOOP):
+    # the identity maps and ghosts memoised on the source hold no
+    # reference to it, so reference counting frees it; the collector is
+    # off so that a cycle would keep it alive.  The enumerator's own
+    # garbage is collected first: its recursive helper is a cycle
+    # that holds the source.
+    g = make_bm_two_corollas()
+    alive = weakref.ref(g)
+    morphisms = [m for h in (g, LOOP, bm_point()) for m in enumerate_bm_morphisms(g, h)]
+    assert len(morphisms) == 5
+    gc.collect()
+    gc.disable()
+    try:
+        parts = [factorise_bm(m) for m in morphisms] + [bm_identity(g)]
+        del g, morphisms, parts
         assert alive() is None
     finally:
         gc.enable()

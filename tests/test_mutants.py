@@ -89,6 +89,37 @@ def without_second_virtual_pairs(real):
     return mutant
 
 
+def test_validation_catches_a_composite_without_the_second_virtual_pairs():
+    # every composable pair of the (2,4) hom matrix, composed by the real
+    # compose_bm and by the mutant
+    graphs = oracle.enumerate_bm_graphs(2, 4)
+    homs = {
+        (i, j): oracle.enumerate_bm_morphisms(a, b)
+        for i, a in enumerate(graphs)
+        for j, b in enumerate(graphs)
+    }
+    pairs = [
+        (m1, m2)
+        for (i, j), firsts in homs.items()
+        for k in range(len(graphs))
+        for m2 in homs[(j, k)]
+        for m1 in firsts
+    ]
+    assert len(pairs) == 27521
+    mutant = without_second_virtual_pairs(bm.compose_bm)
+    assert all(bm.validate_bm_morphism(bm.compose_bm(m1, m2)).ok for m1, m2 in pairs)
+    problems = Counter(
+        problem
+        for m1, m2 in pairs
+        for problem in bm.validate_bm_morphism(mutant(m1, m2)).problems
+    )
+    # one problem on each composite whose m2 contracts a flag pair
+    assert sum(bool(m2.virtual_involution) for _, m2 in pairs) == 8469
+    assert problems == {
+        "virtual-involution: must be defined on exactly the flags outside the image": 8469
+    }
+
+
 def swap_first_two_chosen_flags(real):
     """phi2_mor, but its first two sorted source flags swap their choices."""
 

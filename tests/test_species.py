@@ -773,6 +773,12 @@ def test_colour_mismatch_rejected():
          "piece at 'v' disagrees with the outer colouring at port '1'"),
         (dict(bij={"1": "1", "2": "1", "3": "3"}),
          "interface at 'v' is not a bijection onto the incoming arcs"),
+        # a port that is not an arc of the piece, and an arc that is not an
+        # arc of r: rejected before their colours are read, not a KeyError
+        (dict(bij={"1": "1", "2": "2", "x": "3"}),
+         "interface at 'v' is not defined on the piece's ports"),
+        (dict(bij={"1": "1", "2": "2", "3": "y"}),
+         "interface at 'v' is not a bijection onto the incoming arcs"),
     ],
 )
 def test_multiplication_rejects_each_bad_input(change, message):
