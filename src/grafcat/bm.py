@@ -98,11 +98,9 @@ class BMMorphism(_BMMorphismFields):
     The constructor copies the three maps, so no caller's dict is
     aliased.  The builders in this module skip the copy and hand their
     maps to one tuple.__new__ call:
-      - compose_bm, and find_bm_isomorphisms between two graphs, build
-        fresh maps;
+      - compose_bm, the identities, factorise_bm's graftings and
+        find_bm_isomorphisms between two graphs build fresh maps;
       - the automorphisms of a graph share the maps memoised on it;
-      - the identities of a graph and the graftings of factorise_bm out
-        of it share the graph's memoised identity maps;
       - the compression of factorise_bm holds the maps of the morphism
         it splits.
     Callers must not write into the maps.
@@ -183,17 +181,9 @@ def validate_bm_morphism(m: BMMorphism) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-@memoised
-def _identity_maps(g: BMGraph) -> tuple[dict[str, str], dict[str, str]]:
-    """g's identity flag and vertex maps, built once per graph.  They
-    hold no reference to g, so the memo does not keep g in a cycle."""
-    return {f: f for f in g.flags}, {v: v for v in g.vertices}
-
-
 def bm_identity(g: BMGraph) -> BMMorphism:
-    """The identity of g; it shares its flag and vertex maps with every
-    identity of g and every grafting out of g (see factorise_bm)."""
-    return tuple.__new__(BMMorphism, (g, g, *_identity_maps(g), {}))
+    flag_map, vertex_map = {f: f for f in g.flags}, {v: v for v in g.vertices}
+    return tuple.__new__(BMMorphism, (g, g, flag_map, vertex_map, {}))
 
 
 def compose_bm(m1: BMMorphism, m2: BMMorphism) -> BMMorphism:
@@ -320,13 +310,12 @@ def factorise_bm(m: BMMorphism) -> tuple[BMGraph, BMMorphism, BMMorphism]:
     """Split m into a grafting followed by a compression through its
     ghost graph.  The two parts compose back to m on the nose.  The
     ghost is shared by every morphism out of m's source with the same
-    ghost (see ghost_graph).  The grafting's flag and vertex maps are
-    the identity maps of m's source, shared with its identities and
-    every other grafting out of it; the compression holds m's own three
-    maps.  Callers must not write into any of them."""
+    ghost (see ghost_graph).  The compression holds m's own three maps.
+    Callers must not write into any of them."""
     source, target, flag_map, vertex_map, virtual = m
     mid = ghost_graph(m)
-    graft = tuple.__new__(BMMorphism, (source, mid, *_identity_maps(source), {}))
+    identity = {f: f for f in source.flags}, {v: v for v in source.vertices}
+    graft = tuple.__new__(BMMorphism, (source, mid, *identity, {}))
     compress = tuple.__new__(BMMorphism, (mid, target, flag_map, vertex_map, virtual))
     return mid, graft, compress
 

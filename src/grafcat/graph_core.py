@@ -95,9 +95,6 @@ class JKGraph:
         object.__setattr__(self, "incidence", dict(self.incidence))
 
 
-EMPTY_GRAPH = JKGraph(frozenset(), frozenset(), frozenset(), {}, {}, {})
-
-
 class _EtaleMorphismFields(NamedTuple):
     source: JKGraph
     target: JKGraph
@@ -500,7 +497,7 @@ def flag_isomorphisms(
     vmap: dict[str, str] = {}
     fmap: dict[str, str] = {}
 
-    def place(i: int):
+    def place(i: int, place):
         v = vs1[i]
         hs = at1[v]
         used = {vmap[u] for u in vs1[:i]}
@@ -517,9 +514,11 @@ def flag_isomorphisms(
                     if i + 1 == len(vs1):
                         yield dict(vmap), dict(fmap)
                     else:
-                        yield from place(i + 1)
+                        yield from place(i + 1, place)
 
-    return place(0) if vs1 else iter([({}, {})])
+    # place is handed itself, not closed over: a closure over its own
+    # name is a cycle that outlives the search
+    return place(0, place) if vs1 else iter([({}, {})])
 
 
 def _isolated_maps(iso1: list[tuple[str, str]], iso2: list[tuple[str, str]]):
@@ -578,11 +577,19 @@ def multigraph_key(labels: list, links: list[tuple[int, int]]) -> tuple:
     keys iff some vertex bijection keeping labels maps one link multiset
     onto the other.  The key is the sorted labels and the least sorted
     link list over the vertex orders that sort the labels, that is over
-    the permutations within each class of equal label."""
+    the permutations within each class of equal label.  Moving a linked
+    vertex earlier never makes a sorted link list larger, so only the
+    orders that put each class's linked vertices first are tried."""
+    linked = {v for link in links for v in link}
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    classes = [list(c) for _, c in itertools.groupby(order, key=labels.__getitem__)]
-    keys = []
-    for perms in itertools.product(*map(itertools.permutations, classes)):
-        pos = {v: k for k, v in enumerate(itertools.chain.from_iterable(perms))}
-        keys.append(sorted((min(pos[i], pos[j]), max(pos[i], pos[j])) for i, j in links))
-    return tuple(sorted(labels)), tuple(min(keys))
+    starts, choices = [], []
+    for _, c in itertools.groupby(enumerate(order), key=lambda kv: labels[kv[1]]):
+        c = list(c)
+        starts.append(c[0][0])
+        choices.append(itertools.permutations([v for _, v in c if v in linked]))
+
+    def key(perms):
+        pos = {v: s + k for s, perm in zip(starts, perms) for k, v in enumerate(perm)}
+        return sorted((min(pos[i], pos[j]), max(pos[i], pos[j])) for i, j in links)
+
+    return tuple(sorted(labels)), tuple(min(map(key, itertools.product(*choices))))

@@ -176,6 +176,7 @@ def enumerate_bm_morphisms(tau: BMGraph, rho: BMGraph) -> list[BMMorphism]:
                 del forced[v]
 
     place(0)
+    del place  # it closes over itself: a cycle that would keep tau, rho and out
     return out
 
 
@@ -298,6 +299,7 @@ def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
                 del forced[v]
 
     place(0)
+    del place  # it closes over itself: a cycle that would keep r, s and found
     found.sort(key=lambda item: item[0])
     return [ref for _, ref in found]
 

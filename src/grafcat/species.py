@@ -449,35 +449,24 @@ def monad_mult_element(
     boundary colours along its interface."""
     if set(decorations) != set(assignment):
         raise ValueError("decorations must be given at exactly the assigned vertices")
-    if bad := graph_clauses(r).problems:
-        raise ValueError("invalid graph: " + "; ".join(bad))
+    for x in sorted(assignment):
+        rep = validate_decoration(sp, assignment[x][0], decorations[x])
+        if not rep.ok:
+            raise ValueError(f"decoration at {x!r} invalid: " + "; ".join(rep.problems))
+    refinement, cover = _refine_with_cover(r, assignment)
     for a in sorted(r.arcs):
         if outer_colouring.get(a) not in sp.colours:
             raise ValueError(f"outer colouring misses arc {a!r}")
     for a in sorted(r.arcs):
         if outer_colouring[r.involution[a]] != sp.colour_involution[outer_colouring[a]]:
             raise ValueError(f"outer colouring is not edge-paired at {a!r}")
-    for x in sorted(assignment):
-        piece, bij = assignment[x]
-        dec = decorations[x]
-        rep = validate_decoration(sp, piece, dec)
-        if not rep.ok:
-            raise ValueError(f"decoration at {x!r} invalid: " + "; ".join(rep.problems))
-        for q, a in bij.items():
-            # a valid decoration colours exactly the piece's arcs
-            if q not in dec.arc_colouring:
-                raise ValueError(f"interface at {x!r} is not defined on the piece's ports")
-            if a not in r.arcs:
-                raise ValueError(f"interface at {x!r} is not a bijection onto the incoming arcs")
-            if dec.arc_colouring[q] != outer_colouring[a]:
-                raise ValueError(
-                    f"piece at {x!r} disagrees with the outer colouring at port {q!r}"
-                )
-    refinement, cover = _refine_with_cover(r, assignment)
     colouring: dict[str, str] = {}
     labels = {}
     for x in sorted(assignment):
-        dec = decorations[x]
+        bij, dec = assignment[x][1], decorations[x]
+        for q, a in bij.items():
+            if dec.arc_colouring[q] != outer_colouring[a]:
+                raise ValueError(f"piece at {x!r} disagrees with the outer colouring at port {q!r}")
         for a, c in dec.arc_colouring.items():
             if colouring.setdefault(cover.arc_map[x + "." + a], c) != c:
                 raise ValueError("glued arcs received conflicting colours")

@@ -12,6 +12,9 @@ from grafcat.species import act, operation_profile, transport_decoration
 
 # -- arc/flag/vertex examples ------------------------------------------------
 
+EMPTY_GRAPH = JKGraph(frozenset(), frozenset(), frozenset(), {}, {}, {})
+
+
 def make_loop():
     # one vertex, one inner edge onto itself
     return JKGraph(

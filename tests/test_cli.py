@@ -551,6 +551,18 @@ def test_enumerate_counts_the_classes(max_vertices, max_flags, count):
     assert len(json.loads(proc.stdout)) == count
 
 
+def test_enumerate_keys_linkless_vertices_without_ordering_them():
+    # twelve vertices without flags: 12! orders of the vertices in one
+    # class, none of which changes the key
+    argv = ["enumerate", "--max-vertices", "12", "--max-flags", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "grafcat.cli", *argv],
+        capture_output=True, text=True, env=ENV, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [len(g["vertices"]) for g in json.loads(proc.stdout)] == list(range(13))
+
+
 def test_enumerate_rejects_a_negative_bound():
     argv = ("enumerate", "--max-vertices", "-1", "--max-flags", "2")
     assert "--max-vertices" in run(*argv, expect=2).stderr

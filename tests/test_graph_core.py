@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import jk_graphs, make_cycle, make_path_piece
+from conftest import EMPTY_GRAPH, jk_graphs, make_cycle, make_path_piece
+from grafcat import oracle, species
 from grafcat.graph_core import (
-    EMPTY_GRAPH,
     JKGraph,
     components,
     corolla,
@@ -37,6 +37,7 @@ from grafcat.graph_core import (
 )
 from grafcat.cospan_equiv import phi1_graph
 from grafcat.oracle import enumerate_bm_graphs
+from grafcat.species import graphs_with_ports
 
 
 # -- validation ---------------------------------------------------------------
@@ -463,6 +464,47 @@ def test_multigraph_key_agrees_with_brute_force(data):
     assert multigraph_key(moved_labels, moved_links) == key
     other = data.draw(vertex_multigraphs(data.draw(st.integers(max(n - 1, 0), n))))
     assert (multigraph_key(*other) == key) == same_multigraph(labels, links, *other)
+
+
+def reference_multigraph_key(labels: list, links: list[tuple[int, int]]) -> tuple:
+    """Reference: multigraph_key trying every order within each class of
+    equal label, linkless vertices too, and listing every key before
+    taking the least."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    classes = [list(c) for _, c in itertools.groupby(order, key=labels.__getitem__)]
+    keys = []
+    for perms in itertools.product(*map(itertools.permutations, classes)):
+        pos = {v: k for k, v in enumerate(itertools.chain.from_iterable(perms))}
+        keys.append(sorted((min(pos[i], pos[j]), max(pos[i], pos[j])) for i, j in links))
+    return tuple(sorted(labels)), tuple(min(keys))
+
+
+def test_multigraph_key_matches_its_reference_on_both_enumerators(monkeypatch):
+    # every key that the two graph enumerators ask for on the tier-1
+    # windows, BM graphs and species graphs with ports alike
+    asked = []
+
+    def recording(labels, links):
+        asked.append((list(labels), list(links)))
+        return multigraph_key(labels, links)
+
+    monkeypatch.setattr(oracle, "multigraph_key", recording)
+    monkeypatch.setattr(species, "multigraph_key", recording)
+    for window in ((2, 4), (2, 5), (3, 5), (2, 6), (4, 6), (3, 7)):
+        enumerate_bm_graphs(*window)
+    for allowed in ([3], [2, 3]):
+        for n_ports in range(4):
+            graphs_with_ports(allowed, n_ports, 3)
+    assert len(asked) == 7590 + 176  # BM windows, then species ones
+
+    def skips_a_vertex(labels, links):
+        # some linkless vertex shares its label: its orders are not tried
+        linked = {v for link in links for v in link}
+        return any(labels.count(labels[v]) > 1 for v in range(len(labels)) if v not in linked)
+
+    assert sum(skips_a_vertex(*a) for a in asked) == 1124
+    for labels, links in asked:
+        assert multigraph_key(labels, links) == reference_multigraph_key(labels, links)
 
 
 # -- involutions ------------------------------------------------------------------

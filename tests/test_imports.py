@@ -34,10 +34,24 @@ def test_module_imports_first(module):
 TEST_ONLY = {"bm.bm_identity", "bm.bm_point", "cospan_equiv.identity_cospan"}
 
 
+def public_names(node: ast.stmt) -> list[str]:
+    """The public names that a top-level statement defines: a function,
+    a class, or the targets of an assignment.  Names with a leading
+    underscore, dunders such as __version__ among them, are private."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_public_name_is_used_outside_the_tests():
-    """A public top-level function or class of src/grafcat must be named
-    somewhere other than its own definition: in the package, a demo, or
-    the benchmark (perfbench/ without its tests)."""
+    """A public top-level function, class or constant of src/grafcat must
+    be named somewhere other than its own definition: in the package, a
+    demo, or the benchmark (perfbench/ without its tests)."""
     users = [*(ROOT / "demos").glob("*.py")]
     bench = ROOT / "perfbench"
     users += [p for p in bench.rglob("*.py") if "tests" not in p.relative_to(bench).parts]
@@ -48,11 +62,10 @@ def test_every_public_name_is_used_outside_the_tests():
         lines = text.splitlines()
         others = "\n".join(p.read_text() for p in (SRC / "grafcat").glob("*.py") if p != path)
         for node in ast.parse(text).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", []))])
             rest = "\n".join(lines[: first - 1] + lines[node.end_lineno :])
-            word = re.compile(rf"\b{node.name}\b")
-            if not any(word.search(t) for t in (rest, others, outside)):
-                unused.append(f"{path.stem}.{node.name}")
+            for name in public_names(node):
+                word = re.compile(rf"\b{name}\b")
+                if not any(word.search(t) for t in (rest, others, outside)):
+                    unused.append(f"{path.stem}.{name}")
     assert sorted(unused) == sorted(TEST_ONLY)

@@ -6,7 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, settings
 
-from conftest import jk_graphs, make_path_piece, shuffled
+from conftest import EMPTY_GRAPH, jk_graphs, make_path_piece, shuffled
 from grafcat import kleisli
 from grafcat.cospan_equiv import phi1_graph
 from grafcat.etale import (
@@ -24,7 +24,6 @@ from grafcat.etale import (
     validate_reduced_cover,
 )
 from grafcat.graph_core import (
-    EMPTY_GRAPH,
     JKGraph,
     ValidationReport,
     _iso_gen,

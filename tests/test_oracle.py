@@ -1,9 +1,11 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import bm_graphs
+from conftest import bm_graphs, make_bm_loop
 from grafcat import oracle
 from grafcat.bm import (
     BMGraph,
@@ -29,6 +31,7 @@ from grafcat.oracle import (
 from grafcat.graph_core import (
     JKGraph,
     corolla,
+    find_isomorphisms,
     disjoint_union,
     graph_sum,
     involutions,
@@ -513,3 +516,25 @@ def test_constructed_refinements_are_valid_and_match_the_filter(tau, rho):
             assert _refinements_in_order(built) == _refinements_in_order(
                 filtered_refinements(r, cover.target)
             )
+
+
+# -- the searches leave no cycle behind -----------------------------------------------
+
+@pytest.mark.parametrize(
+    "search, picture",
+    [(enumerate_bm_morphisms, False), (enumerate_refinements, True), (find_isomorphisms, True)],
+)
+def test_a_graph_dropped_after_a_search_is_freed_at_once(search, picture):
+    # with the collector off, reference counting alone frees the graph
+    # and its results, and no cyclic garbage is left to collect
+    gc.collect()
+    gc.disable()
+    try:
+        g = phi1_graph(make_bm_loop()) if picture else make_bm_loop()
+        alive = weakref.ref(g)
+        assert search(g, g)
+        del g
+        assert alive() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

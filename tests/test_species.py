@@ -779,6 +779,9 @@ def test_colour_mismatch_rejected():
          "interface at 'v' is not defined on the piece's ports"),
         (dict(bij={"1": "1", "2": "2", "3": "y"}),
          "interface at 'v' is not a bijection onto the incoming arcs"),
+        # an arc of the piece that is not one of its ports
+        (dict(bij={"1*": "1", "2": "2", "3": "3"}),
+         "interface at 'v' is not defined on the piece's ports"),
     ],
 )
 def test_multiplication_rejects_each_bad_input(change, message):
