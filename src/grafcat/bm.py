@@ -3,7 +3,7 @@
 Here a graph is a quadruple (V, F, boundary, involution): flags are
 half-edges attached to vertices by the boundary map, and the involution
 j: F -> F pairs flags into edges.  Fixpoints of j are tails (open ends);
-free orbits are edges.
+free orbits are edges, each held as its sorted flag pair (f, j(f)).
 
 A morphism tau -> rho runs covariantly on vertices and contravariantly
 on flags: it is a triple
@@ -68,8 +68,9 @@ def bm_tails(g: BMGraph) -> set[str]:
     return {f for f in g.flags if g.involution[f] == f}
 
 
-def bm_edges(g: BMGraph) -> set[frozenset[str]]:
-    return {frozenset((f, g.involution[f])) for f in g.flags if g.involution[f] != f}
+def bm_edges(g: BMGraph) -> set[tuple[str, str]]:
+    """The edges, as sorted flag pairs; tails are no edges."""
+    return {(f, t) for f, t in g.involution.items() if f < t}
 
 
 def bm_point() -> BMGraph:
@@ -113,10 +114,11 @@ class BMMorphism(_BMMorphismFields):
         return tuple.__new__(cls, (source, target, *maps))
 
 
-def contracted_pairs(m: BMMorphism) -> set[frozenset[str]]:
-    """The contracted edges: orbits of the virtual involution (actual
-    edges of the source where both halves survive in it)."""
-    return {frozenset((f, t)) for f, t in m.virtual_involution.items()}
+def contracted_pairs(m: BMMorphism) -> set[tuple[str, str]]:
+    """The contracted edges, as sorted flag pairs: orbits of the virtual
+    involution (actual edges of the source where both halves survive in
+    it)."""
+    return {(f, t) for f, t in m.virtual_involution.items() if f < t}
 
 
 def validate_bm_morphism(m: BMMorphism) -> ValidationReport:
@@ -168,8 +170,7 @@ def validate_bm_morphism(m: BMMorphism) -> ValidationReport:
     for x in sorted(tgt.flags):
         if m.vertex_map[src.boundary[m.flag_map[x]]] != tgt.boundary[x]:
             problems.append(f"boundary: boundaries disagree at target flag {x!r}")
-    for pair in sorted(contracted_pairs(m), key=sorted):
-        f, t = sorted(pair)
+    for f, t in sorted(contracted_pairs(m)):
         if m.vertex_map[src.boundary[f]] != m.vertex_map[src.boundary[t]]:
             problems.append(
                 f"contracted-ends: contracted pair ({f!r}, {t!r}) straddles two target vertices"
@@ -255,8 +256,7 @@ def _fibres_connected(m: BMMorphism) -> bool:
     if not src.vertices:
         return True
     uf = _UnionFind(src.vertices)
-    for pair in contracted_pairs(m):
-        f, t = tuple(pair)
+    for f, t in contracted_pairs(m):
         uf.union(src.boundary[f], src.boundary[t])
     fibre_root: dict[str, str] = {}
     for v in sorted(src.vertices):
@@ -270,12 +270,11 @@ def _fibres_connected(m: BMMorphism) -> bool:
 def _edges_onto(m: BMMorphism) -> bool:
     src, tgt = m.source, m.target
     hit = set()
-    for e in bm_edges(tgt):
-        x, y = tuple(e)
+    for x, y in bm_edges(tgt):
         f, t = m.flag_map[x], m.flag_map[y]
         if src.involution[f] != t:
             return False  # a target edge made of source tails
-        hit.add(frozenset((f, t)))
+        hit.add(tuple(sorted((f, t))))
     return hit == bm_edges(src)
 
 

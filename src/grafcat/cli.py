@@ -263,8 +263,7 @@ def _jk_dot(g: JKGraph) -> str:
         anchors.append(f"  {_dot_quote(anchor)} [shape=point, style=invis];")
         return _dot_quote(anchor)
 
-    for e in sorted(edges(g), key=sorted):
-        a, b = sorted(e)
+    for a, b in sorted(edges(g)):
         links.append(f"  {end(a)} -- {end(b)} [label={_dot_quote(a + '~' + b)}];")
     return "\n".join(lines + sorted(set(anchors)) + links + ["}"]) + "\n"
 

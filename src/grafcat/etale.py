@@ -24,10 +24,11 @@ from .graph_core import (
     embed_image,
     endpoint_problems,
     flag_view,
-    graph_clauses,
     inner_edges,
+    isolated_edges,
     ports,
     spanned_subgraph,
+    validate_graph,
 )
 
 
@@ -139,7 +140,7 @@ def validate_reduced_cover(rc: EtaleMorphism) -> ValidationReport:
     if not rep.ok:
         return rep
     problems = []
-    if graph_clauses(rc.source).isolated or graph_clauses(rc.target).isolated:
+    if isolated_edges(rc.source) or isolated_edges(rc.target):
         problems.append("isolated-edges: reduced covers live between graphs without isolated edges")
     if not is_covering_family([rc]):
         problems.append("covering: not jointly surjective on edges and vertices")
@@ -224,21 +225,22 @@ def fresh_label(label: str, used: set[str]) -> str:
     return candidate
 
 
-def cut_edges(g: JKGraph, cut: set[frozenset[str]]) -> tuple[JKGraph, ReducedCover]:
-    """Sever the given inner edges of g into pairs of ports; the map
-    back to g is a reduced cover hitting each cut edge twice.  With
-    nothing to cut, g itself and its identity cover."""
+def cut_edges(g: JKGraph, cut: set[tuple[str, str]]) -> tuple[JKGraph, ReducedCover]:
+    """Sever the given inner edges of g, sorted arc pairs as inner_edges
+    gives them, into pairs of ports; the map back to g is a reduced cover
+    hitting each cut edge twice.  With nothing to cut, g itself and its
+    identity cover.  ValueError names the least pair that is no inner edge."""
     if not cut:
         return g, identity_cover(g)
+    cut = sorted(cut)
     inner = inner_edges(g)
     for e in cut:
         if e not in inner:
-            raise ValueError(f"not an inner edge: {tuple(sorted(e))}")
+            raise ValueError(f"not an inner edge: {e}")
     arcs = set(g.arcs)
     involution = dict(g.involution)
     arc_map = {x: x for x in g.arcs}
-    for e in sorted(cut, key=lambda e: tuple(sorted(e))):
-        a1, a2 = sorted(e)
+    for a1, a2 in cut:
         c1 = fresh_label(a1, arcs)
         arcs.add(c1)
         c2 = fresh_label(a2, arcs)
@@ -258,10 +260,9 @@ def cut_edges(g: JKGraph, cut: set[frozenset[str]]) -> tuple[JKGraph, ReducedCov
 
 def require_cover_base(x: JKGraph) -> None:
     """ValueError unless x is a valid graph without isolated edges."""
-    clauses = graph_clauses(x)
-    if clauses.problems:
+    if not validate_graph(x).ok:
         raise ValueError("invalid graph")
-    if clauses.isolated:
+    if isolated_edges(x):
         raise ValueError("reduced covers are only formed over graphs without isolated edges")
 
 
@@ -270,7 +271,7 @@ def reduced_covers_of(x: JKGraph) -> list[ReducedCover]:
     inner edges; they form a boolean lattice of size 2^(number of inner
     edges)."""
     require_cover_base(x)
-    inner = sorted(inner_edges(x), key=lambda e: tuple(sorted(e)))
+    inner = sorted(inner_edges(x))
     covers = []
     for r in range(len(inner) + 1):
         for combo in itertools.combinations(inner, r):

@@ -7,10 +7,10 @@ A graph is a diagram of finite sets
 where A is a set of arcs carrying a fixpoint-free involution i, H is a
 set of flags (half-edges attached to vertices), V is a set of vertices,
 s is injective and p is arbitrary.  An edge is an involution orbit
-{a, i(a)}.  An arc in the image of s points away from the vertex of its
-flag; arcs outside the image of s are ports (open ends).  An edge with
-both arcs in the image of s is inner, an edge with neither arc in the
-image is isolated.
+{a, i(a)}, held as its sorted arc pair (a, i(a)), a < i(a).  An arc in
+the image of s points away from the vertex of its flag; arcs outside
+the image of s are ports (open ends).  An edge with both arcs in the
+image of s is inner, an edge with neither arc in the image is isolated.
 
 All identifiers are opaque strings and all maps are explicit finite
 dicts.  Values are treated as immutable after construction, which is
@@ -120,8 +120,11 @@ class EtaleMorphism(_EtaleMorphismFields):
         return tuple.__new__(cls, (source, target, *maps))
 
 
+@memoised
 def validate_graph(g: JKGraph) -> ValidationReport:
-    """Check the diagram clauses; the report lists each violated one."""
+    """Check the diagram clauses; the report lists each violated one.
+    Found once per graph; callers read isolated_edges only on a valid
+    graph."""
     problems = []
     if g.involution.keys() != g.arcs:
         problems.append("involution-domain: involution must be defined on exactly the arcs")
@@ -155,27 +158,12 @@ def validate_graph(g: JKGraph) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-class GraphClauses(NamedTuple):
-    """What the morphism validators ask of each graph they are given:
-    the problems of validate_graph, and, for a valid graph, whether it
-    has isolated edges.  graph_clauses works them out once per graph."""
-
-    problems: tuple[str, ...]
-    isolated: bool
-
-
-@memoised
-def graph_clauses(g: JKGraph) -> GraphClauses:
-    rep = validate_graph(g)
-    return GraphClauses(rep.problems, rep.ok and bool(isolated_edges(g)))
-
-
 def endpoint_problems(source: JKGraph, target: JKGraph) -> list[str]:
     """One problem for each invalid end of a morphism."""
     return [
-        f"{name}-invalid: " + "; ".join(c.problems)
-        for c, name in ((graph_clauses(source), "source"), (graph_clauses(target), "target"))
-        if c.problems
+        f"{name}-invalid: " + "; ".join(rep.problems)
+        for rep, name in ((validate_graph(source), "source"), (validate_graph(target), "target"))
+        if not rep.ok
     ]
 
 
@@ -184,16 +172,16 @@ def embed_image(g: JKGraph) -> set[str]:
 
 
 @memoised
-def edges(g: JKGraph) -> frozenset[frozenset[str]]:
-    """The involution orbits, as unordered arc pairs, found once per
-    graph."""
-    return frozenset(frozenset((a, g.involution[a])) for a in g.arcs)
+def edges(g: JKGraph) -> frozenset[tuple[str, str]]:
+    """The involution orbits, each as its sorted arc pair, found once
+    per graph."""
+    return frozenset((a, b) for a, b in g.involution.items() if a < b)
 
 
 @memoised
-def inner_edges(g: JKGraph) -> frozenset[frozenset[str]]:
-    """The edges with both arcs in the image of embed, found once per
-    graph."""
+def inner_edges(g: JKGraph) -> frozenset[tuple[str, str]]:
+    """The edges (sorted arc pairs) with both arcs in the image of
+    embed, found once per graph."""
     im = embed_image(g)
     return frozenset(e for e in edges(g) if all(a in im for a in e))
 
@@ -204,9 +192,9 @@ def ports(g: JKGraph) -> set[str]:
 
 
 @memoised
-def isolated_edges(g: JKGraph) -> frozenset[frozenset[str]]:
-    """The edges with neither arc in the image of embed, found once per
-    graph."""
+def isolated_edges(g: JKGraph) -> frozenset[tuple[str, str]]:
+    """The edges (sorted arc pairs) with neither arc in the image of
+    embed, found once per graph."""
     im = embed_image(g)
     return frozenset(e for e in edges(g) if all(a not in im for a in e))
 
@@ -416,10 +404,10 @@ class GluingRecipe:
     """How a graph is glued from corollas and unit edges.
 
     vertex_elements maps each vertex to its spanned corolla-shaped
-    subgraph, and edge_elements maps each edge key (sorted arc pair) to
-    a unit-shaped graph.  The elements keep the graph's own labels, so
-    two elements meet exactly in the arcs they share: the graph is their
-    colimit along those shared arcs.
+    subgraph, and edge_elements maps each edge, a sorted arc pair, to a
+    unit-shaped graph, both in sorted order.  The elements keep the
+    graph's own labels, so two elements meet exactly in the arcs they
+    share: the graph is their colimit along those shared arcs.
     """
 
     vertex_elements: dict[str, JKGraph]
@@ -430,10 +418,8 @@ def elements(g: JKGraph) -> GluingRecipe:
     """Decompose g into its vertex and edge elements."""
     vertex_elements = {v: spanned_subgraph(g, {v}) for v in sorted(g.vertices)}
     edge_elements = {}
-    for e in edges(g):
-        key = tuple(sorted(e))
-        a, b = key
-        edge_elements[key] = JKGraph({a, b}, set(), set(), {a: b, b: a}, {}, {})
+    for a, b in sorted(edges(g)):
+        edge_elements[a, b] = JKGraph({a, b}, set(), set(), {a: b, b: a}, {}, {})
     return GluingRecipe(vertex_elements, edge_elements)
 
 
@@ -549,9 +535,7 @@ def _iso_gen(g1: JKGraph, g2: JKGraph) -> Iterator[EtaleMorphism]:
     isolated = None
     for vmap, fmap in flag_isomorphisms(*flag_view(g1), *flag_view(g2)):
         if isolated is None:  # needed only once a flag map is found
-            iso1 = sorted(tuple(sorted(e)) for e in isolated_edges(g1))
-            iso2 = sorted(tuple(sorted(e)) for e in isolated_edges(g2))
-            isolated = list(_isolated_maps(iso1, iso2))
+            isolated = list(_isolated_maps(sorted(isolated_edges(g1)), sorted(isolated_edges(g2))))
         amap = {}
         for h, k in fmap.items():
             a, b = g1.embed[h], g2.embed[k]

@@ -49,7 +49,6 @@ from .graph_core import (
     corolla,
     endpoint_problems,
     flag_view,
-    graph_clauses,
     graph_sum,
     inner_edges,
     isolated_edges,
@@ -57,6 +56,7 @@ from .graph_core import (
     memoised,
     ports,
     relabel,
+    validate_graph,
 )
 
 
@@ -108,7 +108,7 @@ def validate_refinement(r: Refinement) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
     for g, name in ((r.source, "source"), (r.target, "target")):
-        if graph_clauses(g).isolated:
+        if isolated_edges(g):
             problems.append(
                 f"{name}-isolated: refinements run between graphs without isolated edges"
             )
@@ -176,7 +176,7 @@ def pieces(r: Refinement) -> dict[str, tuple[JKGraph, dict[str, str]]]:
         span, _ = open_subgraph(tgt, w)
         at_x = flag_view(src)[0].get(x, ())
         chosen_arcs = {tgt.embed[r.flag_map[g]] for g in at_x}
-        piece, _ = cut_edges(span, {e for e in inner_edges(span) if e <= chosen_arcs})
+        piece, _ = cut_edges(span, {e for e in inner_edges(span) if set(e) <= chosen_arcs})
         out[x] = piece, {
             piece.involution[piece.embed[r.flag_map[g]]]: src.involution[src.embed[g]]
             for g in at_x
@@ -223,19 +223,17 @@ def _refine_with_cover(
 ) -> tuple[Refinement, ReducedCover]:
     """refine(), also returning the gluing quotient from the summed
     prefixed pieces onto the refined graph."""
-    clauses = graph_clauses(r)
-    if clauses.problems:
-        raise ValueError("invalid graph: " + "; ".join(clauses.problems))
-    if clauses.isolated:
+    if bad := validate_graph(r).problems:
+        raise ValueError("invalid graph: " + "; ".join(bad))
+    if isolated_edges(r):
         raise ValueError("cannot refine a graph with isolated edges")
     if assignment.keys() != r.vertices:
         raise ValueError("assignment must cover exactly the vertices")
     for x in sorted(assignment):
         piece, bij = assignment[x]
-        clauses = graph_clauses(piece)
-        if clauses.problems:
-            raise ValueError(f"piece at {x!r} invalid: " + "; ".join(clauses.problems))
-        if (not piece.vertices and not piece.arcs) or clauses.isolated:
+        if bad := validate_graph(piece).problems:
+            raise ValueError(f"piece at {x!r} invalid: " + "; ".join(bad))
+        if (not piece.vertices and not piece.arcs) or isolated_edges(piece):
             raise ValueError(f"piece at {x!r} must be nonempty without isolated edges")
         if bij.keys() != ports(piece):
             raise ValueError(f"interface at {x!r} is not defined on the piece's ports")
@@ -245,7 +243,7 @@ def _refine_with_cover(
     total, slot = _disjoint_pieces(assignment)
     steps = [
         (slot[r.involution[a1]], slot[r.involution[a2]])
-        for a1, a2 in sorted(tuple(sorted(e)) for e in inner_edges(r))
+        for a1, a2 in sorted(inner_edges(r))
     ]
     glued, cover = replay_gluings(total, steps)
 
@@ -293,7 +291,7 @@ def refinement_to_cover(r: Refinement) -> ReducedCover:
     """The target with every edge between two chosen flags cut open,
     mapping back onto the target: the sum of the pieces as a single
     reduced cover that remembers only the pieces."""
-    cut = {frozenset(r.arc_map[a] for a in e) for e in inner_edges(r.source)}
+    cut = {tuple(sorted(r.arc_map[a] for a in e)) for e in inner_edges(r.source)}
     return cut_edges(r.target, cut)[1]
 
 
@@ -384,7 +382,7 @@ def compose_cover_then_refinement(rc: ReducedCover, u: Refinement) -> KleisliMor
         raise ValueError("cover and refinement are not composable")
     src = rc.source
     kept, vmap_inv = _cover_layout(rc)
-    cut = {frozenset(u.arc_map[a] for a in e) for e in inner_edges(u.source) - kept}
+    cut = {tuple(sorted(u.arc_map[a] for a in e)) for e in inner_edges(u.source) - kept}
     mid, free = cut_edges(u.target, cut)
     vertex_map = {v: vmap_inv[y] for v, y in u.vertex_map.items()}
     flag_map = {g: u.flag_map[rc.flag_map[g]] for g in src.flags}
@@ -398,11 +396,11 @@ def compose_cover_then_refinement(rc: ReducedCover, u: Refinement) -> KleisliMor
 
 
 @memoised
-def _cover_layout(rc: ReducedCover) -> tuple[frozenset[frozenset[str]], dict[str, str]]:
+def _cover_layout(rc: ReducedCover) -> tuple[frozenset[tuple[str, str]], dict[str, str]]:
     """The inner edges of rc's target that inner edges of its source
     provide, and the inverse of its vertex bijection, found once per
     cover."""
-    kept = frozenset(frozenset(rc.arc_map[a] for a in e) for e in inner_edges(rc.source))
+    kept = frozenset(tuple(sorted(rc.arc_map[a] for a in e)) for e in inner_edges(rc.source))
     return kept, {y: x for x, y in rc.vertex_map.items()}
 
 

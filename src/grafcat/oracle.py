@@ -42,11 +42,12 @@ from .graph_core import (
     JKGraph,
     _UnionFind,
     flag_view,
-    graph_clauses,
     involutions,
+    isolated_edges,
     memoised,
     multigraph_key,
     ports,
+    validate_graph,
 )
 from .kleisli import Refinement
 
@@ -213,8 +214,7 @@ class _Layout(NamedTuple):
 def _layout(g: JKGraph) -> _Layout | None:
     """g's layout, or None if g is invalid or has isolated edges; found
     once per graph."""
-    c = graph_clauses(g)
-    if c.problems or c.isolated:
+    if not validate_graph(g).ok or isolated_edges(g):
         return None
     vertices = sorted(g.vertices)
     partner = flag_view(g)[1]

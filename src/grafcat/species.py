@@ -35,7 +35,6 @@ from .graph_core import (
     corolla,
     edges,
     find_isomorphisms,
-    graph_clauses,
     local_interface,
     multigraph_key,
     ports,
@@ -202,7 +201,7 @@ class Decoration:
 
 
 def validate_decoration(sp: GraphicalSpecies, g: JKGraph, dec: Decoration) -> ValidationReport:
-    if bad := graph_clauses(g).problems:
+    if bad := validate_graph(g).problems:
         return ValidationReport(("graph-invalid: " + "; ".join(bad),))
     problems = []
     if dec.arc_colouring.keys() != g.arcs:
@@ -238,7 +237,7 @@ def validate_decoration(sp: GraphicalSpecies, g: JKGraph, dec: Decoration) -> Va
 
 
 def _edge_colourings(sp: GraphicalSpecies, g: JKGraph):
-    keys = sorted(tuple(sorted(e)) for e in edges(g))
+    keys = sorted(edges(g))
     for choice in itertools.product(sorted(sp.colours), repeat=len(keys)):
         colouring = {}
         for (a, b), c in zip(keys, choice):
@@ -266,9 +265,8 @@ def _vertex_label_options(
 
 def evaluate_species(sp: GraphicalSpecies, g: JKGraph) -> list[Decoration]:
     """All decorations of g, in a deterministic order."""
-    rep = validate_graph(g)
-    if not rep.ok:
-        raise ValueError("invalid graph: " + "; ".join(rep.problems))
+    if bad := validate_graph(g).problems:
+        raise ValueError("invalid graph: " + "; ".join(bad))
     out = []
     for colouring in _edge_colourings(sp, g):
         options = []

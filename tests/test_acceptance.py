@@ -55,7 +55,6 @@ from grafcat.graph_core import (
     edges,
     find_isomorphisms,
     flag_view,
-    graph_clauses,
     inner_edges,
     is_connected,
     is_effective,
@@ -64,6 +63,7 @@ from grafcat.graph_core import (
     local_interface,
     ports,
     relabel,
+    validate_graph,
 )
 from grafcat.kleisli import (
     KleisliMorphism,
@@ -577,7 +577,7 @@ HANDING_OVER = {
     ),
     oracle: ("enumerate_refinements",),
 }
-GRAPH_MEMOS = (edges, inner_edges, isolated_edges, graph_clauses, flag_view, oracle._layout)
+GRAPH_MEMOS = (edges, inner_edges, isolated_edges, validate_graph, flag_view, oracle._layout)
 
 
 def handed_over(result):

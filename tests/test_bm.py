@@ -52,8 +52,8 @@ def test_graph_validation(LOOP, E2):
 def test_tails_and_edges(LOOP, E2):
     assert bm_tails(bm_corolla(2)) == {"1", "2"}
     assert bm_tails(LOOP) == set()
-    assert bm_edges(LOOP) == {frozenset({"f1", "f2"})}
-    assert bm_edges(E2) == {frozenset({"e1", "e2"})}
+    assert bm_edges(LOOP) == {("f1", "f2")}
+    assert bm_edges(E2) == {("e1", "e2")}
 
 
 # -- morphism classification ------------------------------------------------------
@@ -77,7 +77,7 @@ def test_contraction_of_loop(LOOP):
     c = classify_bm(contract)
     assert c.is_compression and c.is_contraction
     assert not c.is_merger and not c.is_grafting
-    assert contracted_pairs(contract) == {frozenset({"f1", "f2"})}
+    assert contracted_pairs(contract) == {("f1", "f2")}
 
 
 def test_merger_of_points():

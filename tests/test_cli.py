@@ -697,3 +697,45 @@ def test_a_failed_write_exits_two_with_one_line(save, command, where):
 
 def test_unknown_subcommand():
     assert run("frobnicate", expect=2).returncode == 2
+
+
+# -- hash-seed independence ---------------------------------------------------------------
+
+SEEDED_VALUES = """
+from grafcat.etale import cut_edges
+from grafcat.graph_core import corolla, edges, elements
+print(list(elements(corolla(3)).edge_elements))
+try:
+    cut_edges(corolla(3), edges(corolla(3)))
+except ValueError as err:
+    print(err)
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # edges are sorted pairs iterated in sorted order, so the edge
+    # elements' key order and the pair a failed cut names (no edge of a
+    # corolla is inner) are fixed; the CLI outputs are guards
+    outputs = []
+    for seed in ("0", "1"):
+        table = tmp_path / f"check-{seed}.json"
+        window = ["--max-vertices", "1", "--max-flags", "3", "-o", str(table)]
+        values, listed, checked = (
+            subprocess.run(
+                [sys.executable, *argv], capture_output=True, text=True,
+                env=dict(ENV, PYTHONHASHSEED=seed),
+            )
+            for argv in (
+                ["-c", SEEDED_VALUES],
+                ["-m", "grafcat.cli", "enumerate", "--max-vertices", "2", "--max-flags", "4"],
+                ["-m", "grafcat.cli", "check-equivalence", *window],
+            )
+        )
+        for proc in (values, listed, checked):
+            assert proc.returncode == 0, proc.stderr
+        assert values.stdout.splitlines() == [
+            "[('1', '1*'), ('2', '2*'), ('3', '3*')]",
+            "not an inner edge: ('1', '1*')",
+        ]
+        outputs.append((values.stdout, listed.stdout, table.read_text(), checked.stderr))
+    assert outputs[0] == outputs[1]

@@ -47,7 +47,6 @@ from grafcat.graph_core import (
     corolla,
     edges,
     find_isomorphisms,
-    graph_clauses,
     graph_sum,
     inner_edges,
     is_isomorphic,
@@ -345,17 +344,25 @@ def test_validate_cospan_checks_only_the_apex_of_each_image(monkeypatch):
     # phi takes both feet from the memoised pictures and gives both legs
     # one apex, shared by every image through one ghost graph, so once
     # the pictures are checked the 993 images of the (2,4) window cost
-    # one validate_graph call per distinct apex
+    # one fresh validate_graph run per distinct apex: the counter records
+    # a graph only while it lacks validate_graph's memo
     graphs = enumerate_bm_graphs(2, 4)
     images = [phi(h) for t in graphs for r in graphs for h in enumerate_bm_morphisms(t, r)]
     assert len(images) == 993
     apexes = {id(c.apex) for c in images}
     assert len(apexes) == len({id(c.left) for c in images}) == 87
     for g in graphs:
-        graph_clauses(phi1_graph(g))
+        validate_graph(phi1_graph(g))
     calls = []
     real = graph_core.validate_graph
-    monkeypatch.setattr(graph_core, "validate_graph", lambda g: calls.append(g) or real(g))
+    memo = f"{real.__module__}.{real.__qualname__}"
+
+    def counted(g):
+        if not hasattr(g, memo):
+            calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graph_core, "validate_graph", counted)
     assert all(validate_cospan(c).ok for c in images)
     assert len(calls) == 87
     assert {id(g) for g in calls} == apexes

@@ -1,10 +1,12 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import jk_graphs, make_cycle, make_loop, make_two_isolated_edges, shuffled
+from grafcat.bm import bm_edges
 from grafcat.cospan_equiv import phi1_graph
 from grafcat.etale import (
     EtaleMorphism,
@@ -183,7 +185,7 @@ def edge_pass_covering(ms):
     collected edge by edge, against the target's edges."""
     tgt = ms[0].target
     hit_vertices = {w for m in ms for w in m.vertex_map.values()}
-    hit_edges = {frozenset(m.arc_map[a] for a in e) for m in ms for e in edges(m.source)}
+    hit_edges = {tuple(sorted(m.arc_map[a] for a in e)) for m in ms for e in edges(m.source)}
     return hit_vertices == set(tgt.vertices) and hit_edges == edges(tgt)
 
 
@@ -381,10 +383,36 @@ def test_cut_edge_with_clashing_arc_names():
         {"x": "x^", "x^": "x"}, {"h1": "x", "h2": "x^"}, {"h1": "v", "h2": "v"},
     )
     assert validate_graph(g).ok
-    cut, rc = cut_edges(g, {frozenset({"x", "x^"})})
+    cut, rc = cut_edges(g, {("x", "x^")})
     assert len(cut.arcs) == 4
     assert validate_graph(cut).ok
     assert validate_reduced_cover(rc).ok
+
+
+def test_cut_edges_takes_the_sorted_pairs_that_inner_edges_gives():
+    g = JKGraph(
+        {"x", "x^"}, {"h1", "h2"}, {"v"},
+        {"x": "x^", "x^": "x"}, {"h1": "x", "h2": "x^"}, {"h1": "v", "h2": "v"},
+    )
+    assert inner_edges(g) == {("x", "x^")}
+    for bad in (("x^", "x"), ("x", "y")):
+        with pytest.raises(ValueError, match=re.escape(f"not an inner edge: {bad}")):
+            cut_edges(g, {bad})
+    # with several bad pairs the error names the least of them
+    with pytest.raises(ValueError, match=re.escape("not an inner edge: ('x^', 'x')")):
+        cut_edges(g, {("y", "z"), ("x", "x^"), ("x^", "x")})
+    cuts = 0
+    for b in enumerate_bm_graphs(2, 4):
+        pic = phi1_graph(b)
+        for e in inner_edges(pic):
+            assert validate_reduced_cover(cut_edges(pic, {e})[1]).ok
+            with pytest.raises(ValueError, match=re.escape(f"not an inner edge: {e[::-1]}")):
+                cut_edges(pic, {e[::-1]})
+            cuts += 1
+        for e in edges(pic) - inner_edges(pic):
+            with pytest.raises(ValueError, match=re.escape(f"not an inner edge: {e}")):
+                cut_edges(pic, {e})
+    assert cuts == sum(len(bm_edges(b)) for b in enumerate_bm_graphs(2, 4)) == 23
 
 
 def test_cutting_nothing_gives_the_graph_and_its_identity_cover(CY):

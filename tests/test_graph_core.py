@@ -35,8 +35,9 @@ from grafcat.graph_core import (
     unit_graph,
     validate_graph,
 )
+from grafcat.bm import bm_edges, contracted_pairs
 from grafcat.cospan_equiv import phi1_graph
-from grafcat.oracle import enumerate_bm_graphs
+from grafcat.oracle import enumerate_bm_graphs, enumerate_bm_morphisms
 from grafcat.species import graphs_with_ports
 
 
@@ -105,13 +106,13 @@ def test_each_graph_clause_is_reported(field, value, problems):
 
 
 def test_edge_kinds(L, CY, PATH):
-    assert edges(L) == {frozenset({"l1", "l2"})}
+    assert edges(L) == {("l1", "l2")}
     assert inner_edges(L) == edges(L)
     assert ports(L) == set()
     assert len(inner_edges(CY)) == 2
     assert ports(PATH) == {"p", "q"}
     assert len(inner_edges(PATH)) == 1
-    assert isolated_edges(unit_graph()) == {frozenset({"a1", "a2"})}
+    assert isolated_edges(unit_graph()) == {("a1", "a2")}
     assert isolated_edges(L) == set()
 
 
@@ -119,25 +120,51 @@ def test_inner_edges_are_kept_on_the_graph_and_cannot_be_changed(CY):
     first = inner_edges(CY)
     assert inner_edges(CY) is first
     im = set(CY.embed.values())
-    fresh = {frozenset((a, CY.involution[a])) for a in CY.arcs if {a, CY.involution[a]} <= im}
+    fresh = {(a, b) for a, b in CY.involution.items() if a < b and {a, b} <= im}
     assert first == fresh
     with pytest.raises(AttributeError):
-        first.add(frozenset({"x", "y"}))
-    assert isinstance(first, frozenset) and all(isinstance(e, frozenset) for e in first)
+        first.add(("x", "y"))
+    assert isinstance(first, frozenset) and all(isinstance(e, tuple) for e in first)
 
 
 def test_edges_are_a_frozenset_kept_on_the_graph(CY):
     first = edges(CY)
     assert edges(CY) is first
     assert isinstance(first, frozenset)
-    assert first == {frozenset((a, CY.involution[a])) for a in CY.arcs}
+    assert first == {(a, b) for a, b in CY.involution.items() if a < b}
 
 
 def test_isolated_edges_are_a_frozenset_kept_on_the_graph():
     g = graph_sum([unit_graph(), corolla(1)])
     first = isolated_edges(g)
     assert isolated_edges(g) is first
-    assert isinstance(first, frozenset) and first == {frozenset({"a1", "a2"})}
+    assert isinstance(first, frozenset) and first == {("a1", "a2")}
+
+
+def assert_sorted_pairs(pairs, orbits):
+    """pairs holds each orbit once, as the tuple of its two members in
+    sorted order."""
+    assert all(type(e) is tuple and len(e) == 2 and e[0] < e[1] for e in pairs)
+    assert len(pairs) == len(orbits) and {frozenset(e) for e in pairs} == orbits
+
+
+def test_edges_and_contracted_pairs_are_sorted_pairs():
+    pictures = [phi1_graph(b) for b in enumerate_bm_graphs(3, 5)]
+    for g in pictures + [graph_sum([unit_graph(), corolla(1)])]:
+        im = set(g.embed.values())
+        orbits = {frozenset((a, g.involution[a])) for a in g.arcs}
+        assert_sorted_pairs(edges(g), orbits)
+        assert_sorted_pairs(inner_edges(g), {e for e in orbits if e <= im})
+        assert_sorted_pairs(isolated_edges(g), {e for e in orbits if not e & im})
+    graphs = enumerate_bm_graphs(2, 4)
+    for b in graphs:
+        orbits = {frozenset((f, b.involution[f])) for f in b.flags}
+        assert_sorted_pairs(bm_edges(b), {e for e in orbits if len(e) == 2})
+    morphisms = [h for t in graphs for r in graphs for h in enumerate_bm_morphisms(t, r)]
+    assert len(morphisms) == 993
+    for h in morphisms:
+        vi = h.virtual_involution
+        assert_sorted_pairs(contracted_pairs(h), {frozenset((f, vi[f])) for f in vi})
 
 
 def test_flag_view_is_kept_on_the_graph(CY):

@@ -1,7 +1,8 @@
 """Every module of the package imports first, in a fresh interpreter: an
 import cycle between the modules shows only for some import orders.  And
 every public top-level name of the package is used by something other
-than the tests."""
+than the tests.  And no module of the package builds an edge anew as an
+unordered pair."""
 
 import ast
 import os
@@ -69,3 +70,48 @@ def test_every_public_name_is_used_outside_the_tests():
                 if not any(word.search(t) for t in (rest, others, outside)):
                     unused.append(f"{path.stem}.{name}")
     assert sorted(unused) == sorted(TEST_ONLY)
+
+
+def sorts_each_item(key: ast.expr) -> bool:
+    """key is sorted itself, or a lambda that calls sorted on its argument."""
+    if isinstance(key, ast.Name):
+        return key.id == "sorted"
+    if not isinstance(key, ast.Lambda):
+        return False
+    params = {p.arg for p in key.args.args}
+    return any(
+        isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "sorted"
+        and any(isinstance(a, ast.Name) and a.id in params for a in n.args)
+        for n in ast.walk(key.body)
+    )
+
+
+def unordered_pair_offences(path: Path) -> list[str]:
+    """Where a module builds an edge anew as an unordered pair, or sorts
+    its edges by sorting each one: a frozenset(...) call on a two-element
+    tuple, set or list display, and a sorted(...) call keyed by sorted or
+    by a lambda that sorts its argument."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+            continue
+        args = node.args
+        if node.func.id == "frozenset":
+            displays = (ast.Tuple, ast.Set, ast.List)
+            if len(args) == 1 and isinstance(args[0], displays) and len(args[0].elts) == 2:
+                found.append(f"{path.name}:{node.lineno}")
+        elif node.func.id == "sorted":
+            if any(kw.arg == "key" and sorts_each_item(kw.value) for kw in node.keywords):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_edges_keep_their_sorted_pair_form():
+    """An edge is its sorted arc (or flag) pair everywhere in the package:
+    only the image of an edge under a map is sorted, with tuple(sorted(...))."""
+    offences = []
+    for path in sorted((SRC / "grafcat").glob("*.py")):
+        offences += unordered_pair_offences(path)
+    assert offences == []

@@ -33,11 +33,11 @@ from grafcat.graph_core import (
     find_isomorphisms,
     flag_view,
     flags_by_vertex,
-    graph_clauses,
     graph_sum,
     inner_edges,
     is_effective,
     is_isomorphic,
+    isolated_edges,
     local_interface,
     ports,
     prefix_graph,
@@ -224,7 +224,7 @@ def scanned_validate_refinement(r: Refinement) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
     for g, name in ((r.source, "source"), (r.target, "target")):
-        if graph_clauses(g).isolated:
+        if isolated_edges(g):
             problems.append(
                 f"{name}-isolated: refinements run between graphs without isolated edges"
             )
