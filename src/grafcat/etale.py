@@ -10,7 +10,9 @@ quotient maps that glue ports together in pairs.
 The EtaleMorphism class lives in graph_core, whose isomorphism search
 returns it; the etale clauses are checked here.  A reduced cover is an
 EtaleMorphism too: the cover builders return ReducedCover, its subclass,
-and validate_reduced_cover accepts any EtaleMorphism.
+and validate_reduced_cover accepts any EtaleMorphism.  cut_edges keeps
+one cut graph per graph and edge set, shared by every cover it builds
+for that cut, so callers must not write into a cut graph.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .graph_core import (
     flag_view,
     inner_edges,
     isolated_edges,
+    memoised,
     ports,
     spanned_subgraph,
     validate_graph,
@@ -225,37 +228,42 @@ def fresh_label(label: str, used: set[str]) -> str:
     return candidate
 
 
+@memoised
+def _cuts(g: JKGraph) -> dict[frozenset[tuple[str, str]], tuple]:
+    """The cuts of g by edge set, each its cut graph and its cover's
+    three maps, none of which refers to g; a table that cut_edges fills."""
+    return {}
+
+
 def cut_edges(g: JKGraph, cut: set[tuple[str, str]]) -> tuple[JKGraph, ReducedCover]:
     """Sever the given inner edges of g, sorted arc pairs as inner_edges
     gives them, into pairs of ports; the map back to g is a reduced cover
     hitting each cut edge twice.  With nothing to cut, g itself and its
-    identity cover.  ValueError names the least pair that is no inner edge."""
+    identity cover.  ValueError names the least pair that is no inner edge.
+    One cut graph per graph and edge set: calls with the same cut share it
+    and its memos, so callers must not write into it; each call builds
+    its own cover around the shared maps."""
     if not cut:
         return g, identity_cover(g)
-    cut = sorted(cut)
-    inner = inner_edges(g)
-    for e in cut:
-        if e not in inner:
-            raise ValueError(f"not an inner edge: {e}")
-    arcs = set(g.arcs)
-    involution = dict(g.involution)
-    arc_map = {x: x for x in g.arcs}
-    for a1, a2 in cut:
-        c1 = fresh_label(a1, arcs)
-        arcs.add(c1)
-        c2 = fresh_label(a2, arcs)
-        arcs.add(c2)
-        involution[a1] = c1
-        involution[c1] = a1
-        involution[a2] = c2
-        involution[c2] = a2
-        arc_map[c1] = a2
-        arc_map[c2] = a1
-    source = JKGraph(arcs, g.flags, g.vertices, involution, g.embed, g.incidence)
-    return source, tuple.__new__(
-        ReducedCover,
-        (source, g, arc_map, {h: h for h in g.flags}, {v: v for v in g.vertices}),
-    )
+    cuts = _cuts(g)
+    key = frozenset(cut)
+    entry = cuts.get(key)
+    if entry is None:
+        if bad := sorted(key - inner_edges(g)):
+            raise ValueError(f"not an inner edge: {bad[0]}")
+        arcs = set(g.arcs)
+        involution = dict(g.involution)
+        arc_map = {x: x for x in g.arcs}
+        for a1, a2 in sorted(key):
+            c1 = fresh_label(a1, arcs)
+            arcs.add(c1)
+            c2 = fresh_label(a2, arcs)
+            arcs.add(c2)
+            involution.update({a1: c1, c1: a1, a2: c2, c2: a2})
+            arc_map.update({c1: a2, c2: a1})
+        source = JKGraph(arcs, g.flags, g.vertices, involution, g.embed, g.incidence)
+        entry = cuts[key] = source, arc_map, {h: h for h in g.flags}, {v: v for v in g.vertices}
+    return entry[0], tuple.__new__(ReducedCover, (entry[0], g, *entry[1:]))
 
 
 def require_cover_base(x: JKGraph) -> None:

@@ -1,11 +1,14 @@
+import gc
 import itertools
 import re
+import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import jk_graphs, make_cycle, make_loop, make_two_isolated_edges, shuffled
+from grafcat import etale, kleisli
 from grafcat.bm import bm_edges
 from grafcat.cospan_equiv import phi1_graph
 from grafcat.etale import (
@@ -15,6 +18,7 @@ from grafcat.etale import (
     compose_etale,
     cut_edges,
     decompose_reduced_cover,
+    fresh_label,
     glue_ports,
     identity_cover,
     identity_etale,
@@ -43,7 +47,10 @@ from grafcat.graph_core import (
     unit_graph,
     validate_graph,
 )
-from grafcat.oracle import covers_from, enumerate_bm_graphs
+from grafcat.oracle import covers_from, enumerate_bm_graphs, enumerate_refinements
+
+import test_acceptance
+from test_kleisli import in_order
 
 
 # -- etale validation -----------------------------------------------------------
@@ -419,6 +426,113 @@ def test_cutting_nothing_gives_the_graph_and_its_identity_cover(CY):
     cut, rc = cut_edges(CY, set())
     assert cut is CY
     assert rc == identity_cover(CY)
+
+
+def uncached_cut(g, cut):
+    """Reference: cut_edges as it was before it kept its cuts, building
+    a fresh cut graph and cover on every call."""
+    if not cut:
+        return g, identity_cover(g)
+    cut = sorted(cut)
+    inner = inner_edges(g)
+    for e in cut:
+        if e not in inner:
+            raise ValueError(f"not an inner edge: {e}")
+    arcs = set(g.arcs)
+    involution = dict(g.involution)
+    arc_map = {x: x for x in g.arcs}
+    for a1, a2 in cut:
+        c1 = fresh_label(a1, arcs)
+        arcs.add(c1)
+        c2 = fresh_label(a2, arcs)
+        arcs.add(c2)
+        involution[a1] = c1
+        involution[c1] = a1
+        involution[a2] = c2
+        involution[c2] = a2
+        arc_map[c1] = a2
+        arc_map[c2] = a1
+    source = JKGraph(arcs, g.flags, g.vertices, involution, g.embed, g.incidence)
+    return source, ReducedCover(
+        source, g, arc_map, {h: h for h in g.flags}, {v: v for v in g.vertices}
+    )
+
+
+def checked_cuts(monkeypatch, *modules):
+    """Rebind cut_edges in the given modules to a wrapper that checks
+    each call against uncached_cut and against a repeat call; returns
+    the calls, by whether the cut was nonempty."""
+    calls = Counter()
+
+    def checked(g, cut):
+        cut_graph, rc = cut_edges(g, cut)
+        ref_graph, ref = uncached_cut(g, cut)
+        assert cut_graph == ref_graph and rc.source is cut_graph and rc.target is g
+        assert in_order(rc) == in_order(ref)
+        again, rc_again = cut_edges(g, cut)
+        assert again is cut_graph  # one cut graph per graph and edge set
+        assert rc_again is not rc and in_order(rc_again) == in_order(rc)
+        calls[bool(cut)] += 1
+        return cut_graph, rc
+
+    for module in modules:
+        monkeypatch.setattr(module, "cut_edges", checked)
+    return calls
+
+
+def two_four_pictures():
+    """The pictures of the (2,4) graphs without isolated edges, fresh."""
+    return [g for g in (phi1_graph(b) for b in enumerate_bm_graphs(2, 4)) if is_effective(g)]
+
+
+def test_kept_cuts_match_the_uncached_cut_on_the_two_four_window(monkeypatch):
+    jks = two_four_pictures()
+    calls = checked_cuts(monkeypatch, etale)
+    covers = sum(len(reduced_covers_of(g)) for g in jks)
+    assert covers == sum(calls.values()) == 60
+    assert calls[True] == 28
+    # every cut the (2,4) pushout loops of test_pushouts_mediate_uniquely
+    # ask for, as the cover composites do: the squares, then the epi check
+    calls = checked_cuts(monkeypatch, kleisli)
+    assert test_acceptance.pushout_squares(jks) == (1718, 1718)
+    for R in jks:
+        for rc in covers_from(R):
+            for T in jks:
+                for v in enumerate_refinements(rc.target, T):
+                    kleisli.compose_cover_then_refinement(rc, v)
+    assert dict(calls) == {False: 4818, True: 29488}
+
+
+def test_a_bad_cut_raises_again_and_is_not_kept():
+    for g in two_four_pictures():
+        kept = dict(etale._cuts(g))
+        bad = [e[::-1] for e in inner_edges(g)] + sorted(edges(g) - inner_edges(g))
+        for e in bad:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=re.escape(f"not an inner edge: {e}")):
+                    cut_edges(g, {e})
+            with pytest.raises(ValueError, match=re.escape(f"not an inner edge: {e}")):
+                uncached_cut(g, {e})
+        assert etale._cuts(g) == kept
+
+
+def test_a_graph_whose_cuts_were_asked_for_is_freed_at_once():
+    # the kept cuts hold the cut graphs and maps, not covers, so nothing
+    # on the graph points back at it and reference counting frees it; the
+    # collector is off so that a cycle would keep it alive
+    gc.disable()
+    try:
+        g = make_cycle()
+        alive = weakref.ref(g)
+        covers = reduced_covers_of(g) + reduced_covers_of(g)
+        assert len(covers) == 8 and len(etale._cuts(g)) == 3
+        cut = covers[-1].source
+        assert cut is covers[3].source and not inner_edges(cut)
+        del g, covers
+        assert alive() is None
+        assert validate_graph(cut).ok  # the cut graph outlives the graph it was cut from
+    finally:
+        gc.enable()
 
 
 def test_decompose_replay_on_cycle(CY):

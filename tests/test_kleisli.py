@@ -574,6 +574,34 @@ def test_cover_then_refinement_needs_composable_parts(L, CY, PATH):
             compose_cover_then_refinement(rc, r)
 
 
+def test_composites_that_cut_the_same_edges_share_their_middle():
+    # on the (2,4) pictures, two composites of one cover with refinements
+    # into one graph share their middle exactly when they cut the same
+    # edges (when their free parts have the same arcs); kleisli_equal
+    # then works out the middle's isolated edges once and reads the memo
+    memo = f"{isolated_edges.__module__}.{isolated_edges.__qualname__}"
+    jks = [g for g in map(phi1_graph, enumerate_bm_graphs(2, 4)) if is_effective(g)]
+    composites, middles, computed, shared = 0, set(), 0, 0
+    for R in jks:
+        for rc in covers_from(R):
+            for T in jks:
+                refs = enumerate_refinements(rc.target, T)
+                ks = [compose_cover_then_refinement(rc, v) for v in refs]
+                for k1, k2 in itertools.combinations(ks, 2):
+                    same_cut = k1.free.arc_map.keys() == k2.free.arc_map.keys()
+                    assert (k1.generic.target is k2.generic.target) == same_cut
+                    shared += same_cut and k1.generic.target is not T
+                for k in ks:
+                    mid = k.generic.target
+                    if mid is not T:
+                        composites += 1
+                        middles.add(id(mid))
+                        computed += memo not in vars(mid)
+                    assert kleisli_equal(k, k)
+    assert shared == 945
+    assert (composites, len(middles), computed) == (500, 28, 28)
+
+
 def test_kleisli_equal_discriminates(L, PATH):
     r = loop_to_cycle(L, PATH)
     k = KleisliMorphism(r, identity_etale(r.target))

@@ -7,9 +7,9 @@ from collections import Counter
 
 import pytest
 
-from grafcat import bm, cospan_equiv, oracle
+from grafcat import bm, cospan_equiv, etale, oracle
 from grafcat.bm import BMGraph, BMMorphism
-from grafcat.graph_core import ports
+from grafcat.graph_core import is_effective, memoised, ports
 from grafcat.kleisli import Refinement
 from grafcat.species import decorated_isomorphic, truncated_free
 
@@ -222,3 +222,34 @@ def test_the_equivalence_check_catches_a_broken_construction(
     report = oracle.check_equivalence(2, 4)
     assert len(report.pairs) == 1089
     assert Counter(failed_checks(res) for res in report.pairs if not res.ok) == failures
+
+
+class KeyedBySize(dict):
+    """A cut table that files each cut under the number of edges cut, so
+    a later cut of as many other edges gets the first one's cut graph."""
+
+    def get(self, key, default=None):
+        return super().get(len(key), default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(len(key), value)
+
+
+@memoised
+def cuts_by_size(g):
+    return KeyedBySize()
+
+
+def test_the_pushout_check_catches_a_cut_table_keyed_by_size(monkeypatch):
+    # the pushout loops of test_pushouts_mediate_uniquely on the (3,4)
+    # pictures, with the real cut table and then with the mutant: no
+    # mediating refinement is miscounted (the loops would raise), but 14
+    # cocones are lost.  On the (2,4) pictures no count changes.
+    jks = [
+        g
+        for g in map(cospan_equiv.phi1_graph, oracle.enumerate_bm_graphs(3, 4))
+        if is_effective(g)
+    ]
+    assert test_acceptance.pushout_squares(jks) == (6146, 6146)
+    monkeypatch.setattr(etale, "_cuts", cuts_by_size)
+    assert test_acceptance.pushout_squares(jks) == (6146, 6132)
