@@ -11,15 +11,22 @@ refinement enumerator reads are memoised on the graph and the picture,
 so each is built once however many pairs the graph is in.  So are the
 ghost graphs of its morphisms (one per port matching, as its covers),
 phi's cover leg onto each ghost with that leg's validation, and the
-left-leg part of cospan_key on each cover, enumerated or phi's.  No apex
-bound is needed: a reduced cover is bijective on vertices, so every
-apex has its source's vertex count.  Cospans are compared through their
-normal form (cospan_key): the cover leg forces the apex isomorphism, so
-equal cospans have equal keys and the bijection checks are set
-operations.  The main entry point check_equivalence compares, for every
-ordered pair of graphs within bounds, the morphisms of the vertex/flag
-encoding against the cover/refinement cospans of the arc encoding, and
-verifies that the translation phi is a bijection between the two."""
+left-leg part of cospan_key on each cover, enumerated or phi's.  A leaf
+of either hom search gets its vertex maps from _surjections, which
+joins only the ends of the leaf's ties and reads forced points off the
+class roots; the refinement search places a flag, and on an inner edge
+its partner, from the entries of the memoised layout, with no dict per
+candidate.  Neither changes an order: both match, map insertion order
+included, the test references that join every vertex in a union-find
+and build a dict per candidate.  No apex bound is needed: a reduced
+cover is bijective on vertices, so every apex has its source's vertex
+count.  Cospans are compared through their normal form (cospan_key):
+the cover leg forces the apex isomorphism, so equal cospans have equal
+keys and the bijection checks are set operations.  The main entry
+point check_equivalence compares, for every ordered pair of graphs
+within bounds, the morphisms of the vertex/flag encoding against the
+cover/refinement cospans of the arc encoding, and verifies that the
+translation phi is a bijection between the two."""
 
 from __future__ import annotations
 
@@ -40,7 +47,6 @@ from .cospan_equiv import (
 from .etale import ReducedCover, replay_gluings, require_cover_base
 from .graph_core import (
     JKGraph,
-    _UnionFind,
     flag_view,
     involutions,
     isolated_edges,
@@ -87,23 +93,35 @@ def _surjections(
 ):
     """Every map of the sorted domain onto the sorted codomain that sends
     the two ends of each tie to one point and agrees with forced, in
-    product order.  Ties join the domain into classes; a class takes its
-    forced point, or every point, and free classes vary in order of
-    their first element, which keeps product order."""
-    uf = _UnionFind(domain)
+    product order.  Only the tie ends are joined, so a point in no tie is
+    a class of its own; each forced point goes on its class's root, and
+    two that differ on one class end the search at once.  A class takes
+    its forced point, or every point, and the classes vary in order of
+    their first element, which keeps product order; each point reads its
+    image off its class's place in the product tuple."""
+    link: dict[str, str] = {}  # a joined tie end -> another point of its class
     for a, b in ties:
-        uf.union(a, b)
-    root = {v: uf.find(v) for v in domain}
-    fixed: dict[str, str] = {}
+        while a in link:
+            a = link[a]
+        while b in link:
+            b = link[b]
+        if a != b:
+            link[a] = b
+    fixed: dict[str, str] = {}  # class root -> its forced point
     for v, w in forced.items():
-        if fixed.setdefault(root[v], w) != w:
+        while v in link:
+            v = link[v]
+        if fixed.setdefault(v, w) != w:
             return
-    free = list(dict.fromkeys(root[v] for v in domain if root[v] not in fixed))
-    hit = set(fixed.values())
-    for values in itertools.product(codomain, repeat=len(free)):
-        if len(hit.union(values)) == len(codomain):
-            fibre = {**fixed, **dict(zip(free, values))}
-            yield {v: fibre[root[v]] for v in domain}
+    slot: dict[str, int] = {}  # class root -> its place, in order of the first element
+    places = []  # the slot of each domain point
+    for v in domain:
+        while v in link:
+            v = link[v]
+        places.append(slot.setdefault(v, len(slot)))
+    for values in itertools.product(*[(fixed[v],) if v in fixed else codomain for v in slot]):
+        if len(set(values)) == len(codomain):
+            yield dict(zip(domain, map(values.__getitem__, places)))
 
 
 def enumerate_bm_morphisms(tau: BMGraph, rho: BMGraph) -> list[BMMorphism]:
@@ -199,34 +217,37 @@ def _covers(picture: JKGraph) -> tuple[ReducedCover, ...]:
 
 
 class _Layout(NamedTuple):
-    """What enumerate_refinements reads of a graph at either end."""
+    """What enumerate_refinements reads of a graph at either end.  A
+    flag's entry is (flag, its vertex, its partner, the partner's vertex,
+    its arc, the opposite arc); on a port the partner is the flag itself
+    and the opposite arc is the port.  An inner edge's entry is (its
+    lesser flag, that flag's vertex, the other flag's vertex)."""
 
     vertices: list[str]  # sorted
-    rank: dict[str, int]  # of each vertex in vertices
-    partner: dict[str, str]  # as in flag_view
-    flags: list[str]  # sorted
-    leaders: list[str]  # the flags no greater than their partner
-    on_port: list[str]  # the flags that are their own partner
-    on_edge: list[str]  # the others
+    leaders: list[tuple]  # the entries of the flags no greater than their partner
+    on_port: list[tuple]  # the entries of the flags that are their own partner
+    on_edge: list[tuple]  # the entries of the others
+    inner_edges: list[tuple[str, str, str]]
 
 
 @memoised
 def _layout(g: JKGraph) -> _Layout | None:
     """g's layout, or None if g is invalid or has isolated edges; found
-    once per graph."""
+    once per graph.  Entries come in the sorted order of their flags."""
     if not validate_graph(g).ok or isolated_edges(g):
         return None
-    vertices = sorted(g.vertices)
     partner = flag_view(g)[1]
-    flags = sorted(g.flags)
+    at = g.incidence
+    entries = [
+        (h, at[h], partner[h], at[partner[h]], g.embed[h], g.involution[g.embed[h]])
+        for h in sorted(g.flags)
+    ]
     return _Layout(
-        vertices,
-        {x: i for i, x in enumerate(vertices)},
-        partner,
-        flags,
-        [h for h in flags if h <= partner[h]],
-        [h for h in flags if partner[h] == h],
-        [h for h in flags if partner[h] != h],
+        sorted(g.vertices),
+        [e for e in entries if e[0] <= e[2]],
+        [e for e in entries if e[0] == e[2]],
+        [e for e in entries if e[0] != e[2]],
+        [(h, v, w) for h, v, h2, w, _, _ in entries if h < h2],
     )
 
 
@@ -239,64 +260,60 @@ def enumerate_refinements(r: JKGraph, s: JKGraph) -> list[Refinement]:
     first.  Each taken flag forces its vertex into the piece of its
     taker's vertex, and each inner edge of s left untaken lies in one
     piece; the pieces not forced take every vertex of r, as long as
-    every vertex of r gets a piece.  The order is that of the vertex
-    surjections in product order over the sorted vertices of s, then of
-    the flag choices."""
+    every vertex of r gets a piece.  A leaf of the flag search reads its
+    ties off the untaken inner edges of s's layout and hands them, with
+    the forced pieces, to _surjections; its flag and arc maps are filled
+    from the layout entries it placed and shared by all its vertex
+    maps.  The order is that of the vertex surjections in product order
+    over the sorted vertices of s, then of the flag choices."""
     if len(r.vertices) > len(s.vertices) or len(r.flags) > len(s.flags):
         return []
     lr, ls = _layout(r), _layout(s)
     if lr is None or ls is None or len(lr.on_port) != len(ls.on_port):
         return []
-    r_vertices, rank, r_partner, leaders = lr.vertices, lr.rank, lr.partner, lr.leaders
-    s_vertices, s_partner, s_flags = ls.vertices, ls.partner, ls.flags
-    on_port, on_edge = ls.on_port, ls.on_edge
-    found: list[tuple[tuple[int, ...], Refinement]] = []
-    chosen: dict[str, str] = {}  # flag of r -> flag of s, partners after leaders
-    taken: set[str] = set()  # the values of chosen: port flags and whole edges, never half one
+    r_vertices, leaders = lr.vertices, lr.leaders
+    s_vertices, on_port, on_edge, inner_edges = ls.vertices, ls.on_port, ls.on_edge, ls.inner_edges
+    found: list[tuple[tuple[str, ...], Refinement]] = []
+    placed: list[tuple] = [()] * len(leaders)  # the entry of s each leader took, by depth
+    taken: set[str] = set()  # the flags of s placed: port flags and whole edges, never half one
     forced: dict[str, str] = {}  # vertex of s -> vertex of r
 
     def complete():
         # Every flag of s on a port is taken, so the untaken flags are
         # whole inner edges, and each lies in one piece.
-        ties = [(s.incidence[h], s.incidence[s_partner[h]]) for h in s_flags if h not in taken]
+        ties = [(v, w) for h, v, w in inner_edges if h not in taken]
+        flag_map: dict[str, str] = {}
         arc_map: dict[str, str] = {}
-        for g, h in chosen.items():
-            arc_map[r.embed[g]] = s.embed[h]
-            arc_map.setdefault(r.involution[r.embed[g]], s.involution[s.embed[h]])
-        flag_map = dict(chosen)  # the search goes on changing chosen
+        for (g, _, g2, _, a, a2), (h, _, h2, _, b, b2) in zip(leaders, placed):
+            flag_map[g] = h
+            flag_map[g2] = h2
+            arc_map[a] = b
+            arc_map[a2] = b2
         for vm in _surjections(s_vertices, r_vertices, ties, forced):
-            key = tuple(rank[vm[v]] for v in s_vertices)
-            found.append((key, tuple.__new__(Refinement, (r, s, arc_map, vm, flag_map))))
+            # r's vertices are sorted, so their names order the maps as product order does
+            ref = tuple.__new__(Refinement, (r, s, arc_map, vm, flag_map))
+            found.append((tuple(vm.values()), ref))
 
     def place(i: int):
         if i == len(leaders):
             complete()
             return
-        g = leaders[i]
-        g2 = r_partner[g]
-        for h in on_port if g2 == g else on_edge:
+        g, x, g2, x2, _, _ = leaders[i]
+        for entry in on_port if g2 == g else on_edge:
+            h, v, h2, v2, _, _ = entry
             if h in taken:
                 continue
-            step = {g: h}
-            if g2 != g:
-                step[g2] = s_partner[h]
-            fresh = []
-            for a, b in step.items():
-                v, x = s.incidence[b], r.incidence[a]
-                if v not in forced:
-                    forced[v] = x
-                    fresh.append(v)
-                elif forced[v] != x:
-                    break
-            else:
-                chosen.update(step)
-                taken.update(step.values())
+            n_forced = len(forced)
+            # a port's partner is itself, so its second test holds at once
+            if forced.setdefault(v, x) == x and forced.setdefault(v2, x2) == x2:
+                placed[i] = entry
+                taken.add(h)
+                taken.add(h2)
                 place(i + 1)
-                for a, b in step.items():
-                    del chosen[a]
-                    taken.discard(b)
-            for v in fresh:
-                del forced[v]
+                taken.discard(h)
+                taken.discard(h2)
+            while len(forced) > n_forced:
+                forced.popitem()  # the vertices this entry forced, last in first out
 
     place(0)
     del place  # it closes over itself: a cycle that would keep r, s and found

@@ -3,6 +3,7 @@
 Each case monkeypatches one construction with a mutant and counts how
 often a named check fails on the smallest window that shows it."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -168,6 +169,28 @@ def first_virtual_edge_left_as_tails(real):
     return mutant
 
 
+def ties_ignored(real):
+    """_surjections, but the ends of a tie may land on different points."""
+
+    def mutant(domain, codomain, ties, forced):
+        return real(domain, codomain, [], forced)
+
+    return mutant
+
+
+def onto_check_dropped(real):
+    """_surjections, but every map that keeps the ties and the forced
+    points is kept, onto or not."""
+
+    def mutant(domain, codomain, ties, forced):
+        for values in itertools.product(codomain, repeat=len(domain)):
+            vm = dict(zip(domain, values))
+            if all(vm[a] == vm[b] for a, b in ties) and all(vm[v] == w for v, w in forced.items()):
+                yield vm
+
+    return mutant
+
+
 @pytest.mark.parametrize(
     "module, name, mutate, failures",
     [
@@ -204,6 +227,22 @@ def first_virtual_edge_left_as_tails(real):
             first_virtual_edge_left_as_tails,
             {("injective", "surjective", "roundtrip"): 46},
         ),
+        (
+            oracle,
+            "_surjections",
+            ties_ignored,
+            {
+                ("count", "surjective"): 11,
+                ("injective", "surjective", "roundtrip"): 10,
+                ("count", "injective", "surjective", "roundtrip"): 1,
+            },
+        ),
+        (
+            oracle,
+            "_surjections",
+            onto_check_dropped,
+            {("injective", "surjective", "roundtrip"): 79},
+        ),
     ],
     ids=[
         "compose_bm",
@@ -213,6 +252,8 @@ def first_virtual_edge_left_as_tails(real):
         "cospan_key",
         "phi1_mor",
         "ghost_graph",
+        "_surjections-ties",
+        "_surjections-onto",
     ],
 )
 def test_the_equivalence_check_catches_a_broken_construction(

@@ -30,9 +30,11 @@ from grafcat.oracle import (
 )
 from grafcat.graph_core import (
     JKGraph,
+    _UnionFind,
     corolla,
     find_isomorphisms,
     disjoint_union,
+    flag_view,
     graph_sum,
     involutions,
     ports,
@@ -409,17 +411,43 @@ def test_constructed_refinements_match_the_filter_on_the_three_four_window():
     assert _match_refinement_filter(_picture_apex_pairs(3, 4)) == (11072, 3774)
 
 
+def reference_surjections(domain, codomain, ties, forced):
+    """Test-only reference: the vertex search as a union-find over the
+    whole domain, with a root and a fibre dict per call.  Every map of the
+    sorted domain onto the sorted codomain that sends the two ends of
+    each tie to one point and agrees with forced, in product order."""
+    uf = _UnionFind(domain)
+    for a, b in ties:
+        uf.union(a, b)
+    root = {v: uf.find(v) for v in domain}
+    fixed = {}
+    for v, w in forced.items():
+        if fixed.setdefault(root[v], w) != w:
+            return
+    free = list(dict.fromkeys(root[v] for v in domain if root[v] not in fixed))
+    hit = set(fixed.values())
+    for values in itertools.product(codomain, repeat=len(free)):
+        if len(hit.union(values)) == len(codomain):
+            fibre = {**fixed, **dict(zip(free, values))}
+            yield {v: fibre[root[v]] for v in domain}
+
+
 def partner_checked_refinements(r, s):
-    """Test-only reference: enumerate_refinements with one more check,
-    that the partner of an untaken flag on an edge is untaken too."""
+    """Test-only reference: enumerate_refinements as it was with a step
+    dict per candidate and reference_surjections for the vertex maps,
+    and with one more check, that the partner of an untaken flag on an
+    edge is untaken too."""
     if len(r.vertices) > len(s.vertices) or len(r.flags) > len(s.flags):
         return []
     lr, ls = oracle._layout(r), oracle._layout(s)
     if lr is None or ls is None or len(lr.on_port) != len(ls.on_port):
         return []
-    r_vertices, rank, r_partner, leaders = lr.vertices, lr.rank, lr.partner, lr.leaders
-    s_vertices, s_partner, s_flags = ls.vertices, ls.partner, ls.flags
-    on_port, on_edge = ls.on_port, ls.on_edge
+    r_partner, s_partner = flag_view(r)[1], flag_view(s)[1]
+    r_vertices, s_vertices, s_flags = sorted(r.vertices), sorted(s.vertices), sorted(s.flags)
+    rank = {x: i for i, x in enumerate(r_vertices)}
+    leaders = [g for g in sorted(r.flags) if g <= r_partner[g]]
+    on_port = [h for h in s_flags if s_partner[h] == h]
+    on_edge = [h for h in s_flags if s_partner[h] != h]
     found: list[tuple[tuple[int, ...], Refinement]] = []
     chosen: dict[str, str] = {}  # flag of r -> flag of s, partners after leaders
     taken: set[str] = set()  # the values of chosen
@@ -434,7 +462,7 @@ def partner_checked_refinements(r, s):
             arc_map[r.embed[g]] = s.embed[h]
             arc_map.setdefault(r.involution[r.embed[g]], s.involution[s.embed[h]])
         flag_map = dict(chosen)  # the search goes on changing chosen
-        for vm in oracle._surjections(s_vertices, r_vertices, ties, forced):
+        for vm in reference_surjections(s_vertices, r_vertices, ties, forced):
             key = tuple(rank[vm[v]] for v in s_vertices)
             found.append((key, tuple.__new__(Refinement, (r, s, arc_map, vm, flag_map))))
 
@@ -486,6 +514,63 @@ def test_refinements_need_no_partner_check_on_the_three_five_window():
         )
         n_refs += len(built)
     assert (len(pictures), n_refs) == (112, 5234)
+
+
+def _maps_in_order(maps):
+    # the maps with their insertion order
+    return [tuple(m.items()) for m in maps]
+
+
+def test_surjections_match_the_reference_on_every_enumerator_call(monkeypatch):
+    # every call both hom enumerators make on the (2,5) and (3,4) windows
+    real = oracle._surjections
+    sizes = []
+
+    def checked(domain, codomain, ties, forced):
+        maps = list(real(domain, codomain, ties, forced))
+        expected = reference_surjections(domain, codomain, ties, forced)
+        assert _maps_in_order(maps) == _maps_in_order(expected), (domain, codomain, ties, forced)
+        sizes.append(len(maps))
+        return iter(maps)
+
+    monkeypatch.setattr(oracle, "_surjections", checked)
+    for max_vertices, max_flags in [(2, 5), (3, 4)]:
+        graphs = enumerate_bm_graphs(max_vertices, max_flags)
+        for tau, rho in itertools.product(graphs, repeat=2):
+            enumerate_bm_morphisms(tau, rho)
+        for r, s in _picture_apex_pairs(max_vertices, max_flags):
+            enumerate_refinements(r, s)
+    assert (len(sizes), sum(sizes)) == (20842, 16774)
+
+
+def test_surjections_match_the_reference_on_every_small_input():
+    # sorted domains of 0-4 points and codomains of 0-3 that share names,
+    # every set of ties between two points and every partial forced map
+    calls = empty = 0
+    for n in range(5):
+        domain = list("abcd"[:n])
+        pool = list(itertools.combinations(domain, 2))
+        for k in range(4):
+            codomain = list("abc"[:k])
+            for picked in itertools.product((False, True), repeat=len(pool)):
+                ties = list(itertools.compress(pool, picked))
+                for images in itertools.product((None, *codomain), repeat=n):
+                    forced = {v: w for v, w in zip(domain, images) if w is not None}
+                    maps = list(oracle._surjections(domain, codomain, ties, forced))
+                    expected = reference_surjections(domain, codomain, ties, forced)
+                    assert _maps_in_order(maps) == _maps_in_order(expected), (
+                        domain, codomain, ties, forced
+                    )
+                    calls += 1
+                    empty += not maps
+    assert (calls, empty) == (23530, 20655)
+    # two forced points that differ conflict through a chain of ties
+    chain = [("a", "b"), ("b", "c")]
+    forced = {"a": "a", "c": "b"}
+    assert list(oracle._surjections(["a", "b", "c"], ["a", "b"], chain, forced)) == []
+    assert list(oracle._surjections(["a", "b", "c"], ["a", "b"], chain[:1], forced)) == [
+        {"a": "a", "b": "a", "c": "b"}
+    ]
 
 
 def test_pictures_and_covers_are_built_once_per_graph(LOOP):
