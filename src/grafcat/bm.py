@@ -22,6 +22,7 @@ morphism.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -99,9 +100,10 @@ class BMMorphism(_BMMorphismFields):
     The constructor copies the three maps, so no caller's dict is
     aliased.  The builders in this module skip the copy and hand their
     maps to one tuple.__new__ call:
-      - compose_bm, the identities, factorise_bm's graftings and
-        find_bm_isomorphisms between two graphs build fresh maps;
-      - the automorphisms of a graph share the maps memoised on it;
+      - compose_bm, the identities and factorise_bm's graftings build
+        fresh maps;
+      - the isomorphisms between two graphs share the maps memoised on
+        the first (see find_bm_isomorphisms);
       - the compression of factorise_bm holds the maps of the morphism
         it splits.
     Callers must not write into the maps.
@@ -348,27 +350,30 @@ def _search_maps(g1: BMGraph, g2: BMGraph) -> Iterator[tuple[dict[str, str], ...
 
 
 @memoised
-def _automorphism_maps(g: BMGraph) -> tuple[tuple[dict[str, str], ...], ...]:
-    """The maps of g's automorphisms, searched once per graph.  They hold
-    no reference to g, so the memo does not keep g in a cycle."""
-    return tuple(_search_maps(g, g))
+def _isomorphism_maps(g: BMGraph) -> dict[int, tuple[weakref.ref, tuple]]:
+    """The isomorphism maps out of g by id of the target, each next to a
+    weak reference to it; a table that find_bm_isomorphisms fills."""
+    return {}
 
 
 def find_bm_isomorphisms(g1: BMGraph, g2: BMGraph) -> list[BMMorphism]:
     """All isomorphisms g1 -> g2, as morphism triples: the involution is
     the partner map, with tails as their own partners.
 
-    The automorphisms of a graph (g1 is g2) are searched once per graph
-    object and their maps kept on it; each call builds fresh morphisms
-    around those shared maps, so callers must not write into them."""
-    if g1 is g2:
-        maps = _automorphism_maps(g1)
-    elif len(g1.vertices) != len(g2.vertices) or len(g1.flags) != len(g2.flags):
+    Each pair of graph objects of equal size is searched once, g1 is g2
+    included: the maps are kept on g1 under id(g2), next to a weak
+    reference to g2, and searched again once that reference is dead or
+    names another graph.  The table holds no morphism and no graph, so
+    neither end is kept alive by it.  Each call builds fresh morphisms
+    around the shared maps, so callers must not write into them."""
+    if len(g1.vertices) != len(g2.vertices) or len(g1.flags) != len(g2.flags):
         return []
-    else:
-        maps = _search_maps(g1, g2)
+    table = _isomorphism_maps(g1)
+    entry = table.get(id(g2))
+    if entry is None or entry[0]() is not g2:
+        entry = table[id(g2)] = weakref.ref(g2), tuple(_search_maps(g1, g2))
     ends = (g1, g2)
-    return [tuple.__new__(BMMorphism, ends + m) for m in maps]
+    return [tuple.__new__(BMMorphism, ends + m) for m in entry[1]]
 
 
 def is_bm_isomorphic(g1: BMGraph, g2: BMGraph) -> bool:

@@ -38,12 +38,14 @@ def memoised(fn):
     value's __dict__ (under a dotted name no attribute can have).  The
     stored result is shared by every caller, who must not change it,
     unless it is a table that fn returns empty for its own module to
-    fill, as bm._ghosts (one ghost graph per source and involution) and
-    etale._cuts (one cut graph per graph and edge set) are; callers must
-    not write into the graphs those tables share either.  Only values
-    with a __dict__ take a memo: graphs, the dataclass values and
-    etale.ReducedCover, not EtaleMorphism itself and kleisli.Refinement,
-    whose __slots__ are empty."""
+    fill, as bm._ghosts (one ghost graph per source and involution),
+    bm._isomorphism_maps (the isomorphism maps per target, keyed by its
+    id next to a weak reference to it) and etale._cuts (one cut graph
+    per graph and edge set) are; callers must not write into the graphs
+    or maps those tables share either.  Only values with a __dict__ take
+    a memo: graphs, the dataclass values and etale.ReducedCover, not
+    EtaleMorphism itself and kleisli.Refinement, whose __slots__ are
+    empty."""
     key = f"{fn.__module__}.{fn.__qualname__}"
     missing = object()
 

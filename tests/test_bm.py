@@ -352,8 +352,10 @@ def test_morphisms_compare_as_their_five_fields(LOOP):
 
 # -- the builders against the copying constructor -------------------------------------------
 #
-# compose_bm, factorise_bm and find_bm_isomorphisms hand their fresh maps
-# straight to the tuple; the references below build the same values
+# compose_bm and factorise_bm hand their fresh maps straight to the
+# tuple, and find_bm_isomorphisms hands it the maps kept in its pair
+# table on the source (keyed by id of the target, which the table holds
+# only by a weak reference); the references below build the same values
 # through the public constructor, as the builders first did.  The
 # composites of refinements and of etale maps are checked against their
 # comprehension bodies, kept as they were before the three composites
@@ -600,19 +602,73 @@ def test_automorphisms_are_searched_once_per_graph(monkeypatch):
     assert len(searches) == 2
     assert len(find_bm_isomorphisms(g, twin)) == 2
     assert len(searches) == 3
+    assert len(find_bm_isomorphisms(g, twin)) == 2
+    assert len(searches) == 3
+    assert len(find_bm_isomorphisms(g, equal_copy(g))) == 2
+    assert len(searches) == 4
+
+
+def test_isomorphisms_between_distinct_graphs_match_the_reference():
+    # every ordered pair of distinct but isomorphic graph objects among
+    # the (2,4) graphs, their equal copies, and the ghosts of the 993
+    # morphisms with the window graph of their class; each pair is
+    # searched on the first call and read from the table on the second
+    graphs = enumerate_bm_graphs(2, 4)
+    pairs = [(g, equal_copy(g)) for g in graphs]
+    morphisms = [m for a in graphs for b in graphs for m in enumerate_bm_morphisms(a, b)]
+    assert len(morphisms) == 993
+    ghosts = list({id(mid): mid for mid in map(ghost_graph, morphisms)}.values())
+    for ghost in ghosts:
+        (cls,) = [g for g in graphs if reference_isomorphisms(ghost, g)]
+        assert cls is not ghost
+        pairs += [(ghost, cls), (cls, ghost)]
+    assert (len(graphs), len(ghosts)) == (33, 87)
+    total = 0
+    for g1, g2 in pairs:
+        expected = [in_order(m) for m in reference_isomorphisms(g1, g2)]
+        assert expected
+        assert id(g2) not in grafcat.bm._isomorphism_maps(g1)
+        for _ in range(2):
+            assert [in_order(m) for m in find_bm_isomorphisms(g1, g2)] == expected
+        total += len(expected)
+    assert (len(pairs), total) == (207, 847)
+
+
+def test_a_stale_pair_entry_is_searched_again():
+    # an entry whose weak reference is dead, or names another graph, is
+    # never read: the pair is searched and the entry overwritten
+    g = make_bm_two_corollas()
+    twin, other = equal_copy(g), make_bm_loop()
+    gone = equal_copy(g)
+    dead = weakref.ref(gone)
+    del gone
+    assert dead() is None
+    bogus = (({}, {}, {}),) * 5
+    table = grafcat.bm._isomorphism_maps(g)
+    for planted in (dead, weakref.ref(other)):
+        table[id(twin)] = planted, bogus
+        found = find_bm_isomorphisms(g, twin)
+        assert [in_order(m) for m in found] == [
+            in_order(m) for m in reference_isomorphisms(g, twin)
+        ]
+        assert len(found) == 2
+        assert table[id(twin)][0]() is twin
 
 
 def test_a_graph_whose_automorphisms_were_asked_for_is_freed_at_once():
-    # the memo holds maps, not morphisms, so nothing on the graph points
-    # back at it and reference counting frees it; the collector is off
-    # so that a cycle would keep it alive
+    # the pair table on a source holds maps, not morphisms, and its
+    # targets only by weak references, so nothing points back at a graph
+    # asked about as source, as target or as both, and reference counting
+    # frees it; the collector is off so that a cycle would keep it alive
     gc.disable()
     try:
-        g = bm_corolla(3)
-        alive = weakref.ref(g)
-        assert len(find_bm_isomorphisms(g, g)) == 6
-        del g
-        assert alive() is None
+        h = bm_corolla(3)
+        for ask in (lambda g: (g, g), lambda g: (g, h), lambda g: (h, g)):
+            g = bm_corolla(3)
+            alive = weakref.ref(g)
+            assert len(find_bm_isomorphisms(*ask(g))) == 6
+            del g
+            assert alive() is None
     finally:
         gc.enable()
 

@@ -3,7 +3,9 @@
 Each case monkeypatches one construction with a mutant and counts how
 often a named check fails on the smallest window that shows it."""
 
+import ctypes
 import itertools
+import weakref
 from collections import Counter
 
 import pytest
@@ -294,3 +296,45 @@ def test_the_pushout_check_catches_a_cut_table_keyed_by_size(monkeypatch):
     assert test_acceptance.pushout_squares(jks) == (6146, 6146)
     monkeypatch.setattr(etale, "_cuts", cuts_by_size)
     assert test_acceptance.pushout_squares(jks) == (6146, 6132)
+
+
+def size(g):
+    return len(g.vertices), len(g.flags)
+
+
+class PairsBySize(dict):
+    """A pair table that files each target under its (vertex count, flag
+    count), so a later target of that size gets the first one's maps.
+    find_bm_isomorphisms asks it by id of a live target, which get turns
+    back into the target."""
+
+    def get(self, key, default=None):
+        target = ctypes.cast(key, ctypes.py_object).value
+        entry = super().get(size(target))
+        return default if entry is None else (weakref.ref(target), entry[1])
+
+    def __setitem__(self, key, value):
+        super().__setitem__(size(value[0]()), value)
+
+
+@memoised
+def pairs_by_size(g):
+    return PairsBySize()
+
+
+def test_the_factorisation_check_catches_a_pair_table_keyed_by_size(monkeypatch):
+    # the unique-comparison loop of
+    # test_factorisations_compose_back_and_compare_uniquely on fresh (2,4)
+    # graphs, whose tables start empty: with the mutant 3068 of the 81340
+    # ordered pairs of factorisations get the maps of another pair of
+    # middles of their size, and no comparison isomorphism among them
+    graphs = oracle.enumerate_bm_graphs(2, 4)
+    homs = {
+        (i, j): oracle.enumerate_bm_morphisms(a, b)
+        for i, a in enumerate(graphs)
+        for j, b in enumerate(graphs)
+    }
+    monkeypatch.setattr(bm, "_isomorphism_maps", pairs_by_size)
+    total_h, total_facts, comparisons = test_acceptance.comparison_counts(graphs, homs)
+    assert (total_h, total_facts, sum(comparisons.values())) == (993, 7076, 81340)
+    assert comparisons == {1: 78272, 0: 3068}
